@@ -362,10 +362,10 @@ def shell_decomposition(
         raise ValueError(f"C0 must be positive, got {C0}")
     width = C0 * math.sqrt(d * math.log(n / delta0) / n)
     R = math.ceil(math.sqrt(n / (d * math.log(n))))
-    min_err = min(errors)
-    sizes = tuple(
-        sum(1 for e in errors if e <= min_err + t * width) for t in range(R + 1)
-    )
+    ordered = sorted(errors)
+    min_err = ordered[0]
+    # bisect_right counts the errors e <= min_err + t*width, one sort for all shells
+    sizes = tuple(bisect_right(ordered, min_err + t * width) for t in range(R + 1))
     return ShellDecomposition(shell_sizes=sizes, width=width, min_err=min_err, C0=C0, R=R)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -33,7 +32,6 @@ from .core import (
 from .noise import NoiseSource
 from .mechanisms import (
     Fail,
-    GapMechanismConfig,
     build_mechanism,
     lmm_quality_radius,
     lmm_required_margin,
@@ -126,20 +124,12 @@ def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> 
             out.close()
 
 
-def _validate_mechanism_names(names: list[str]) -> None:
-    allowed = {"em", "mol", "st13", "lmm"}
-    unknown = [m for m in names if m not in allowed]
-    if unknown:
-        raise ValueError(f"unknown mechanism(s) {unknown}; choose from {sorted(allowed)}")
-
-
 def cmd_select(args) -> int:
     if args.input is None:
         raise ValueError("select needs --in with a universe JSON file")
-    u = load_universe(args.input)
-    _validate_mechanism_names([args.mechanism])
     budget = PrivacyBudget(args.alpha, args.delta)
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
+    u = load_universe(args.input)
     seed = _seed_of(args)
     result = mech(u, NoiseSource(seed, zero_override=args.zero_noise))
     if isinstance(result, Fail):
@@ -155,14 +145,13 @@ def cmd_bench_range(args) -> int:
     if not ks:
         raise ValueError("bench-range needs --ks, e.g. --ks 100,10000")
     names = [m for m in args.mechanism.split(",") if m]
-    _validate_mechanism_names(names)
     budget = PrivacyBudget(args.alpha, args.delta)
+    mechs = [build_mechanism(name, budget, cap=args.cap) for name in names]
     seed = _seed_of(args)
     rows = []
     for row_index, k in enumerate(ks):
         u = build_threshold_example(k, [1] * args.n)
-        for mech_index, name in enumerate(names):
-            mech = build_mechanism(name, budget, cap=args.cap)
+        for mech_index, (name, mech) in enumerate(zip(names, mechs)):
             # deterministic per-cell seed stream, disjoint across table cells
             base = NoiseSource(seed + 1_000_003 * (row_index * len(names) + mech_index),
                                zero_override=args.zero_noise)
@@ -209,7 +198,6 @@ def _build_audit_pair(args):
 
 
 def cmd_audit(args) -> int:
-    _validate_mechanism_names([args.mechanism])
     budget = PrivacyBudget(args.alpha, args.delta)
     claim = PrivacyBudget(
         args.claim_alpha if args.claim_alpha is not None else args.alpha,
@@ -245,11 +233,10 @@ def cmd_audit(args) -> int:
 def cmd_fim(args) -> int:
     if args.baskets is None:
         raise ValueError("fim needs --baskets")
-    _validate_mechanism_names([args.mechanism])
-    d = load_baskets(args.baskets)
-    universe, codec = itemset_quality(d, args.r, vocab_size=args.vocab_size)
     budget = PrivacyBudget(args.alpha, args.delta)
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
+    d = load_baskets(args.baskets)
+    universe, codec = itemset_quality(d, args.r, vocab_size=args.vocab_size)
     seed = _seed_of(args)
     result = mech(universe, NoiseSource(seed, zero_override=args.zero_noise))
     if isinstance(result, Fail):
@@ -283,6 +270,8 @@ def cmd_fim(args) -> int:
 def cmd_pac(args) -> int:
     if args.spec is None:
         raise ValueError("pac needs --spec with a class spec JSON file")
+    budget = PrivacyBudget(args.alpha, args.delta)
+    mech = build_mechanism(args.mechanism, budget, cap=args.cap)
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     for field in ("num_hypotheses", "n", "d", "error_profile"):
@@ -298,9 +287,6 @@ def cmd_pac(args) -> int:
     ell_ref = shells.shell_sizes[min(1, shells.R)]
     constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
     ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
-    budget = PrivacyBudget(args.alpha, args.delta)
-    _validate_mechanism_names([args.mechanism])
-    mech = build_mechanism(args.mechanism, budget, cap=args.cap)
     seed = _seed_of(args)
     result = mech(universe, NoiseSource(seed, zero_override=args.zero_noise))
     if isinstance(result, Fail):

@@ -196,8 +196,10 @@ def compute_thresholds(n: int, alpha: float, delta: float, r: int) -> ThresholdP
             + (12/(n a)) ln(3 r (r+1)/delta) + t
 
     Both are strictly increasing in r and scale as 1/n for fixed (alpha, delta).
-    The result is cached: the function is pure and sits on the adaptive
-    mechanism's per-invocation hot path.
+    The adaptive mechanism asks for a rank only when its search reaches it, so
+    a call pays for the ranks it scans. The result is cached because repeated
+    runs on one (n, alpha, delta), such as audit trials, revisit the same few
+    low ranks on every run.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     MechanismOutcome,
@@ -151,6 +152,10 @@ def margin_search(
     Returns k when the full scan (cap = k) finds no such rank; raises
     :class:`CapExhausted` when a smaller cap is hit first, leaving the
     fallback choice to the caller.
+
+    ``thresholds`` may be any sequence of at least cap-1 pairs, including a
+    lazy one such as :class:`ThresholdSchedule`: only the entries of the
+    ranks visited are read, in rank order.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -170,6 +175,31 @@ def margin_search(
     if limit == u.k:
         return u.k
     raise CapExhausted(limit)
+
+
+class ThresholdSchedule(Sequence):
+    """Read-only T(r) schedule for ranks 1..count whose pairs are computed on access.
+
+    Item r-1 is ``compute_thresholds(n, alpha, delta, r)``, evaluated when it
+    is read, so a margin search that stops at rank r pays for r pairs instead
+    of count.
+    """
+
+    __slots__ = ("_n", "_alpha", "_delta", "_count")
+
+    def __init__(self, n: int, alpha: float, delta: float, count: int):
+        self._n = n
+        self._alpha = alpha
+        self._delta = delta
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> ThresholdPair:
+        if not 0 <= index < self._count:
+            raise IndexError(f"rank index {index} outside [0, {self._count})")
+        return compute_thresholds(self._n, self._alpha, self._delta, index + 1)
 
 
 def default_cap(u: QualityUniverse) -> int:
@@ -203,15 +233,16 @@ def large_margin_mechanism(
     If the margin search exhausts its cap (possible only when cap < k), the
     mechanism falls back to the plain exponential mechanism over the full
     universe at the remaining alpha/3 and flags the outcome uncertified.
+
+    Thresholds are computed only for the ranks the search reaches, so the
+    cost follows the ranks scanned rather than k.
     """
     budget.require_approximate()
     third = budget.alpha / 3.0
     limit = default_cap(u) if cap is None else cap
     if not 1 <= limit <= u.k:
         raise ValueError(f"cap {cap} outside [1, {u.k}]")
-    thresholds = [
-        compute_thresholds(u.n, budget.alpha, budget.delta, r) for r in range(1, limit)
-    ]
+    thresholds = ThresholdSchedule(u.n, budget.alpha, budget.delta, limit - 1)
     m = noisy_max_estimate(u, third, src)
     try:
         ell = margin_search(u, third, m, thresholds, src, cap=limit)

@@ -108,3 +108,9 @@ class RecordingSource:
         from privmax.noise import sample_laplace
 
         return sample_laplace(scale, self._inner)
+
+
+def shell_sizes_bruteforce(errors, min_err, width, R):
+    """Shell sizes |{e : e <= min_err + t*width}| for t = 0..R by a full pass
+    over the errors per shell."""
+    return tuple(sum(1 for e in errors if e <= min_err + t * width) for t in range(R + 1))

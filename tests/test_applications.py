@@ -24,6 +24,7 @@ from privmax import (
     t_star,
 )
 from privmax.applications import ShellDecomposition, _comb_rank, _comb_unrank
+from oracles import shell_sizes_bruteforce
 
 
 class TestLoadBaskets:
@@ -248,6 +249,40 @@ class TestShellDecomposition:
             shell_decomposition([0.1], d=1, n=100, delta0=0.0)
         with pytest.raises(ValueError):
             shell_decomposition([0.1], d=1, n=100, delta0=0.05, C0=0.0)
+
+    @staticmethod
+    def _check_against_bruteforce(errors, **params):
+        s = shell_decomposition(errors, **params)
+        assert s.min_err == min(errors)
+        assert s.shell_sizes == shell_sizes_bruteforce(errors, s.min_err, s.width, s.R)
+        return s
+
+    def test_matches_bruteforce_with_ties(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(2, 2000)
+            # errors on the 1/n lattice, as empirical errors are, so ties are common
+            errors = [rng.randint(0, n) / n for _ in range(rng.randint(1, 60))]
+            d = rng.randint(1, 5)
+            self._check_against_bruteforce(errors, d=d, n=n, delta0=0.05, C0=rng.uniform(0.01, 2.0))
+
+    def test_matches_bruteforce_on_shell_boundaries(self):
+        params = dict(d=1, n=400, delta0=0.05, C0=0.1)
+        probe = shell_decomposition([0.0], **params)
+        rng = random.Random(13)
+        for _ in range(50):
+            min_err = rng.choice([0.0, -0.0, 0.1, 1 / 3, rng.uniform(0, 1)])
+            # the same float expression the shells compare against
+            errors = [min_err + t * probe.width for t in range(probe.R + 1)] * rng.randint(1, 3)
+            errors += [min_err + rng.uniform(0, probe.R * probe.width) for _ in range(10)]
+            rng.shuffle(errors)
+            s = self._check_against_bruteforce(errors, **params)
+            assert s.R == probe.R and s.width == probe.width
+
+    def test_single_error_matches_bruteforce(self):
+        for e in (0.0, -0.0, 0.25, 1.0):
+            s = self._check_against_bruteforce([e], d=2, n=300, delta0=0.1)
+            assert set(s.shell_sizes) == {1}
 
     def test_sizes_length_invariant(self):
         with pytest.raises(ValueError):

@@ -252,3 +252,25 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--in", "{missing}"],
+        ["fim", "--baskets", "{missing}"],
+        ["pac", "--spec", "{missing}"],
+        ["bench-range", "--ks", "10,100", "--mechanism", "em,bogus"],
+        ["audit", "--pair", "{missing}", "{missing}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_mechanism_rejected_by_registry_before_input(argv, tmp_path, capsys):
+    # the input paths do not exist: the name must be rejected before any input is read
+    missing = str(tmp_path / "missing")
+    argv = [a.format(missing=missing) for a in argv]
+    if "--mechanism" not in argv:
+        argv += ["--mechanism", "bogus"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "unknown mechanism 'bogus'; registered: em, rem, mol, st13, lmm" in err

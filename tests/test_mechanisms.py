@@ -1,6 +1,7 @@
 """Selection mechanisms against hand traces and sampling-free oracles."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -28,6 +29,8 @@ from privmax import (
     restricted_exponential,
     top_set,
 )
+from privmax import mechanisms
+from privmax.mechanisms import ThresholdSchedule
 from oracles import (
     FixedSource,
     RecordingSource,
@@ -458,3 +461,91 @@ def test_laplace_block_max_distribution():
     for q in (0.1, 0.25, 0.5, 0.75, 0.9):
         i = int(q * trials)
         assert closed[i] == pytest.approx(naive[i], abs=0.05)
+
+
+def _eager_lmm(u, budget, src, cap=None):
+    """Reference LMM: the margin search fed the explicit list of all cap-1
+    threshold pairs, computed before any noise is drawn."""
+    third = budget.alpha / 3.0
+    limit = default_cap(u) if cap is None else cap
+    thresholds = [compute_thresholds(u.n, budget.alpha, budget.delta, r) for r in range(1, limit)]
+    m = noisy_max_estimate(u, third, src)
+    try:
+        ell = margin_search(u, third, m, thresholds, src, cap=limit)
+    except CapExhausted:
+        return exponential_mechanism(u, third, src).item, None, m, False
+    return restricted_exponential(u, ell, third, src).item, ell, m, True
+
+
+def test_threshold_schedule_sequence():
+    sched = ThresholdSchedule(500, 1.0, 0.05, 4)
+    assert len(sched) == 4
+    assert list(sched) == [compute_thresholds(500, 1.0, 0.05, r) for r in range(1, 5)]
+    for index in (-1, 4):
+        with pytest.raises(IndexError):
+            sched[index]
+    assert list(ThresholdSchedule(500, 1.0, 0.05, 0)) == []
+
+
+def test_lmm_computes_thresholds_only_for_scanned_ranks(monkeypatch):
+    calls = []
+    real = mechanisms.compute_thresholds
+
+    def counting(n, alpha, delta, r):
+        calls.append(r)
+        return real(n, alpha, delta, r)
+
+    monkeypatch.setattr(mechanisms, "compute_thresholds", counting)
+    budget = PrivacyBudget(1.0, 0.05)
+    zero = NoiseSource(0, zero_override=True)
+
+    # certified at rank 3: margins 0, 0, then 1.0 > T(3)
+    u = QualityUniverse.dense([1.0, 1.0, 1.0] + [0.0] * 97, n=500)
+    out = large_margin_mechanism(u, budget, zero)
+    assert (out.ell, out.certified) == (3, True)
+    assert calls == [1, 2, 3]
+
+    # seeded runs: one threshold per rank scanned, in rank order
+    u = QualityUniverse.dense([1.0, 0.98, 0.95, 0.9] + [0.3] * 46, n=200)
+    base = NoiseSource(41)
+    for t in range(300):
+        calls.clear()
+        out = large_margin_mechanism(u, budget, base.spawn(t))
+        assert calls == list(range(1, min(out.ell, u.k - 1) + 1))
+
+    # cap fallback: the search scans ranks 1..cap-1, then gives up
+    calls.clear()
+    out = large_margin_mechanism(QualityUniverse.dense([0.5] * 10, n=500), budget, zero, cap=6)
+    assert not out.certified
+    assert len(calls) == 5
+
+    # full scan of a dense k = 10^4 universe: k-1 thresholds
+    calls.clear()
+    u = QualityUniverse.dense([0.5] * 10_000, n=500)
+    out = large_margin_mechanism(u, budget, zero)
+    assert out.ell == u.k
+    assert len(calls) == u.k - 1
+
+
+def test_lmm_matches_eager_threshold_reference():
+    n, alpha, delta = 500, 1.0, 0.05
+    t1 = compute_thresholds(n, alpha, delta, 1).T
+    t2 = compute_thresholds(n, alpha, delta, 2).T
+    rng = random.Random(43)
+    cases = [
+        (QualityUniverse.dense([rng.randint(0, 50) / 50 for _ in range(12)], n=50), None),
+        (QualityUniverse.dense([1.0, 1.0 - t1, 1.0 - t2] + [0.1] * 5, n=n), None),
+        (QualityUniverse.sparse([0.9, 0.85, 0.8, 0.3], k=10**9, n=100), None),
+        (QualityUniverse.sparse([0.1], k=100, n=10), None),
+        (QualityUniverse.dense([0.6, 0.58, 0.57, 0.56] + [0.5] * 16, n=40), 5),
+        (QualityUniverse.dense([0.0, -0.0, 0.0, -0.0], n=100), None),
+    ]
+    for budget in (PrivacyBudget(alpha, delta), PrivacyBudget(0.5, 0.1)):
+        for u, cap in cases:
+            for seed in range(200):
+                got = large_margin_mechanism(u, budget, NoiseSource(seed), cap=cap)
+                want = _eager_lmm(u, budget, NoiseSource(seed), cap=cap)
+                assert (got.item, got.ell, got.m, got.certified) == want
+            got = large_margin_mechanism(u, budget, NoiseSource(0, zero_override=True), cap=cap)
+            want = _eager_lmm(u, budget, NoiseSource(0, zero_override=True), cap=cap)
+            assert (got.item, got.ell, got.m, got.certified) == want
