@@ -29,8 +29,12 @@ FAIL_KEY = "fail"
 # an audit whose statistical slack exceeds this cannot certify anything useful
 _SLACK_WARN = 0.1
 
-# per-side seed offset so left/right estimates never share a trial seed
+# per-side seed offset so left/right estimates never share a shard stream
 _RIGHT_SEED_OFFSET = 1 << 32
+
+# trials per noise stream in estimate_distribution: seeding a Mersenne Twister
+# costs far more than a trial's few draws, so a stream serves a whole shard
+_SHARD_TRIALS = 1024
 
 
 def hoeffding_slack(trials: int, confidence: float = 0.99) -> float:
@@ -58,19 +62,22 @@ def estimate_distribution(
 ) -> dict:
     """Empirical outcome frequencies over ``trials`` runs of ``mechanism``.
 
-    Trial t runs with an independent source seeded seed XOR t, so aggregation
-    is order-independent and trials may be re-run or sharded reproducibly.
-    ``decode`` maps a raw result to the reported outcome (defaults to the item
-    id, or "fail"); ``zero_override`` propagates the deterministic noise mode
-    to every trial.
+    Trials are cut into shards of ``_SHARD_TRIALS``; shard j draws from the
+    hashed child stream ``NoiseSource(seed).spawn(j)``, and its trials consume
+    that one stream in order. Aggregation is order-independent and any shard
+    can be replayed on its own. ``decode`` maps a raw result to the reported
+    outcome (defaults to the item id, or "fail"); ``zero_override``
+    propagates the deterministic noise mode to every shard.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     key = decode if decode is not None else outcome_key
     base = NoiseSource(seed, zero_override=zero_override)
     counts: Counter = Counter()
-    for t in range(trials):
-        counts[key(mechanism(u, base.spawn(t)))] += 1
+    for shard, start in enumerate(range(0, trials, _SHARD_TRIALS)):
+        src = base.spawn(shard)
+        for _ in range(min(_SHARD_TRIALS, trials - start)):
+            counts[key(mechanism(u, src))] += 1
     return {k: c / trials for k, c in counts.items()}
 
 

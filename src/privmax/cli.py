@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -37,12 +38,14 @@ from .mechanisms import (
     lmm_required_margin,
 )
 from .audit import (
+    FAIL_KEY,
     NeighborPair,
     build_lb2_family,
     build_threshold_example,
     check_approx_dp,
     check_group_privacy,
     em_expected_gap,
+    estimate_distribution,
     lb2_delta_bound,
 )
 from .applications import (
@@ -147,25 +150,20 @@ def cmd_bench_range(args) -> int:
     names = [m for m in args.mechanism.split(",") if m]
     budget = PrivacyBudget(args.alpha, args.delta)
     mechs = [build_mechanism(name, budget, cap=args.cap) for name in names]
-    seed = _seed_of(args)
+    base = NoiseSource(_seed_of(args))
     rows = []
     for row_index, k in enumerate(ks):
         u = build_threshold_example(k, [1] * args.n)
         for mech_index, (name, mech) in enumerate(zip(names, mechs)):
-            # deterministic per-cell seed stream, disjoint across table cells
-            base = NoiseSource(seed + 1_000_003 * (row_index * len(names) + mech_index),
-                               zero_override=args.zero_noise)
-            successes = 0
-            quality_sum = 0.0
-            for t in range(args.trials):
-                result = mech(u, base.spawn(t))
-                if isinstance(result, Fail):
-                    continue  # a Fail contributes quality 0 and no success
-                successes += result.item == 1
-                quality_sum += u.value(result.item)
+            # each table cell audits its own hashed child seed
+            cell_seed = base.spawn(row_index * len(names) + mech_index).seed
+            freqs = estimate_distribution(mech, u, args.trials, cell_seed,
+                                          zero_override=args.zero_noise)
+            # a Fail contributes quality 0 and no success
+            quality = math.fsum(p * u.value(i) for i, p in freqs.items() if i != FAIL_KEY)
             rows.append(
                 [name, k, u.n, budget.alpha, args.trials,
-                 f"{successes / args.trials:.6f}", f"{quality_sum / args.trials:.6f}"]
+                 f"{freqs.get(1, 0.0):.6f}", f"{quality:.6f}"]
             )
     _write_csv_rows(args.out, ["mechanism", "K", "n", "alpha", "trials", "success_rate", "mean_quality"],
                     rows, _config_dict(args) | {"ks": args.ks, "n": args.n})

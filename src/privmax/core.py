@@ -81,11 +81,12 @@ class QualityUniverse:
             self.values = vals
             self.nonzeros = None
             self.fill = 0.0
+            # sorting the floats directly beats gathering them through the id
+            # order: the gather reads the float objects in random order
             self._sorted = tuple(sorted(vals, reverse=True))
-            # stable sort: ties keep ascending-id order
-            self._ids_desc = tuple(
-                i + 1 for i in sorted(range(k), key=lambda j: -vals[j])
-            )
+            # stable even with reverse=True: ties keep ascending-id order
+            order = sorted(range(k), key=vals.__getitem__, reverse=True)
+            self._ids_desc = tuple(j + 1 for j in order)
         else:
             nz = tuple(float(v) for v in nonzeros)
             fill = float(fill)

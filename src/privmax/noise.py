@@ -6,9 +6,21 @@ from __future__ import annotations
 import math
 import random
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(x: int) -> int:
+    """One SplitMix64 step (Steele, Lea & Flood, OOPSLA 2014): add the golden
+    gamma, then apply the finalizer; all arithmetic mod 2^64."""
+    z = (x + _GOLDEN_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
 
 class NoiseSource:
-    """Stream of uniform variates in (0, 1) derived from a 64-bit seed.
+    """Stream of uniform variates in (0, 1) derived from a nonnegative seed.
 
     Identical seeds yield identical streams (Mersenne Twister, stable across
     platforms). With ``zero_override`` every draw is replaced by the stream
@@ -16,13 +28,18 @@ class NoiseSource:
     traces for tests and debugging, NOT private.
 
     A source is single-owner: one consumer, one pass; never share one
-    mid-stream. Parallel trials use :meth:`spawn`, which seeds trial ``i``
-    with ``seed XOR i``.
+    mid-stream. Independent streams come from :meth:`spawn`, which hashes
+    (seed, index) into a child seed, so children of nearby seeds or indices
+    do not overlap.
     """
 
     __slots__ = ("seed", "zero_override", "_rng")
 
     def __init__(self, seed: int, zero_override: bool = False):
+        # Random(-s) seeds like Random(s): a negative seed would silently
+        # alias its absolute value
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         self.seed = seed
         self.zero_override = zero_override
         self._rng = random.Random(seed)
@@ -44,8 +61,10 @@ class NoiseSource:
         return sample_laplace(scale, self)
 
     def spawn(self, index: int) -> "NoiseSource":
-        """Independent source for trial ``index`` (seed = base XOR index)."""
-        return NoiseSource(self.seed ^ index, self.zero_override)
+        """Independent child stream ``index``, seeded with
+        mix64(mix64(seed) + index), where mix64 is a SplitMix64 step; keeps
+        ``zero_override``."""
+        return NoiseSource(_mix64(_mix64(self.seed) + index), self.zero_override)
 
     def __repr__(self) -> str:
         return f"NoiseSource(seed={self.seed}, mode={self.mode})"

@@ -30,6 +30,7 @@ from privmax import (
     satisfies_margin,
     top_set,
 )
+from privmax.audit import _SHARD_TRIALS, outcome_key
 from oracles import exact_selection_weights, tv_distance
 
 
@@ -98,6 +99,30 @@ class TestEstimateDistribution:
         u = QualityUniverse.dense([0.5], n=10)
         with pytest.raises(ValueError):
             estimate_distribution(argmax_mechanism, u, trials=0, seed=0)
+
+    def test_nearby_seeds_give_independent_estimates(self):
+        # seed XOR trial made seeds 0..3 draw the same set of trial streams
+        u = QualityUniverse.dense([0.5] * 4, n=10)
+        mech = build_mechanism("em", PrivacyBudget(1.0))
+        estimates = [
+            tuple(sorted(estimate_distribution(mech, u, 1000, seed).items()))
+            for seed in range(4)
+        ]
+        assert len(set(estimates)) == 4
+
+    def test_shards_replay_from_spawned_streams(self):
+        u = QualityUniverse.dense([0.5, 0.45, 0.4, 0.1], n=10)
+        mech = build_mechanism("lmm", PrivacyBudget(1.0, 0.05))
+        trials = 2 * _SHARD_TRIALS + 5
+        base = NoiseSource(17)
+        counts = {}
+        for shard, size in enumerate((_SHARD_TRIALS, _SHARD_TRIALS, 5)):
+            src = base.spawn(shard)
+            for _ in range(size):
+                key = outcome_key(mech(u, src))
+                counts[key] = counts.get(key, 0) + 1
+        replay = {key: c / trials for key, c in counts.items()}
+        assert estimate_distribution(mech, u, trials, 17) == replay
 
 
 class TestNeighborPair:

@@ -248,6 +248,13 @@ class TestPac:
         assert run("pac") == EXIT_ERROR
 
 
+@pytest.mark.parametrize("command", ["select", "bench-range"])
+def test_negative_seed_exits_one(command, clear_universe, capsys):
+    extra = ["--in", clear_universe] if command == "select" else ["--ks", "10", "--trials", "10"]
+    assert run(command, *extra, "--seed", "-5") == EXIT_ERROR
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

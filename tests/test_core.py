@@ -106,6 +106,30 @@ class TestQualityUniverse:
         with pytest.raises(ValueError):
             universe_from_dict({"k": 3, "n": 5})
 
+    def test_dense_order_matches_two_sort_reference(self):
+        # reference: the id order sorted ascending by negated value
+        def reference(vals):
+            return (
+                tuple(sorted(vals, reverse=True)),
+                tuple(i + 1 for i in sorted(range(len(vals)), key=lambda j: -vals[j])),
+            )
+
+        rng = random.Random(11)
+        cases = [
+            [0.5, 0.5, 0.5],
+            [0.0, -0.0, 0.0, -0.0, 0.3],
+            [-0.0, 0.0, -1.0, 0.0],
+            [0.2, 0.7, 0.2, 0.7, 0.1],
+        ]
+        cases += [[rng.choice((0.0, -0.0, 0.25, 0.5)) for _ in range(40)] for _ in range(20)]
+        cases += [[rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 60))] for _ in range(20)]
+        for vals in cases:
+            u = QualityUniverse.dense(vals, n=10)
+            ref_sorted, ref_ids = reference(tuple(vals))
+            assert u._ids_desc == ref_ids
+            # repr tells -0.0 from 0.0
+            assert list(map(repr, u._sorted)) == list(map(repr, ref_sorted))
+
     def test_to_dict_shapes(self):
         dd = universe_to_dict(QualityUniverse.dense([1.0], n=2))
         assert set(dd) == {"k", "n", "values"}

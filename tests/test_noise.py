@@ -5,6 +5,7 @@ import math
 import pytest
 
 from privmax import NoiseSource, sample_laplace
+from privmax.noise import _mix64
 from oracles import FixedSource
 
 
@@ -46,11 +47,30 @@ def test_uniforms_in_open_interval():
 
 
 def test_spawn_derivation():
+    # SplitMix64 reference outputs: the first two of the generator seeded 0
+    assert _mix64(0) == 0xE220A8397B1DCDAF
+    assert _mix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
     src = NoiseSource(40, zero_override=True)
     child = src.spawn(6)
-    assert child.seed == 40 ^ 6
+    assert child.seed == _mix64(_mix64(40) + 6)
     assert child.zero_override
-    assert NoiseSource(40).spawn(0).seed == 40
+    assert not NoiseSource(40).spawn(6).zero_override
+
+
+def test_spawn_of_nearby_seeds_and_indices_do_not_alias():
+    # the old seed XOR index rule gave both children seed 1
+    assert NoiseSource(0).spawn(1).seed != NoiseSource(1).spawn(0).seed
+    seeds = {NoiseSource(s).spawn(i).seed for s in range(16) for i in range(16)}
+    assert len(seeds) == 256
+
+
+def test_negative_seed_rejected():
+    # random.Random(-5) seeds exactly like Random(5)
+    with pytest.raises(ValueError):
+        NoiseSource(-5)
+    with pytest.raises(ValueError):
+        NoiseSource(-1, zero_override=True)
+    assert NoiseSource(0).seed == 0
 
 
 def test_mode_labels():
