@@ -208,9 +208,7 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     index = {tok: i for i, tok in enumerate(d.vocabulary)}
     counts: Counter = Counter()
     for basket in d.baskets:
-        indices = sorted(index[t] for t in basket)
-        for combo in combinations(indices, r):
-            counts[combo] += 1
+        counts.update(combinations(sorted(map(index.__getitem__, basket)), r))
     n = d.n
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     values = [c / n for _, c in ordered]

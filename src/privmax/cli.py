@@ -127,20 +127,32 @@ def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> 
             out.close()
 
 
+def _run_and_emit(args, mech, universe, details=None) -> int:
+    """Run ``mech`` on ``universe`` with the seeded source and emit the outcome.
+
+    A Fail is emitted as its own record with exit code EXIT_FAIL. A released
+    outcome is emitted with ``details(outcome)`` merged in, if given, and
+    exits EXIT_OK when certified, else EXIT_UNCERTIFIED.
+    """
+    seed = _seed_of(args)
+    result = mech(universe, NoiseSource(seed, zero_override=args.zero_noise))
+    if isinstance(result, Fail):
+        budget = result.budget
+        _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": seed})
+        return EXIT_FAIL
+    payload = result._replace(seed=seed).to_json_dict()
+    if details is not None:
+        payload.update(details(result))
+    _emit(args, payload)
+    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
+
+
 def cmd_select(args) -> int:
     if args.input is None:
         raise ValueError("select needs --in with a universe JSON file")
     budget = PrivacyBudget(args.alpha, args.delta)
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
-    u = load_universe(args.input)
-    seed = _seed_of(args)
-    result = mech(u, NoiseSource(seed, zero_override=args.zero_noise))
-    if isinstance(result, Fail):
-        _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": seed})
-        return EXIT_FAIL
-    doc = result._replace(seed=seed).to_json_dict()
-    _emit(args, doc)
-    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
+    return _run_and_emit(args, mech, load_universe(args.input))
 
 
 def cmd_bench_range(args) -> int:
@@ -235,18 +247,13 @@ def cmd_fim(args) -> int:
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
     d = load_baskets(args.baskets)
     universe, codec = itemset_quality(d, args.r, vocab_size=args.vocab_size)
-    seed = _seed_of(args)
-    result = mech(universe, NoiseSource(seed, zero_override=args.zero_noise))
-    if isinstance(result, Fail):
-        _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": seed})
-        return EXIT_FAIL
-    f_max = order_stat(universe, 1)
-    gap = f_max - universe.value(result.item)
-    na = universe.n * budget.alpha
-    ell_star = max(universe.explicit_count, 1)
-    payload = result._replace(seed=seed).to_json_dict()
-    payload.update(
-        {
+
+    def details(result):
+        f_max = order_stat(universe, 1)
+        gap = f_max - universe.value(result.item)
+        na = universe.n * budget.alpha
+        ell_star = max(universe.explicit_count, 1)
+        return {
             "itemset": list(codec.decode(result.item)),
             "f_max": f_max,
             "gap": gap,
@@ -260,9 +267,8 @@ def cmd_fim(args) -> int:
             # end-to-end privacy; the adaptive mechanism does not
             "universe_provenance": "a-priori" if args.vocab_size else "data-derived",
         }
-    )
-    _emit(args, payload)
-    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
+
+    return _run_and_emit(args, mech, universe, details)
 
 
 def cmd_pac(args) -> int:
@@ -285,16 +291,11 @@ def cmd_pac(args) -> int:
     ell_ref = shells.shell_sizes[min(1, shells.R)]
     constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
     ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
-    seed = _seed_of(args)
-    result = mech(universe, NoiseSource(seed, zero_override=args.zero_noise))
-    if isinstance(result, Fail):
-        _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": seed})
-        return EXIT_FAIL
-    best = min(errors)
-    chosen = errors[result.item - 1]
-    payload = result._replace(seed=seed).to_json_dict()
-    payload.update(
-        {
+
+    def details(result):
+        best = min(errors)
+        chosen = errors[result.item - 1]
+        return {
             "hypothesis": result.item - 1,
             "error": chosen,
             "min_error": best,
@@ -306,9 +307,8 @@ def cmd_pac(args) -> int:
             "t_star_exhausted": ts.exhausted,
             "selection_constant": constant,
         }
-    )
-    _emit(args, payload)
-    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
+
+    return _run_and_emit(args, mech, universe, details)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,7 @@ margin-adaptive mechanism."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -11,6 +12,12 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 NEG_INF = float("-inf")
+
+# a dense universe's sorted prefix grows to at least this many ranks, and to
+# at least this multiple of its current length; a prefix of k/4 ranks or
+# more is sorted in full
+_MIN_PREFIX = 256
+_PREFIX_GROWTH = 8
 
 
 class ThresholdPair(NamedTuple):
@@ -57,8 +64,15 @@ class QualityUniverse:
       carrying the fill value. ``k`` may be combinatorially large (it is never
       materialized), which is what makes itemset-scale universes workable.
 
-    Instances are immutable by convention; all operations are pure reads, so a
-    universe may be shared freely across threads.
+    A dense universe is not sorted when it is built. Its descending order
+    (values descending, ties by ascending id) is sorted only as far as
+    :func:`order_stat` and :func:`top_set` read it, and kept as a cached
+    prefix that grows geometrically on demand. The prefix is the only state
+    that ever changes. Each of its two tuples is only ever replaced whole by
+    another prefix of the same order, and a reader reads the attribute once
+    and indexes that tuple, or the longer one its growth returned, so every
+    read is exact and a universe may still be shared freely across threads;
+    a race between two growths at worst repeats a sort.
     """
 
     __slots__ = ("k", "n", "values", "nonzeros", "fill", "_sorted", "_ids_desc")
@@ -73,20 +87,17 @@ class QualityUniverse:
         self.k = k
         self.n = n
         if values is not None:
-            vals = tuple(float(v) for v in values)
+            vals = tuple(map(float, values))
             if len(vals) != k:
                 raise ValueError(f"dense universe needs exactly {k} values, got {len(vals)}")
-            if not all(math.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise ValueError("dense values must all be finite")
             self.values = vals
             self.nonzeros = None
             self.fill = 0.0
-            # sorting the floats directly beats gathering them through the id
-            # order: the gather reads the float objects in random order
-            self._sorted = tuple(sorted(vals, reverse=True))
-            # stable even with reverse=True: ties keep ascending-id order
-            order = sorted(range(k), key=vals.__getitem__, reverse=True)
-            self._ids_desc = tuple(j + 1 for j in order)
+            # cached prefix of the descending order, grown by _descending
+            self._sorted = ()
+            self._ids_desc = ()
         else:
             nz = tuple(float(v) for v in nonzeros)
             fill = float(fill)
@@ -105,6 +116,37 @@ class QualityUniverse:
             self.fill = fill
             self._sorted = None
             self._ids_desc = None
+
+    def _descending(self, m: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """Grow the cached descending prefix of a dense universe to at least
+        ``m`` ranks and return its (values, ids) pair.
+
+        The items with value >= the m-th largest value form a prefix of the
+        stable descending order, and a stable sort of their ascending ids
+        keeps its tie-breaking, so the prefix equals the first ranks of the
+        full sort: the same ids and the same float objects, +-0.0 included.
+        """
+        vals = self.values
+        k = self.k
+        m = max(m, _MIN_PREFIX, _PREFIX_GROWTH * len(self._ids_desc))
+        if 4 * m >= k:
+            # sorting the floats directly beats gathering them through the id
+            # order: the gather reads the float objects in random order
+            values = tuple(sorted(vals, reverse=True))
+            # stable even with reverse=True: ties keep ascending-id order
+            order = sorted(range(k), key=vals.__getitem__, reverse=True)
+        else:
+            thr = heapq.nlargest(m, vals)[-1]
+            above = [j for j in range(k) if vals[j] >= thr]  # ascending ids
+            order = sorted(above, key=vals.__getitem__, reverse=True)
+            values = tuple(map(vals.__getitem__, order))
+        ids = tuple(map((1).__add__, order))
+        # keep a longer prefix that a concurrent reader stored meanwhile
+        if len(values) > len(self._sorted):
+            self._sorted = values
+        if len(ids) > len(self._ids_desc):
+            self._ids_desc = ids
+        return values, ids
 
     @classmethod
     def dense(cls, values: Sequence[float], n: int) -> "QualityUniverse":
@@ -147,14 +189,20 @@ def order_stat(u: QualityUniverse, r: int) -> float:
     """The r-th largest quality value; -inf for the r = k+1 sentinel.
 
     Sparse universes return the fill value for ranks past their explicit
-    values. -inf is never a stored value, only this sentinel.
+    values. -inf is never a stored value, only this sentinel. A dense
+    universe sorts its values only when a read goes past its cached
+    descending prefix, so reading the top ranks costs one linear pass, not a
+    sort; a read inside the prefix costs no more than an index.
     """
     if not 1 <= r <= u.k + 1:
         raise ValueError(f"rank {r} outside [1, {u.k + 1}]")
     if r == u.k + 1:
         return NEG_INF
     if u.values is not None:
-        return u._sorted[r - 1]
+        try:
+            return u._sorted[r - 1]
+        except IndexError:  # past the cached prefix
+            return u._descending(r)[0][r - 1]
     if r <= len(u.nonzeros):
         return u.nonzeros[r - 1]
     return u.fill
@@ -177,12 +225,16 @@ def top_set(u: QualityUniverse, ell: int) -> tuple[int, ...]:
     """Ids of the ell highest-quality items, ties broken by lowest id.
 
     The result is ordered by descending value (ties ascending by id), i.e. the
-    first ell entries of the stable descending sort.
+    first ell entries of the stable descending sort. A dense universe sorts
+    only as far as the largest ell read so far (see :func:`order_stat`).
     """
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
     if u.values is not None:
-        return u._ids_desc[:ell]
+        ids = u._ids_desc
+        if ell > len(ids):
+            ids = u._descending(ell)[1]
+        return ids[:ell]
     # canonical sparse ids are already in descending-value order, and every
     # explicit value >= fill, so the top set is always the prefix 1..ell
     return tuple(range(1, ell + 1))

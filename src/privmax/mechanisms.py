@@ -75,9 +75,11 @@ def _pick_exponential(u: QualityUniverse, alpha: float, ell: int, src: NoiseSour
     universe collapsed into a single closed-form segment.
     """
     rate = 0.5 * u.n * alpha
-    vmax = order_stat(u, 1)
     if u.values is not None:
+        # the top set first: reading rank 1 first would sort a prefix that a
+        # full-universe selection then sorts again
         ids = top_set(u, ell)
+        vmax = order_stat(u, 1)
         total = 0.0
         cum = []
         for i in ids:
@@ -86,6 +88,7 @@ def _pick_exponential(u: QualityUniverse, alpha: float, ell: int, src: NoiseSour
         target = src.uniform() * total
         return ids[min(bisect_right(cum, target), ell - 1)]
 
+    vmax = order_stat(u, 1)
     nz = u.nonzeros
     n_explicit = min(ell, len(nz))
     n_fill = ell - n_explicit
@@ -323,8 +326,7 @@ def gap_max_st13(
     noisy_gap = gap + src.laplace(cfg.noise_scale_multiplier / na)
     threshold = cfg.fail_threshold_multiplier * math.log(1.0 / budget.delta) / na
     if noisy_gap > threshold:
-        argmax = u._ids_desc[0] if u.values is not None else 1
-        return MechanismOutcome(item=argmax, budget=budget)
+        return MechanismOutcome(item=top_set(u, 1)[0], budget=budget)
     return Fail(budget)
 
 

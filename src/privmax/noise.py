@@ -20,7 +20,8 @@ def _mix64(x: int) -> int:
 
 
 class NoiseSource:
-    """Stream of uniform variates in (0, 1) derived from a nonnegative seed.
+    """Stream of uniform variates in (0, 1) derived from an integer seed in
+    [0, 2^64); any other seed raises ``ValueError``.
 
     Identical seeds yield identical streams (Mersenne Twister, stable across
     platforms). With ``zero_override`` every draw is replaced by the stream
@@ -36,10 +37,17 @@ class NoiseSource:
     __slots__ = ("seed", "zero_override", "_rng")
 
     def __init__(self, seed: int, zero_override: bool = False):
+        # spawn hashes the seed as a 64-bit integer, so any other seed that
+        # random.Random accepts (a float, a bool, 2**64 + s) would fail there
+        # or alias another seed's children
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         # Random(-s) seeds like Random(s): a negative seed would silently
         # alias its absolute value
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
+        if seed > _MASK64:
+            raise ValueError(f"seed must be below 2**64, got {seed}")
         self.seed = seed
         self.zero_override = zero_override
         self._rng = random.Random(seed)

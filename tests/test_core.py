@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -126,9 +128,79 @@ class TestQualityUniverse:
         for vals in cases:
             u = QualityUniverse.dense(vals, n=10)
             ref_sorted, ref_ids = reference(tuple(vals))
-            assert u._ids_desc == ref_ids
+            assert top_set(u, u.k) == ref_ids
             # repr tells -0.0 from 0.0
-            assert list(map(repr, u._sorted)) == list(map(repr, ref_sorted))
+            assert [repr(order_stat(u, r)) for r in range(1, u.k + 1)] == list(map(repr, ref_sorted))
+
+    def test_dense_prefix_reads_match_full_sort(self):
+        # k = 5,000 is above 4 x 256, so the first reads sort only a prefix
+        k = 5_000
+        rng = random.Random(12)
+        vals = [rng.choice((0.0, -0.0, 0.25, 0.5, 0.75)) for _ in range(k)]
+        vals[rng.randrange(k)] = 1.0
+        ref_sorted = [repr(v) for v in sorted(vals, reverse=True)]
+        ref_ids = tuple(i + 1 for i in sorted(range(k), key=lambda j: -vals[j]))
+        shuffled = list(range(1, k + 1))
+        rng.shuffle(shuffled)
+        for ranks in (range(1, k + 1), range(k, 0, -1), shuffled):
+            u = QualityUniverse.dense(vals, n=10)
+            for r in ranks:
+                assert repr(order_stat(u, r)) == ref_sorted[r - 1]
+                if r % 997 == 0:
+                    assert top_set(u, r) == ref_ids[:r]
+        # distinct values too, so the prefix is exactly as long as asked
+        vals = [rng.uniform(-1.0, 1.0) for _ in range(k)] + [-0.0, 0.0]
+        ref_sorted = [repr(v) for v in sorted(vals, reverse=True)]
+        ref_ids = tuple(i + 1 for i in sorted(range(len(vals)), key=lambda j: -vals[j]))
+        u = QualityUniverse.dense(vals, n=10)
+        for ell in (1, 2, 255, 256, 257, 300, 2_048, 2_049, 1_000, 4_000, len(vals)):
+            assert top_set(u, ell) == ref_ids[:ell]
+            assert repr(order_stat(u, ell)) == ref_sorted[ell - 1]
+        u = QualityUniverse.dense(vals, n=10)
+        assert top_set(u, 1) == ref_ids[:1]
+        assert len(u._ids_desc) < u.k
+        for r in (5_002, 3, 600, 4_999):
+            assert repr(order_stat(u, r)) == ref_sorted[r - 1]
+
+    def test_concurrent_prefix_growth_reads_exact_ranks(self):
+        # more threads than cores and a short switch interval, so growths of
+        # one fresh universe's prefix interleave with each other and with reads
+        k, workers, rounds = 20_000, 6, 20
+        rng = random.Random(13)
+        vals = [rng.choice((0.0, -0.0, 0.5)) + rng.randrange(4_000) / 4_000 for _ in range(k)]
+        ref_sorted = [repr(v) for v in sorted(vals, reverse=True)]
+        ref_ids = tuple(i + 1 for i in sorted(range(k), key=lambda j: -vals[j]))
+        errors = []
+
+        def reader(u, start, seed):
+            r_rng = random.Random(seed)
+            try:
+                start.wait(timeout=30)
+                for _ in range(30):
+                    r = r_rng.randint(1, r_rng.choice((300, 3_000, k)))
+                    if repr(order_stat(u, r)) != ref_sorted[r - 1] or top_set(u, r)[-1] != ref_ids[r - 1]:
+                        errors.append(r)
+            except Exception as exc:  # reported through the errors list
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(rounds):
+                u = QualityUniverse.dense(vals, n=10)
+                start = threading.Barrier(workers)
+                threads = [
+                    threading.Thread(target=reader, args=(u, start, round_ * workers + w))
+                    for w in range(workers)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_to_dict_shapes(self):
         dd = universe_to_dict(QualityUniverse.dense([1.0], n=2))

@@ -424,6 +424,18 @@ class TestGapMechanism:
         out = gap_max_st13(u, PrivacyBudget(1.0, 0.05), NoiseSource(9))
         assert out.item == 1
 
+    def test_tied_tops_release_lowest_id(self):
+        # a uniform near 1 gives a huge positive gap noise, so the tie releases
+        budget = PrivacyBudget(1.0, 0.05)
+        u = QualityUniverse.dense([0.2, 0.9, 0.5, 0.9], n=10)
+        assert gap_max_st13(u, budget, FixedSource([1.0 - 1e-12])).item == 2
+        vals = [0.1] * 3_000
+        vals[2_500] = vals[700] = vals[1_800] = 0.9
+        u = QualityUniverse.dense(vals, n=10)
+        assert gap_max_st13(u, budget, FixedSource([1.0 - 1e-12])).item == 701
+        u = QualityUniverse.sparse([0.9, 0.9], k=10**9, n=10)
+        assert gap_max_st13(u, budget, FixedSource([1.0 - 1e-12])).item == 1
+
 
 class TestMechanismRegistry:
     def test_known_names(self):
@@ -549,3 +561,18 @@ def test_lmm_matches_eager_threshold_reference():
             got = large_margin_mechanism(u, budget, NoiseSource(0, zero_override=True), cap=cap)
             want = _eager_lmm(u, budget, NoiseSource(0, zero_override=True), cap=cap)
             assert (got.item, got.ell, got.m, got.certified) == want
+
+
+def test_lmm_sorts_only_the_prefix_it_reads():
+    # a planted 1,500-item cluster far above the rest: the search certifies
+    # near rank 1,500, and the dense universe never sorts all k items
+    k, n, cluster = 200_000, 20_000, 1_500
+    rng = random.Random(44)
+    vals = [0.9 - rng.randint(0, 60) / n for _ in range(cluster)]
+    vals += [0.5 - rng.randint(0, n // 3) / n for _ in range(k - cluster)]
+    rng.shuffle(vals)
+    u = QualityUniverse.dense(vals, n=n)
+    out = large_margin_mechanism(u, PrivacyBudget(1.0, 0.05), NoiseSource(5))
+    assert out.certified and out.ell <= cluster
+    assert u.value(out.item) > 0.8
+    assert len(u._ids_desc) < u.k

@@ -73,6 +73,16 @@ def test_negative_seed_rejected():
     assert NoiseSource(0).seed == 0
 
 
+def test_seed_must_be_a_64_bit_integer():
+    # each of these seeds random.Random but broke or aliased spawn's hash
+    for seed in (1.5, True, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError):
+            NoiseSource(seed)
+    top = NoiseSource(2**64 - 1)
+    assert top.spawn(0).seed == _mix64(_mix64(2**64 - 1))
+    assert 0.0 < top.uniform() < 1.0
+
+
 def test_mode_labels():
     assert NoiseSource(1).mode == "sampled"
     assert NoiseSource(1, zero_override=True).mode == "zero-override"
