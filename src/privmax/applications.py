@@ -15,10 +15,12 @@ tolerate.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, repeat
 from typing import NamedTuple, Sequence
 
 from .core import QualityUniverse
@@ -29,8 +31,10 @@ from .audit import NeighborPair
 class BasketDataset:
     """Per-user token baskets: the raw input of the itemset driver.
 
-    baskets hold deduplicated tokens drawn from the sorted vocabulary;
-    max_basket_len is the declared bound B on basket size.
+    baskets hold deduplicated tokens drawn from the vocabulary;
+    max_basket_len is the declared bound B on basket size. The vocabulary is
+    validated as sorted and distinct, so token order is index order: the
+    itemset codec and the driver's counting rely on it.
     """
 
     baskets: tuple[frozenset, ...]
@@ -40,12 +44,19 @@ class BasketDataset:
     def __post_init__(self) -> None:
         if not self.baskets:
             raise ValueError("dataset must contain at least one basket")
-        vocab = set(self.vocabulary)
-        for b in self.baskets:
-            if len(b) > self.max_basket_len:
-                raise ValueError(f"basket of size {len(b)} exceeds declared bound {self.max_basket_len}")
-            if not b <= vocab:
-                raise ValueError(f"basket tokens {sorted(b - vocab)} missing from vocabulary")
+        v = self.vocabulary
+        if not all(map(operator.lt, v, v[1:])):
+            raise ValueError("vocabulary must be sorted and free of duplicates")
+        vocab = set(v)
+        if max(map(len, self.baskets)) > self.max_basket_len or not vocab.issuperset(
+            chain.from_iterable(self.baskets)
+        ):
+            # a check failed: find the first offending basket for the message
+            for b in self.baskets:
+                if len(b) > self.max_basket_len:
+                    raise ValueError(f"basket of size {len(b)} exceeds declared bound {self.max_basket_len}")
+                if not b <= vocab:
+                    raise ValueError(f"basket tokens {sorted(b - vocab)} missing from vocabulary")
 
     @property
     def n(self) -> int:
@@ -53,11 +64,11 @@ class BasketDataset:
 
     @classmethod
     def from_lists(cls, baskets: Sequence[Sequence[str]]) -> "BasketDataset":
-        sets = tuple(frozenset(b) for b in baskets)
+        sets = tuple(map(frozenset, baskets))
         if not sets:
             raise ValueError("dataset must contain at least one basket")
         vocab = tuple(sorted(set().union(*sets)))
-        max_len = max(len(b) for b in sets)
+        max_len = max(map(len, sets))
         return cls(baskets=sets, vocabulary=vocab, max_basket_len=max_len)
 
 
@@ -129,13 +140,23 @@ class ItemsetCodec:
     Ids above L enumerate the non-occurring itemsets in lexicographic order
     over the full C(vocab_size, r) family; tokens beyond the materialized
     vocabulary (from inflation) decode to synthetic "_unused<i>" names.
+
+    The lexicographic ranks of the occurring itemsets are computed on the
+    first decode of a fill id (above L) or the first encode, not when the
+    codec is built: decoding an id in 1..L never needs them.
     """
 
     vocabulary: tuple[str, ...]
     vocab_size: int
     r: int
     occurring: tuple[tuple[str, ...], ...]
-    occurring_ranks: tuple[int, ...]  # sorted lexicographic ranks of `occurring`
+
+    @cached_property
+    def occurring_ranks(self) -> tuple[int, ...]:
+        """Sorted lexicographic ranks of ``occurring`` over C(vocab_size, r)."""
+        index = {tok: i for i, tok in enumerate(self.vocabulary)}
+        v = self.vocab_size
+        return tuple(sorted(_comb_rank(tuple(map(index.__getitem__, c)), v) for c in self.occurring))
 
     @property
     def universe_size(self) -> int:
@@ -195,6 +216,11 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     V. Canonical sparse order is support descending with ties by lexicographic
     itemset rank, recorded in the returned codec.
 
+    Itemsets are counted as the r-combinations of each sorted basket, tuples
+    of tokens. The vocabulary is sorted and distinct, so token order is
+    index order: these tuples compare exactly as the index combinations do,
+    and their lexicographic order is the rank order the codec enumerates.
+
     r > B is not an error: it returns the all-fill universe with L = 0.
     """
     if r < 1:
@@ -205,23 +231,12 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     k = math.comb(v, r)
     if k < 1:
         raise ValueError(f"no size-{r} itemsets over a {v}-token vocabulary")
-    index = {tok: i for i, tok in enumerate(d.vocabulary)}
-    counts: Counter = Counter()
-    for basket in d.baskets:
-        counts.update(combinations(sorted(map(index.__getitem__, basket)), r))
+    counts = Counter(chain.from_iterable(map(combinations, map(sorted, d.baskets), repeat(r))))
     n = d.n
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    values = [c / n for _, c in ordered]
-    universe = QualityUniverse.sparse(values, k=k, n=n)
-    occurring = tuple(tuple(d.vocabulary[i] for i in combo) for combo, _ in ordered)
-    ranks = tuple(sorted(_comb_rank(combo, v) for combo, _ in ordered))
-    codec = ItemsetCodec(
-        vocabulary=d.vocabulary,
-        vocab_size=v,
-        r=r,
-        occurring=occurring,
-        occurring_ranks=ranks,
-    )
+    # lexicographic first; the stable sort by support keeps that order on ties
+    ordered = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    universe = QualityUniverse.sparse([counts[c] / n for c in ordered], k=k, n=n)
+    codec = ItemsetCodec(vocabulary=d.vocabulary, vocab_size=v, r=r, occurring=tuple(ordered))
     return ItemsetQuality(universe=universe, codec=codec)
 
 
@@ -350,7 +365,7 @@ def shell_decomposition(
     """
     if not errors:
         raise ValueError("need at least one error value")
-    if not all(math.isfinite(e) for e in errors):
+    if not all(map(math.isfinite, errors)):
         raise ValueError("error values must all be finite")
     if d < 1 or n <= 1:
         raise ValueError(f"need d >= 1 and n > 1, got d={d}, n={n}")

@@ -99,15 +99,15 @@ class QualityUniverse:
             self._sorted = ()
             self._ids_desc = ()
         else:
-            nz = tuple(float(v) for v in nonzeros)
+            nz = tuple(map(float, nonzeros))
             fill = float(fill)
             if not math.isfinite(fill):
                 raise ValueError("fill value must be finite")
             if len(nz) > k:
                 raise ValueError(f"sparse universe has {len(nz)} explicit values but k={k}")
-            if not all(math.isfinite(v) for v in nz):
+            if not all(map(math.isfinite, nz)):
                 raise ValueError("explicit sparse values must all be finite")
-            if any(nz[i] < nz[i + 1] for i in range(len(nz) - 1)):
+            if not all(map(float.__ge__, nz, nz[1:])):
                 raise ValueError("sparse values must be sorted descending")
             if nz and nz[-1] < fill:
                 raise ValueError("sparse values must all be >= the fill value")
@@ -155,7 +155,7 @@ class QualityUniverse:
 
     @classmethod
     def sparse(cls, nonzeros: Sequence[float], k: int, n: int, fill: float = 0.0) -> "QualityUniverse":
-        return cls(k=k, n=n, nonzeros=tuple(nonzeros), fill=fill)
+        return cls(k=k, n=n, nonzeros=nonzeros, fill=fill)
 
     @property
     def is_sparse(self) -> bool:

@@ -114,3 +114,29 @@ def shell_sizes_bruteforce(errors, min_err, width, R):
     """Shell sizes |{e : e <= min_err + t*width}| for t = 0..R by a full pass
     over the errors per shell."""
     return tuple(sum(1 for e in errors if e <= min_err + t * width) for t in range(R + 1))
+
+
+def itemset_quality_reference(d, r, vocab_size=None):
+    """The eager itemset driver: counts the index combinations basket by
+    basket, orders them by a ``(-count, combo)`` key, and materialises the
+    token tuple and the lexicographic rank of every occurring itemset up
+    front. Returns the fields the lazy driver must reproduce."""
+    from collections import Counter
+    from itertools import combinations
+
+    from privmax.applications import _comb_rank
+
+    v = len(d.vocabulary) if vocab_size is None else vocab_size
+    index = {tok: i for i, tok in enumerate(d.vocabulary)}
+    counts = Counter()
+    for basket in d.baskets:
+        counts.update(combinations(sorted(map(index.__getitem__, basket)), r))
+    n = d.n
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {
+        "nonzeros": tuple(c / n for _, c in ordered),
+        "k": math.comb(v, r),
+        "n": n,
+        "occurring": tuple(tuple(d.vocabulary[i] for i in combo) for combo, _ in ordered),
+        "occurring_ranks": tuple(sorted(_comb_rank(combo, v) for combo, _ in ordered)),
+    }

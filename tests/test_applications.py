@@ -24,7 +24,7 @@ from privmax import (
     t_star,
 )
 from privmax.applications import ShellDecomposition, _comb_rank, _comb_unrank
-from oracles import shell_sizes_bruteforce
+from oracles import itemset_quality_reference, shell_sizes_bruteforce
 
 
 class TestLoadBaskets:
@@ -148,6 +148,89 @@ class TestItemsetQuality:
         assert sorted(dense.values, reverse=True) == sorted(
             [order_stat(sparse, r) for r in range(1, sparse.k + 1)], reverse=True
         )
+
+
+class TestItemsetQualityMatchesEagerReference:
+    @staticmethod
+    def _random_dataset(rng, ties):
+        # "t10" sorts before "t2": string order is not the numeric order
+        tokens = [f"t{i}" for i in range(rng.randint(1, 14))]
+        bound = rng.randint(1, min(5, len(tokens)))
+
+        def draw():
+            return rng.sample(tokens, rng.randint(1, bound))
+
+        if ties:
+            # a few distinct baskets, repeated: heavy support ties
+            pool = [draw() for _ in range(rng.randint(1, 4))]
+            baskets = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        else:
+            baskets = [draw() for _ in range(rng.randint(1, 40))]
+        return BasketDataset.from_lists(baskets)
+
+    def test_random_datasets(self):
+        rng = random.Random(31)
+        all_fill = round_trips = 0
+        for trial in range(80):
+            d = self._random_dataset(rng, ties=trial % 2 == 0)
+            for r in (1, 2, 3):
+                v = rng.choice([None, len(d.vocabulary) + rng.randint(0, 30), 10**6])
+                if math.comb(len(d.vocabulary) if v is None else v, r) < 1:
+                    with pytest.raises(ValueError):
+                        itemset_quality(d, r, vocab_size=v)
+                    continue
+                universe, codec = itemset_quality(d, r, vocab_size=v)
+                ref = itemset_quality_reference(d, r, vocab_size=v)
+                assert universe.nonzeros == ref["nonzeros"]
+                assert (universe.k, universe.n) == (ref["k"], ref["n"])
+                assert codec.occurring == ref["occurring"]
+                assert codec.occurring_ranks == ref["occurring_ranks"]
+                all_fill += universe.explicit_count == 0  # r above the basket bound
+                if universe.k <= 2000:
+                    round_trips += 1
+                    decoded = [codec.decode(i) for i in range(1, universe.k + 1)]
+                    assert len(set(decoded)) == universe.k
+                    assert [codec.encode(s) for s in decoded] == list(range(1, universe.k + 1))
+        assert all_fill > 0 and round_trips > 0
+
+    def test_ranks_computed_on_first_fill_decode(self):
+        d = BasketDataset.from_lists([["a", "b"], ["b", "c"], ["a", "b"]])
+        universe, codec = itemset_quality(d, 2, vocab_size=50)
+        assert codec.decode(1) == ("a", "b")
+        assert "occurring_ranks" not in vars(codec)
+        codec.decode(universe.k)
+        assert "occurring_ranks" in vars(codec)
+        _, fresh = itemset_quality(d, 2, vocab_size=50)
+        assert fresh.encode(("b", "c")) == 2
+        assert "occurring_ranks" in vars(fresh)
+
+
+class TestBasketDatasetValidation:
+    def test_unsorted_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            BasketDataset(baskets=(frozenset({"a", "b"}),), vocabulary=("c", "b", "a"), max_basket_len=2)
+
+    def test_duplicated_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            BasketDataset(baskets=(frozenset({"a", "b"}),), vocabulary=("a", "b", "b"), max_basket_len=2)
+
+    def test_over_bound_error_names_first_offending_basket(self):
+        baskets = (frozenset("a"), frozenset("abc"), frozenset("abcd"))
+        with pytest.raises(ValueError, match=r"^basket of size 3 exceeds declared bound 2$"):
+            BasketDataset(baskets=baskets, vocabulary=("a", "b", "c", "d"), max_basket_len=2)
+
+    def test_missing_token_error_names_first_offending_basket(self):
+        baskets = (frozenset("a"), frozenset("ax"), frozenset("yz"))
+        with pytest.raises(ValueError, match=r"^basket tokens \['x'\] missing from vocabulary$"):
+            BasketDataset(baskets=baskets, vocabulary=("a", "b"), max_basket_len=2)
+
+    def test_first_offending_basket_decides_which_check_fails(self):
+        missing, oversized = frozenset("ax"), frozenset("abc")
+        vocab = ("a", "b", "c")
+        with pytest.raises(ValueError, match="missing"):
+            BasketDataset(baskets=(missing, oversized), vocabulary=vocab, max_basket_len=2)
+        with pytest.raises(ValueError, match="exceeds"):
+            BasketDataset(baskets=(oversized, missing), vocabulary=vocab, max_basket_len=2)
 
 
 class TestBasketNeighbor:
