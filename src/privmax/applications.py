@@ -48,15 +48,11 @@ class BasketDataset:
         if not all(map(operator.lt, v, v[1:])):
             raise ValueError("vocabulary must be sorted and free of duplicates")
         vocab = set(v)
-        if max(map(len, self.baskets)) > self.max_basket_len or not vocab.issuperset(
-            chain.from_iterable(self.baskets)
-        ):
-            # a check failed: find the first offending basket for the message
-            for b in self.baskets:
-                if len(b) > self.max_basket_len:
-                    raise ValueError(f"basket of size {len(b)} exceeds declared bound {self.max_basket_len}")
-                if not b <= vocab:
-                    raise ValueError(f"basket tokens {sorted(b - vocab)} missing from vocabulary")
+        for b in self.baskets:
+            if len(b) > self.max_basket_len:
+                raise ValueError(f"basket of size {len(b)} exceeds declared bound {self.max_basket_len}")
+            if not b <= vocab:
+                raise ValueError(f"basket tokens {sorted(b - vocab)} missing from vocabulary")
 
     @property
     def n(self) -> int:

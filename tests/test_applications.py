@@ -232,6 +232,13 @@ class TestBasketDatasetValidation:
         with pytest.raises(ValueError, match="exceeds"):
             BasketDataset(baskets=(oversized, missing), vocabulary=vocab, max_basket_len=2)
 
+    def test_non_set_basket_rejected(self):
+        # a repeated token in a list basket would count one user twice
+        with pytest.raises(TypeError):
+            BasketDataset(baskets=(["a", "a"],), vocabulary=("a",), max_basket_len=2)
+        with pytest.raises(TypeError):
+            BasketDataset(baskets=(frozenset("a"), ("a", "b")), vocabulary=("a", "b"), max_basket_len=2)
+
 
 class TestBasketNeighbor:
     def test_identity_replacement(self):
