@@ -9,7 +9,6 @@ generators, and frequent-itemset / hypothesis-selection drivers.
 """
 
 from .core import (
-    MarginCertificate,
     MechanismOutcome,
     PrivacyBudget,
     QualityUniverse,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,8 +138,9 @@ class ItemsetCodec:
     vocabulary (from inflation) decode to synthetic "_unused<i>" names.
 
     The lexicographic ranks of the occurring itemsets are computed on the
-    first decode of a fill id (above L) or the first encode, not when the
-    codec is built: decoding an id in 1..L never needs them.
+    first decode of a fill id (above L) or the first encode, and their id map
+    on the first encode of an occurring itemset, not when the codec is built:
+    decoding an id in 1..L needs neither.
     """
 
     vocabulary: tuple[str, ...]
@@ -153,6 +154,11 @@ class ItemsetCodec:
         index = {tok: i for i, tok in enumerate(self.vocabulary)}
         v = self.vocab_size
         return tuple(sorted(_comb_rank(tuple(map(index.__getitem__, c)), v) for c in self.occurring))
+
+    @cached_property
+    def occurring_ids(self) -> dict[tuple[str, ...], int]:
+        """Universe id of each itemset in ``occurring``."""
+        return {c: i for i, c in enumerate(self.occurring, start=1)}
 
     @property
     def universe_size(self) -> int:
@@ -177,10 +183,10 @@ class ItemsetCodec:
         return tuple(self._token(i) for i in _comb_unrank(rank, self.vocab_size, self.r))
 
     def _token_index(self, token: str) -> int:
-        try:
-            return self.vocabulary.index(token)
-        except ValueError:
-            pass
+        vocab = self.vocabulary
+        i = bisect_left(vocab, token)  # the vocabulary is sorted
+        if i < len(vocab) and vocab[i] == token:
+            return i
         if token.startswith("_unused"):
             idx = int(token[len("_unused"):])
             if len(self.vocabulary) <= idx < self.vocab_size:
@@ -195,7 +201,7 @@ class ItemsetCodec:
         rank = _comb_rank(indices, self.vocab_size)
         pos = bisect_right(self.occurring_ranks, rank)
         if pos and self.occurring_ranks[pos - 1] == rank:
-            return self.occurring.index(tokens) + 1
+            return self.occurring_ids[tokens]
         return len(self.occurring) + (rank - pos) + 1
 
 

@@ -95,14 +95,10 @@ class NeighborPair:
         if lu.k != ru.k or lu.n != ru.n:
             raise ValueError("neighbor universes must share k and n")
         bound = 1.0 / lu.n * (1.0 + 1e-9) + 1e-15
-        if lu.is_sparse and ru.is_sparse:
-            if lu.fill != ru.fill:
-                raise ValueError("sparse neighbor universes must share the fill value")
-            span = max(lu.explicit_count, ru.explicit_count)
-        else:
-            if lu.k > 10**7:
-                raise ValueError("cannot validate a mixed/dense pair with k > 1e7")
-            span = lu.k
+        # ids past both explicit parts lie in both fill blocks
+        span = max(lu.explicit_count, ru.explicit_count)
+        if span < lu.k and lu.fill != ru.fill:
+            raise ValueError("neighbor universes must share the fill value")
         for i in range(1, span + 1):
             if abs(lu.value(i) - ru.value(i)) > bound:
                 raise ValueError(
@@ -403,14 +399,10 @@ def em_expected_gap(u: QualityUniverse, alpha: float) -> float:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rate = 0.5 * u.n * alpha
     vmax = order_stat(u, 1)
-    if u.values is not None:
-        weights = [math.exp(rate * (v - vmax)) for v in u.values]
-        total = math.fsum(weights)
-        return math.fsum(w * (vmax - v) for w, v in zip(weights, u.values)) / total
-    weights = [math.exp(rate * (v - vmax)) for v in u.nonzeros]
-    n_fill = u.k - len(u.nonzeros)
+    weights = [math.exp(rate * (v - vmax)) for v in u.explicit]
+    n_fill = u.k - len(u.explicit)
     w_fill = math.exp(rate * (u.fill - vmax)) if n_fill > 0 else 0.0
     total = math.fsum(weights) + n_fill * w_fill
-    gap = math.fsum(w * (vmax - v) for w, v in zip(weights, u.nonzeros))
+    gap = math.fsum(w * (vmax - v) for w, v in zip(weights, u.explicit))
     gap += n_fill * w_fill * (vmax - u.fill)
     return gap / total

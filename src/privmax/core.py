@@ -57,17 +57,24 @@ class PrivacyBudget:
 class QualityUniverse:
     """Per-item quality scores f(1..k) with declared sensitivity 1/n.
 
-    Two storage forms:
+    One form serves every universe: ``explicit`` holds the values f(1..L) in
+    id order, and the ids L+1..k form a block that all carry the constant
+    ``fill`` value. ``k`` may be combinatorially large (the fill block is
+    never materialized), which is what makes itemset-scale universes
+    workable. Every explicit value is >= the fill value unless the block is
+    empty.
 
-    * dense -- one finite value per item, ids 1..k in caller order;
-    * sparse -- explicit values sorted descending at ids 1..L, every id above L
-      carrying the fill value. ``k`` may be combinatorially large (it is never
-      materialized), which is what makes itemset-scale universes workable.
+    Two constructors fill it in. :meth:`dense` stores one finite value per
+    item, ids 1..k in caller order, so L = k and the block is empty.
+    :meth:`sparse` stores explicit values sorted descending at ids 1..L, so
+    its descending order is known when it is built.
 
-    A dense universe is not sorted when it is built. Its descending order
-    (values descending, ties by ascending id) is sorted only as far as
-    :func:`order_stat` and :func:`top_set` read it, and kept as a cached
-    prefix that grows geometrically on demand. The prefix is the only state
+    Readers see the descending order (values descending, ties by ascending
+    id) through a cached head: ``_sorted`` holds its values and ``_ids_desc``
+    its ids, and ranks past the explicit values read the fill value. A
+    sparse universe's head is complete from the start. A dense universe's
+    head is sorted only as far as :func:`order_stat` and :func:`top_set`
+    read it and grows geometrically on demand. The head is the only state
     that ever changes. Each of its two tuples is only ever replaced whole by
     another prefix of the same order, and a reader reads the attribute once
     and indexes that tuple, or the longer one its growth returned, so every
@@ -75,7 +82,7 @@ class QualityUniverse:
     a race between two growths at worst repeats a sort.
     """
 
-    __slots__ = ("k", "n", "values", "nonzeros", "fill", "_sorted", "_ids_desc")
+    __slots__ = ("k", "n", "explicit", "fill", "values", "nonzeros", "_sorted", "_ids_desc")
 
     def __init__(self, *, k, n, values=None, nonzeros=None, fill=0.0):
         if not (isinstance(k, int) and k >= 1):
@@ -92,6 +99,7 @@ class QualityUniverse:
                 raise ValueError(f"dense universe needs exactly {k} values, got {len(vals)}")
             if not all(map(math.isfinite, vals)):
                 raise ValueError("dense values must all be finite")
+            self.explicit = vals
             self.values = vals
             self.nonzeros = None
             self.fill = 0.0
@@ -111,33 +119,35 @@ class QualityUniverse:
                 raise ValueError("sparse values must be sorted descending")
             if nz and nz[-1] < fill:
                 raise ValueError("sparse values must all be >= the fill value")
+            self.explicit = nz
             self.values = None
             self.nonzeros = nz
             self.fill = fill
-            self._sorted = None
-            self._ids_desc = None
+            # sorted descending at ids 1..L, so the head is complete
+            self._sorted = nz
+            self._ids_desc = range(1, len(nz) + 1)
 
     def _descending(self, m: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        """Grow the cached descending prefix of a dense universe to at least
-        ``m`` ranks and return its (values, ids) pair.
+        """Grow the cached descending head to at least ``min(m, L)`` ranks and
+        return its (values, ids) pair.
 
-        The items with value >= the m-th largest value form a prefix of the
+        The explicit values >= the m-th largest one form a prefix of the
         stable descending order, and a stable sort of their ascending ids
-        keeps its tie-breaking, so the prefix equals the first ranks of the
+        keeps its tie-breaking, so the head equals the first ranks of the
         full sort: the same ids and the same float objects, +-0.0 included.
         """
-        vals = self.values
-        k = self.k
+        vals = self.explicit
+        size = len(vals)
         m = max(m, _MIN_PREFIX, _PREFIX_GROWTH * len(self._ids_desc))
-        if 4 * m >= k:
+        if 4 * m >= size:
             # sorting the floats directly beats gathering them through the id
             # order: the gather reads the float objects in random order
             values = tuple(sorted(vals, reverse=True))
             # stable even with reverse=True: ties keep ascending-id order
-            order = sorted(range(k), key=vals.__getitem__, reverse=True)
+            order = sorted(range(size), key=vals.__getitem__, reverse=True)
         else:
             thr = heapq.nlargest(m, vals)[-1]
-            above = [j for j in range(k) if vals[j] >= thr]  # ascending ids
+            above = [j for j in range(size) if vals[j] >= thr]  # ascending ids
             order = sorted(above, key=vals.__getitem__, reverse=True)
             values = tuple(map(vals.__getitem__, order))
         ids = tuple(map((1).__add__, order))
@@ -168,16 +178,14 @@ class QualityUniverse:
     @property
     def explicit_count(self) -> int:
         """L: number of explicitly stored values (== k for dense universes)."""
-        return self.k if self.values is not None else len(self.nonzeros)
+        return len(self.explicit)
 
     def value(self, item: int) -> float:
         """Quality of item id in [1, k]."""
         if not 1 <= item <= self.k:
             raise ValueError(f"item id {item} outside [1, {self.k}]")
-        if self.values is not None:
-            return self.values[item - 1]
-        if item <= len(self.nonzeros):
-            return self.nonzeros[item - 1]
+        if item <= len(self.explicit):
+            return self.explicit[item - 1]
         return self.fill
 
     def __repr__(self) -> str:
@@ -188,24 +196,22 @@ class QualityUniverse:
 def order_stat(u: QualityUniverse, r: int) -> float:
     """The r-th largest quality value; -inf for the r = k+1 sentinel.
 
-    Sparse universes return the fill value for ranks past their explicit
-    values. -inf is never a stored value, only this sentinel. A dense
-    universe sorts its values only when a read goes past its cached
-    descending prefix, so reading the top ranks costs one linear pass, not a
-    sort; a read inside the prefix costs no more than an index.
+    Ranks past the explicit values return the fill value. -inf is never a
+    stored value, only this sentinel. A dense universe sorts its values only
+    when a read goes past its cached descending head, so reading the top
+    ranks costs one linear pass, not a sort; a read inside the head costs no
+    more than an index.
     """
     if not 1 <= r <= u.k + 1:
         raise ValueError(f"rank {r} outside [1, {u.k + 1}]")
-    if r == u.k + 1:
-        return NEG_INF
-    if u.values is not None:
-        try:
-            return u._sorted[r - 1]
-        except IndexError:  # past the cached prefix
-            return u._descending(r)[0][r - 1]
-    if r <= len(u.nonzeros):
-        return u.nonzeros[r - 1]
-    return u.fill
+    try:
+        return u._sorted[r - 1]
+    except IndexError:  # past the cached head
+        if r == u.k + 1:
+            return NEG_INF
+        if r > len(u.explicit):
+            return u.fill
+        return u._descending(r)[0][r - 1]
 
 
 def satisfies_margin(u: QualityUniverse, ell: int, gamma: float) -> bool:
@@ -230,14 +236,12 @@ def top_set(u: QualityUniverse, ell: int) -> tuple[int, ...]:
     """
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
-    if u.values is not None:
-        ids = u._ids_desc
-        if ell > len(ids):
-            ids = u._descending(ell)[1]
-        return ids[:ell]
-    # canonical sparse ids are already in descending-value order, and every
-    # explicit value >= fill, so the top set is always the prefix 1..ell
-    return tuple(range(1, ell + 1))
+    ids = u._ids_desc
+    if len(ids) < min(ell, len(u.explicit)):
+        ids = u._descending(ell)[1]
+    # every explicit value is >= the fill value, so the fill ids follow the
+    # head in ascending order
+    return tuple(ids[:ell]) + tuple(range(len(ids) + 1, ell + 1))
 
 
 @lru_cache(maxsize=200_000)
@@ -271,28 +275,6 @@ def compute_thresholds(n: int, alpha: float, delta: float, r: int) -> ThresholdP
         + t
     )
     return ThresholdPair(t=t, T=T, r=r)
-
-
-@dataclass(frozen=True)
-class MarginCertificate:
-    """Assertion that the (ell, gamma)-margin condition held during a run."""
-
-    ell: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-    @classmethod
-    def from_run(cls, n: int, budget: PrivacyBudget, ell: int) -> "MarginCertificate":
-        """Certificate the adaptive mechanism issues when it stops at rank ell."""
-        return cls(ell=ell, gamma=compute_thresholds(n, budget.alpha, budget.delta, ell).t)
-
-    def holds_for(self, u: QualityUniverse) -> bool:
-        return satisfies_margin(u, self.ell, self.gamma)
 
 
 class MechanismOutcome(NamedTuple):

@@ -71,37 +71,29 @@ def _pick_exponential(u: QualityUniverse, alpha: float, ell: int, src: NoiseSour
     The maximum exponent is subtracted before exponentiation, so the weights
     never overflow regardless of n*alpha*f. One uniform is inverted through
     the cumulative weights; cumulative order is the top-set order (descending
-    value, ties by ascending id), with any fill-value block of a sparse
-    universe collapsed into a single closed-form segment.
+    value, ties by ascending id): the explicit values of the head, then the
+    fill ids of the top set as a single closed-form segment.
     """
     rate = 0.5 * u.n * alpha
-    if u.values is not None:
-        # the top set first: reading rank 1 first would sort a prefix that a
-        # full-universe selection then sorts again
-        ids = top_set(u, ell)
-        vmax = order_stat(u, 1)
-        total = 0.0
-        cum = []
-        for i in ids:
-            total += math.exp(rate * (u.values[i - 1] - vmax))
-            cum.append(total)
-        target = src.uniform() * total
-        return ids[min(bisect_right(cum, target), ell - 1)]
-
-    vmax = order_stat(u, 1)
-    nz = u.nonzeros
-    n_explicit = min(ell, len(nz))
+    vals = u.explicit
+    n_explicit = min(ell, len(vals))
     n_fill = ell - n_explicit
+    # the head first: reading rank 1 first would sort a prefix that a
+    # full-universe selection then sorts again
+    ids = u._ids_desc
+    if len(ids) < n_explicit:
+        ids = top_set(u, n_explicit)
+    vmax = order_stat(u, 1)
     total = 0.0
     cum = []
-    for v in nz[:n_explicit]:
-        total += math.exp(rate * (v - vmax))
+    for i in ids[:n_explicit]:
+        total += math.exp(rate * (vals[i - 1] - vmax))
         cum.append(total)
     w_fill = math.exp(rate * (u.fill - vmax)) if n_fill > 0 else 0.0
     grand = total + n_fill * w_fill
     target = src.uniform() * grand
     if target < total or n_fill == 0:
-        return min(bisect_right(cum, target), n_explicit - 1) + 1
+        return ids[min(bisect_right(cum, target), n_explicit - 1)]
     if w_fill <= 0.0:  # fill weight underflowed; lowest fill id stands in
         return n_explicit + 1
     j = min(int((target - total) / w_fill), n_fill - 1)
@@ -206,15 +198,14 @@ class ThresholdSchedule(Sequence):
 
 
 def default_cap(u: QualityUniverse) -> int:
-    """Rank cap for the margin search: k for dense universes, L+1 for sparse.
+    """Rank cap for the margin search: min(k, L+1), which is k when every
+    value is explicit.
 
-    Ranks past L+1 of a sparse universe all compare against the same fill
-    value with ever larger thresholds, so scanning them buys nothing; capping
-    keeps combinatorial k feasible.
+    Ranks past L+1 all compare against the same fill value with ever larger
+    thresholds, so scanning them buys nothing; capping keeps combinatorial k
+    feasible.
     """
-    if u.values is not None:
-        return u.k
-    return min(u.k, len(u.nonzeros) + 1)
+    return min(u.k, len(u.explicit) + 1)
 
 
 def large_margin_mechanism(
@@ -274,33 +265,27 @@ def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> Mecha
     """Report-noisy-max: add Lap(2/(n*alpha)) per item, return the argmax.
 
     Ties break to the lowest id (relevant only under zero-override; sampled
-    noise is tie-free almost surely). Sparse universes draw the fill block's
-    maximum in closed form and then a uniform index inside the block, so the
-    cost is O(L), not O(k). Noise order: explicit ids ascending, then the
-    block max, then the block index.
+    noise is tie-free almost surely). The fill block's maximum is drawn in
+    closed form and then a uniform index inside the block, so the cost is
+    O(L), not O(k). Noise order: explicit ids ascending, then the block max,
+    then the block index.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     scale = 2.0 / (u.n * alpha)
     best_id = 0
     best = float("-inf")
-    if u.values is not None:
-        for i, v in enumerate(u.values, start=1):
-            noisy = v + src.laplace(scale)
-            if noisy > best:
-                best, best_id = noisy, i
-        return MechanismOutcome(item=best_id, budget=PrivacyBudget(alpha))
-    for i, v in enumerate(u.nonzeros, start=1):
+    for i, v in enumerate(u.explicit, start=1):
         noisy = v + src.laplace(scale)
         if noisy > best:
             best, best_id = noisy, i
-    n_fill = u.k - len(u.nonzeros)
+    n_fill = u.k - len(u.explicit)
     if n_fill > 0:
         if src.zero_override:
-            block, block_id = u.fill, len(u.nonzeros) + 1
+            block, block_id = u.fill, len(u.explicit) + 1
         else:
             block = u.fill + _laplace_block_max(scale, n_fill, src)
-            block_id = len(u.nonzeros) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
+            block_id = len(u.explicit) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
         if block > best or best_id == 0:
             best, best_id = block, block_id
     return MechanismOutcome(item=best_id, budget=PrivacyBudget(alpha))

@@ -135,6 +135,16 @@ class TestItemsetQuality:
             seen.add(itemset)
         assert len(seen) == universe.k
 
+    def test_encode_rejects_unknown_tokens(self):
+        d = BasketDataset.from_lists([["a", "b"], ["b", "c"]])
+        _, codec = itemset_quality(d, 2, vocab_size=6)
+        # inflated tokens are valid exactly at indices len(vocabulary)..vocab_size-1
+        for token in ("_unused3", "_unused5"):
+            assert codec.decode(codec.encode(("a", token))) == ("a", token)
+        for token in ("0", "bb", "d", "_unused2", "_unused6"):
+            with pytest.raises(ValueError, match="unknown token"):
+                codec.encode(("a", token))
+
     def test_vocab_size_cannot_shrink(self):
         d = BasketDataset.from_lists([["a", "b", "c"]])
         with pytest.raises(ValueError):

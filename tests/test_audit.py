@@ -160,6 +160,17 @@ class TestNeighborPair:
         with pytest.raises(ValueError):
             NeighborPair(left, right)
 
+    def test_mixed_dense_sparse_pair(self):
+        sparse = QualityUniverse.sparse([0.5, 0.3], k=5, n=10)
+        near = QualityUniverse.dense([0.45, 0.35, 0.05, 0.0, 0.1], n=10)
+        NeighborPair(sparse, near)
+        NeighborPair(near, sparse)
+        # item 5 lies in the sparse universe's fill block
+        far = QualityUniverse.dense([0.5, 0.3, 0.0, 0.0, 0.25], n=10)
+        for left, right in ((sparse, far), (far, sparse)):
+            with pytest.raises(ValueError, match="item 5 moves"):
+                NeighborPair(left, right)
+
 
 class TestDpOutcomeChecks:
     def test_identical_distributions_always_pass(self):

@@ -9,10 +9,12 @@ import threading
 import pytest
 
 from privmax import (
-    MarginCertificate,
+    Fail,
     MechanismOutcome,
+    NoiseSource,
     PrivacyBudget,
     QualityUniverse,
+    build_mechanism,
     compute_thresholds,
     load_universe,
     order_stat,
@@ -399,22 +401,30 @@ class TestDenseSparseEquivalence:
                 assert dv == sv
 
 
-class TestMarginCertificate:
-    def test_from_run_and_holds(self):
-        u = QualityUniverse.dense([1.0, 0.3, 0.2, 0.1], n=500)
-        cert = MarginCertificate.from_run(500, PrivacyBudget(1.0, 0.05), 1)
-        assert cert.gamma == compute_thresholds(500, 1.0, 0.05, 1).t
-        assert cert.holds_for(u)
-
-    def test_does_not_hold_on_ties(self):
-        u = QualityUniverse.dense([0.5, 0.5], n=10)
-        assert not MarginCertificate(ell=1, gamma=0.01).holds_for(u)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MarginCertificate(ell=0, gamma=0.1)
-        with pytest.raises(ValueError):
-            MarginCertificate(ell=1, gamma=0.0)
+    def test_full_sparse_universe_gives_dense_outcomes(self):
+        # a sparse universe with L = k holds the same values at the same ids as
+        # a dense one, so every mechanism must draw the same outcome from it
+        budget = PrivacyBudget(1.0, 0.05)
+        rng = random.Random(23)
+        for _ in range(20):
+            k = rng.randint(2, 9)
+            # steps near T(1) = 0.24 at n = 500 spread the certified rank
+            vals = sorted((round(rng.choice([0.0, 0.2, 0.25, 0.5, 0.9]) + rng.choice([0.0, 0.05]), 2)
+                           for _ in range(k)), reverse=True)
+            ud = QualityUniverse.dense(vals, n=500)
+            us = QualityUniverse.sparse(vals, k=k, n=500, fill=rng.choice([0.0, -1.0]))
+            ell = rng.randint(1, k)
+            for name in ("em", "rem", "mol", "st13", "lmm"):
+                mech = build_mechanism(name, budget, ell=ell)
+                for seed in range(8):
+                    for zero in (False, True):
+                        got_d = mech(ud, NoiseSource(seed, zero_override=zero))
+                        got_s = mech(us, NoiseSource(seed, zero_override=zero))
+                        if isinstance(got_d, Fail):
+                            assert isinstance(got_s, Fail)
+                            continue
+                        assert (got_d.item, got_d.m, got_d.ell, got_d.certified) == (
+                            got_s.item, got_s.m, got_s.ell, got_s.certified), (name, vals, seed, zero)
 
 
 class TestMechanismOutcome:
