@@ -26,7 +26,6 @@ from .noise import NoiseSource, sample_laplace
 from .mechanisms import (
     CapExhausted,
     Fail,
-    GapMechanismConfig,
     build_mechanism,
     default_cap,
     exponential_mechanism,

@@ -57,7 +57,6 @@ def estimate_distribution(
     u: QualityUniverse,
     trials: int,
     seed: int,
-    decode: Callable | None = None,
     zero_override: bool = False,
 ) -> dict:
     """Empirical outcome frequencies over ``trials`` runs of ``mechanism``.
@@ -65,19 +64,17 @@ def estimate_distribution(
     Trials are cut into shards of ``_SHARD_TRIALS``; shard j draws from the
     hashed child stream ``NoiseSource(seed).spawn(j)``, and its trials consume
     that one stream in order. Aggregation is order-independent and any shard
-    can be replayed on its own. ``decode`` maps a raw result to the reported
-    outcome (defaults to the item id, or "fail"); ``zero_override``
-    propagates the deterministic noise mode to every shard.
+    can be replayed on its own. Outcomes are keyed by :func:`outcome_key`;
+    ``zero_override`` propagates the deterministic noise mode to every shard.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    key = decode if decode is not None else outcome_key
     base = NoiseSource(seed, zero_override=zero_override)
     counts: Counter = Counter()
     for shard, start in enumerate(range(0, trials, _SHARD_TRIALS)):
         src = base.spawn(shard)
         for _ in range(min(_SHARD_TRIALS, trials - start)):
-            counts[key(mechanism(u, src))] += 1
+            counts[outcome_key(mechanism(u, src))] += 1
     return {k: c / trials for k, c in counts.items()}
 
 
@@ -220,6 +217,21 @@ def group_outcome_checks(
     return checks
 
 
+def _estimate_sides(mechanism: Callable, left: QualityUniverse, right: QualityUniverse,
+                    trials: int, confidence: float, seed: int) -> tuple[float, dict, dict, list[str]]:
+    """Slack, both outcome distributions and the warnings of one audit; the
+    right side draws from seed + _RIGHT_SEED_OFFSET."""
+    slack = hoeffding_slack(trials, confidence)
+    p_left = estimate_distribution(mechanism, left, trials, seed)
+    p_right = estimate_distribution(mechanism, right, trials, seed + _RIGHT_SEED_OFFSET)
+    warnings = []
+    if slack > _SLACK_WARN:
+        warnings.append(
+            f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
+        )
+    return slack, p_left, p_right, warnings
+
+
 def check_approx_dp(
     pair: NeighborPair,
     mechanism: Callable,
@@ -227,7 +239,6 @@ def check_approx_dp(
     trials: int,
     confidence: float = 0.99,
     seed: int = 0,
-    decode: Callable | None = None,
 ) -> AuditReport:
     """Monte Carlo approximate-DP audit of ``mechanism`` on a neighbor pair.
 
@@ -236,21 +247,15 @@ def check_approx_dp(
     confidence. Singleton outcome sets only; see the module docstring for what
     a pass does and does not mean.
     """
-    slack = hoeffding_slack(trials, confidence)
-    p_left = estimate_distribution(mechanism, pair.left, trials, seed, decode)
-    p_right = estimate_distribution(mechanism, pair.right, trials, seed + _RIGHT_SEED_OFFSET, decode)
-    checks = dp_outcome_checks(p_left, p_right, budget.alpha, budget.delta, slack)
-    warnings = []
-    if slack > _SLACK_WARN:
-        warnings.append(
-            f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
-        )
+    slack, p_left, p_right, warnings = _estimate_sides(
+        mechanism, pair.left, pair.right, trials, confidence, seed
+    )
     return AuditReport(
         kind="approx_dp",
         alpha=budget.alpha,
         delta=budget.delta,
         slack=slack,
-        checks=checks,
+        checks=dp_outcome_checks(p_left, p_right, budget.alpha, budget.delta, slack),
         trials=trials,
         confidence=confidence,
         metadata={"provenance": pair.provenance, "seed": seed},
@@ -267,25 +272,18 @@ def check_group_privacy(
     trials: int,
     confidence: float = 0.99,
     seed: int = 0,
-    decode: Callable | None = None,
     provenance: str = "",
 ) -> AuditReport:
     """Group-privacy audit across universes differing by a k-step neighbor chain."""
-    slack = hoeffding_slack(trials, confidence)
-    p_left = estimate_distribution(mechanism, u_far, trials, seed, decode)
-    p_right = estimate_distribution(mechanism, u_near, trials, seed + _RIGHT_SEED_OFFSET, decode)
-    checks = group_outcome_checks(p_left, p_right, k, budget.alpha, budget.delta, slack)
-    warnings = []
-    if slack > _SLACK_WARN:
-        warnings.append(
-            f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
-        )
+    slack, p_left, p_right, warnings = _estimate_sides(
+        mechanism, u_far, u_near, trials, confidence, seed
+    )
     return AuditReport(
         kind="group_privacy",
         alpha=budget.alpha,
         delta=budget.delta,
         slack=slack,
-        checks=checks,
+        checks=group_outcome_checks(p_left, p_right, k, budget.alpha, budget.delta, slack),
         trials=trials,
         confidence=confidence,
         group_size=k,

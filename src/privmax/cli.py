@@ -11,8 +11,10 @@ defaults to the PRIVMAX_SEED environment variable, then 0. Exit codes:
     4  the adaptive mechanism fell back uncertified (cap exhausted)
     5  an audit reported at least one violation
 
---zero-noise replaces every noise draw with its median for deterministic
-traces. It is NOT private; it exists for CI and debugging only.
+Each subcommand registers only the flags it reads. --zero-noise, taken by
+select, bench-range, fim and pac, replaces every noise draw with its median
+for deterministic traces. It is NOT private; it exists for CI and debugging
+only.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 from .core import (
     PrivacyBudget,
     QualityUniverse,
+    json_int,
     load_universe,
     order_stat,
 )
@@ -67,21 +70,27 @@ def _default_seed() -> int:
     return int(os.environ.get("PRIVMAX_SEED", "0"))
 
 
-def _add_common(parser: argparse.ArgumentParser, *, trials_default: int = 10000) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """Flags every command reads."""
     parser.add_argument("--alpha", type=float, default=1.0, help="privacy loss alpha")
     parser.add_argument("--delta", type=float, default=0.05, help="failure probability delta")
-    parser.add_argument("--eta", type=float, default=0.05, help="utility confidence parameter")
     parser.add_argument("--seed", type=int, default=None, help="base seed (default: $PRIVMAX_SEED or 0)")
-    parser.add_argument("--trials", type=int, default=trials_default, help="Monte Carlo trials")
     parser.add_argument(
         "--mechanism", default="lmm", help="mechanism name: em, mol, st13, lmm (comma list where supported)"
     )
     parser.add_argument("--cap", type=int, default=None, help="rank cap for the adaptive mechanism")
+    parser.add_argument("--out", default=None, help="output file path (default: stdout)")
+
+
+def _add_zero_noise(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--zero-noise", action="store_true", help="deterministic zero-noise trace; NOT private"
     )
-    parser.add_argument("--in", dest="input", default=None, help="input file path")
-    parser.add_argument("--out", default=None, help="output file path (default: stdout)")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags _run_and_emit reads, for the commands that run one mechanism once."""
+    _add_zero_noise(parser)
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="output format")
 
 
@@ -90,14 +99,15 @@ def _seed_of(args) -> int:
 
 
 def _config_dict(args) -> dict:
-    keys = ("alpha", "delta", "eta", "trials", "mechanism", "cap", "zero_noise", "format")
-    cfg = {k: getattr(args, k, None) for k in keys}
+    """The bench-range flags, recorded in its CSV header."""
+    keys = ("alpha", "delta", "trials", "mechanism", "cap", "zero_noise", "ks", "n")
+    cfg = {k: getattr(args, k) for k in keys}
     cfg["seed"] = _seed_of(args)
     return cfg
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         # flat key,value rows: plot-ready form of the same payload
         lines = ["key,value"]
         for key, value in payload.items():
@@ -178,7 +188,7 @@ def cmd_bench_range(args) -> int:
                  f"{freqs.get(1, 0.0):.6f}", f"{quality:.6f}"]
             )
     _write_csv_rows(args.out, ["mechanism", "K", "n", "alpha", "trials", "success_rate", "mean_quality"],
-                    rows, _config_dict(args) | {"ks": args.ks, "n": args.n})
+                    rows, _config_dict(args))
     return EXIT_OK
 
 
@@ -189,8 +199,9 @@ def _build_audit_pair(args):
         return NeighborPair(left, right, provenance=args.note or "user-supplied pair"), None
     if args.generator == "threshold-example":
         n = args.n
-        left = build_threshold_example(args.k, [1] * n)
-        right = build_threshold_example(args.k, [2] + [1] * (n - 1))
+        k = 4 if args.k is None else args.k
+        left = build_threshold_example(k, [1] * n)
+        right = build_threshold_example(k, [2] + [1] * (n - 1))
         pair = NeighborPair(left, right, provenance="threshold example: one entry raised 1 -> 2")
         return pair, None
     if args.generator == "lb2-family":
@@ -278,14 +289,12 @@ def cmd_pac(args) -> int:
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    for field in ("num_hypotheses", "n", "d", "error_profile"):
-        if field not in spec:
-            raise ValueError(f"class spec missing field {field!r}")
+    if "error_profile" not in spec:
+        raise ValueError("class spec missing field 'error_profile'")
+    num_hypotheses, n, d = (json_int(spec, field) for field in ("num_hypotheses", "n", "d"))
     errors = [float(e) for e in spec["error_profile"]]
-    if len(errors) != int(spec["num_hypotheses"]):
+    if len(errors) != num_hypotheses:
         raise ValueError("error_profile length must equal num_hypotheses")
-    n = int(spec["n"])
-    d = int(spec["d"])
     universe = QualityUniverse.dense([1.0 - e for e in errors], n=n)
     shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
     ell_ref = shells.shell_sizes[min(1, shells.R)]
@@ -320,16 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="run one mechanism on a universe file")
     _add_common(p)
+    _add_run_flags(p)
+    p.add_argument("--in", dest="input", default=None, help="universe JSON file")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("bench-range", help="success-rate sweep over universe sizes")
-    _add_common(p, trials_default=20000)
+    _add_common(p)
+    _add_zero_noise(p)
+    p.add_argument("--trials", type=int, default=20000, help="Monte Carlo trials per table cell")
     p.add_argument("--ks", required=True, help="comma-separated universe sizes")
     p.add_argument("--n", type=int, default=20, help="dataset size for the generated instances")
     p.set_defaults(func=cmd_bench_range)
 
     p = sub.add_parser("audit", help="statistical approximate-DP audit on a neighbor pair")
-    _add_common(p, trials_default=100000)
+    _add_common(p)
+    p.add_argument("--trials", type=int, default=100000, help="Monte Carlo trials per side")
     p.add_argument("--pair", nargs=2, metavar=("LEFT", "RIGHT"), help="two universe JSON files")
     p.add_argument("--note", default=None, help="provenance note for a user-supplied pair")
     p.add_argument(
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--claim-delta", type=float, default=None,
         help="audit this delta claim instead of the mechanism's run delta",
     )
-    p.add_argument("--k", type=int, default=None, help="universe size for generators")
+    p.add_argument("--k", type=int, default=None, help="universe size for generators (threshold-example: 4)")
     p.add_argument("--n", type=int, default=10, help="dataset size for generators")
     p.add_argument("--ell", type=int, default=9, help="family size for lb2-family")
     p.add_argument("--baskets", default=None, help="basket file for basket-neighbor")
@@ -358,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fim", help="private frequent-itemset selection")
     _add_common(p)
+    _add_run_flags(p)
+    p.add_argument("--eta", type=float, default=0.05, help="utility confidence parameter")
     p.add_argument("--baskets", default=None, help="basket file (one basket per line)")
     p.add_argument("--r", type=int, default=2, help="itemset size")
     p.add_argument(
@@ -368,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pac", help="private hypothesis selection with shell decomposition")
     _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--spec", default=None, help="synthetic class spec JSON")
     p.add_argument("--c0", type=float, default=1.0, help="uniform-convergence constant")
     p.add_argument("--delta0", type=float, default=0.05, help="uniform-convergence confidence")
@@ -378,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "generator", None) == "threshold-example" and args.k is None:
-        args.k = 4
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

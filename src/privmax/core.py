@@ -85,10 +85,11 @@ class QualityUniverse:
     __slots__ = ("k", "n", "explicit", "fill", "values", "nonzeros", "_sorted", "_ids_desc")
 
     def __init__(self, *, k, n, values=None, nonzeros=None, fill=0.0):
-        if not (isinstance(k, int) and k >= 1):
-            raise ValueError(f"universe size k must be a positive integer, got {k}")
-        if not (isinstance(n, int) and n >= 1):
-            raise ValueError(f"dataset size n must be a positive integer, got {n}")
+        # bool is an int subclass, but True is no universe size
+        if not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
+            raise ValueError(f"universe size k must be a positive integer, got {k!r}")
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"dataset size n must be a positive integer, got {n!r}")
         if (values is None) == (nonzeros is None):
             raise ValueError("exactly one of values/nonzeros must be given")
         self.k = k
@@ -304,24 +305,32 @@ class MechanismOutcome(NamedTuple):
         }
 
 
+def json_int(doc: dict, field: str) -> int:
+    """``doc[field]``, which must be a JSON integer.
+
+    A float, string or bool raises ValueError: ``int()`` would silently
+    truncate 3.7, parse "3" and read true as 1.
+    """
+    if field not in doc:
+        raise ValueError(f"missing field {field!r}")
+    value = doc[field]
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def universe_from_dict(doc: dict) -> QualityUniverse:
     """Build a universe from its JSON document form.
 
     Dense: {"k": int, "n": int, "values": [...]}.
     Sparse: {"k": int, "n": int, "nonzeros": [...], "fill": float}.
     """
+    k, n = json_int(doc, "k"), json_int(doc, "n")
     if "values" in doc:
-        u = QualityUniverse(k=int(doc["k"]), n=int(doc["n"]), values=doc["values"])
-    elif "nonzeros" in doc:
-        u = QualityUniverse(
-            k=int(doc["k"]),
-            n=int(doc["n"]),
-            nonzeros=doc["nonzeros"],
-            fill=float(doc.get("fill", 0.0)),
-        )
-    else:
-        raise ValueError("universe document needs a 'values' or 'nonzeros' field")
-    return u
+        return QualityUniverse(k=k, n=n, values=doc["values"])
+    if "nonzeros" in doc:
+        return QualityUniverse(k=k, n=n, nonzeros=doc["nonzeros"], fill=float(doc.get("fill", 0.0)))
+    raise ValueError("universe document needs a 'values' or 'nonzeros' field")
 
 
 def universe_to_dict(u: QualityUniverse) -> dict:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -48,21 +47,6 @@ class CapExhausted(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"margin search exhausted its rank cap {cap}")
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class GapMechanismConfig:
-    """Constants for the gap mechanism: noise scale and fail threshold are
-    multiples of 1/(n*alpha) and ln(1/delta)/(n*alpha) respectively."""
-
-    noise_scale_multiplier: float = 2.0
-    fail_threshold_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.noise_scale_multiplier > 0.0:
-            raise ValueError("noise_scale_multiplier must be positive")
-        if not self.fail_threshold_multiplier > 0.0:
-            raise ValueError("fail_threshold_multiplier must be positive")
 
 
 def _pick_exponential(u: QualityUniverse, alpha: float, ell: int, src: NoiseSource) -> int:
@@ -291,25 +275,18 @@ def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> Mecha
     return MechanismOutcome(item=best_id, budget=PrivacyBudget(alpha))
 
 
-def gap_max_st13(
-    u: QualityUniverse,
-    budget: PrivacyBudget,
-    src: NoiseSource,
-    cfg: GapMechanismConfig | None = None,
-) -> MechanismOutcome | Fail:
+def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome | Fail:
     """Release the maximizer only when the noisy top-two gap is large.
 
-    g = (f(1) - f(2)) + Lap(noise_scale_multiplier/(n*alpha)); the (lowest-id)
-    maximizer is released iff g > fail_threshold_multiplier * ln(1/delta) /
-    (n*alpha), otherwise the distinguished Fail outcome is returned.
+    g = (f(1) - f(2)) + Lap(2/(n*alpha)); the (lowest-id) maximizer is
+    released iff g > 2 ln(1/delta) / (n*alpha), otherwise the distinguished
+    Fail outcome is returned.
     """
     budget.require_approximate()
-    if cfg is None:
-        cfg = GapMechanismConfig()
     na = u.n * budget.alpha
     gap = order_stat(u, 1) - order_stat(u, 2)
-    noisy_gap = gap + src.laplace(cfg.noise_scale_multiplier / na)
-    threshold = cfg.fail_threshold_multiplier * math.log(1.0 / budget.delta) / na
+    noisy_gap = gap + src.laplace(2.0 / na)
+    threshold = 2.0 * math.log(1.0 / budget.delta) / na
     if noisy_gap > threshold:
         return MechanismOutcome(item=top_set(u, 1)[0], budget=budget)
     return Fail(budget)
@@ -338,30 +315,18 @@ def lmm_quality_radius(n: int, alpha: float, eta: float, ell: int) -> float:
     return 6.0 * math.log(2.0 * ell / eta) / (n * alpha)
 
 
-def build_mechanism(
-    name: str,
-    budget: PrivacyBudget,
-    *,
-    ell: int | None = None,
-    cap: int | None = None,
-    gap_config: GapMechanismConfig | None = None,
-):
+def build_mechanism(name: str, budget: PrivacyBudget, *, cap: int | None = None):
     """Callable (universe, source) -> outcome for a registered mechanism name.
 
-    Registered names: em, rem, mol, st13, lmm. Used by the audit harness and
-    the CLI; ``ell`` applies to rem only, ``cap`` to lmm, ``gap_config`` to
-    st13.
+    Registered names: em, mol, st13, lmm -- the names the CLI's --mechanism
+    takes. Used by the audit harness and the CLI; ``cap`` applies to lmm only.
     """
     if name == "em":
         return lambda u, src: exponential_mechanism(u, budget.alpha, src)
-    if name == "rem":
-        if ell is None:
-            raise ValueError("rem needs ell")
-        return lambda u, src: restricted_exponential(u, ell, budget.alpha, src)
     if name == "mol":
         return lambda u, src: max_of_laplaces(u, budget.alpha, src)
     if name == "st13":
-        return lambda u, src: gap_max_st13(u, budget, src, gap_config)
+        return lambda u, src: gap_max_st13(u, budget, src)
     if name == "lmm":
         return lambda u, src: large_margin_mechanism(u, budget, src, cap=cap)
-    raise ValueError(f"unknown mechanism {name!r}; registered: em, rem, mol, st13, lmm")
+    raise ValueError(f"unknown mechanism {name!r}; registered: em, mol, st13, lmm")

@@ -31,6 +31,7 @@ from privmax import (
     margin_search,
     noisy_max_estimate,
     order_stat,
+    restricted_exponential,
     satisfies_margin,
     top_set,
 )
@@ -182,7 +183,7 @@ def test_criterion_7_sampled_selection_matches_exact_weights():
     em = build_mechanism("em", PrivacyBudget(alpha))
     freq_em = estimate_distribution(em, u, trials, seed=61)
     tv_em = tv_distance(freq_em, exact_selection_weights(values, n, alpha))
-    rem = build_mechanism("rem", PrivacyBudget(alpha), ell=3)
+    rem = lambda uu, src: restricted_exponential(uu, 3, alpha, src)
     freq_rem = estimate_distribution(rem, u, trials, seed=67)
     tv_rem = tv_distance(freq_rem, exact_selection_weights(values, n, alpha, support=top_set(u, 3)))
     lib_exact = exact_em_distribution(u, alpha)

@@ -88,13 +88,6 @@ class TestEstimateDistribution:
         freqs = estimate_distribution(mech, u, trials=2000, seed=11)
         assert freqs.get("fail", 0.0) > 0.9
 
-    def test_decode_hook(self):
-        u = QualityUniverse.dense([0.9, 0.1], n=10)
-        freqs = estimate_distribution(
-            argmax_mechanism, u, trials=10, seed=0, decode=lambda res: f"item{res.item}"
-        )
-        assert freqs == {"item1": 1.0}
-
     def test_trials_validation(self):
         u = QualityUniverse.dense([0.5], n=10)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, exit codes, output schemas."""
 
+import argparse
 import csv
 import json
 
@@ -11,6 +12,7 @@ from privmax.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXIT_VIOLATION,
+    build_parser,
     main,
 )
 from privmax import QualityUniverse, save_universe
@@ -78,6 +80,13 @@ class TestSelect:
 
     def test_missing_input_is_runtime_error(self):
         assert run("select", "--mechanism", "em") == EXIT_ERROR
+
+    def test_non_integer_universe_size_rejected(self, tmp_path, capsys):
+        # int() would load this file as k=3, n=10
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"k": 3.7, "n": 10.9, "values": [0.5, 0.2, 0.1]}))
+        assert run("select", "--in", str(path)) == EXIT_ERROR
+        assert "field 'k' must be an integer, got 3.7" in capsys.readouterr().err
 
     def test_env_var_seed(self, clear_universe, tmp_path, monkeypatch):
         monkeypatch.setenv("PRIVMAX_SEED", "41")
@@ -216,13 +225,13 @@ class TestFim:
 
 
 class TestPac:
-    def _spec(self, tmp_path):
+    def _spec(self, tmp_path, **fields):
         spec = {
             "num_hypotheses": 5,
             "n": 400,
             "d": 2,
             "error_profile": [0.05, 0.3, 0.35, 0.4, 0.5],
-        }
+        } | fields
         path = tmp_path / "class.json"
         path.write_text(json.dumps(spec))
         return str(path)
@@ -246,6 +255,19 @@ class TestPac:
 
     def test_missing_spec(self):
         assert run("pac") == EXIT_ERROR
+
+    @pytest.mark.parametrize("field, bad", [("num_hypotheses", 5.0), ("n", 400.5), ("d", True),
+                                            ("d", "2"), ("n", None)])
+    def test_non_integer_spec_field_rejected(self, tmp_path, capsys, field, bad):
+        # int() would read 5.0 as 5, truncate 400.5, read true as 1 and parse "2"
+        assert run("pac", "--spec", self._spec(tmp_path, **{field: bad})) == EXIT_ERROR
+        assert f"field '{field}' must be an integer" in capsys.readouterr().err
+
+    def test_missing_spec_field_rejected(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"num_hypotheses": 1, "n": 400, "error_profile": [0.1]}))
+        assert run("pac", "--spec", str(path)) == EXIT_ERROR
+        assert "missing field 'd'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["select", "bench-range"])
@@ -280,4 +302,46 @@ def test_unknown_mechanism_rejected_by_registry_before_input(argv, tmp_path, cap
         argv += ["--mechanism", "bogus"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert "unknown mechanism 'bogus'; registered: em, rem, mol, st13, lmm" in err
+    assert "unknown mechanism 'bogus'; registered: em, mol, st13, lmm" in err
+
+
+# every option string each command registers, --help aside: a flag a command
+# does not read is parsed and silently ignored, so it is not registered
+COMMON = {"--alpha", "--delta", "--seed", "--mechanism", "--cap", "--out"}
+OPTIONS = {
+    "select": COMMON | {"--zero-noise", "--format", "--in"},
+    "bench-range": COMMON | {"--zero-noise", "--trials", "--ks", "--n"},
+    "audit": COMMON | {"--trials", "--pair", "--note", "--generator", "--confidence",
+                       "--claim-alpha", "--claim-delta", "--k", "--n", "--ell", "--baskets",
+                       "--index", "--replacement", "--r"},
+    "fim": COMMON | {"--zero-noise", "--format", "--eta", "--baskets", "--r", "--vocab-size"},
+    "pac": COMMON | {"--zero-noise", "--format", "--spec", "--c0", "--delta0"},
+}
+
+
+def test_option_surface():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        command: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for command, p in sub.choices.items()
+    }
+    assert registered == {command: sorted(opts) for command, opts in OPTIONS.items()}
+    assert sum(map(len, registered.values())) == 62
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--zero-noise"],
+        ["select", "--trials", "5"],
+        ["bench-range", "--ks", "10", "--format", "json"],
+        ["pac", "--in", "x"],
+        ["select", "--eta", "0.3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from privmax import (
     compute_thresholds,
     load_universe,
     order_stat,
+    restricted_exponential,
     satisfies_margin,
     save_universe,
     top_set,
@@ -109,6 +110,28 @@ class TestQualityUniverse:
     def test_from_dict_requires_values_or_nonzeros(self):
         with pytest.raises(ValueError):
             universe_from_dict({"k": 3, "n": 5})
+
+    @pytest.mark.parametrize("form", [{"values": [0.5, 0.2, 0.1]}, {"nonzeros": [0.5], "fill": 0.0}])
+    @pytest.mark.parametrize("field, bad", [("k", 3.7), ("n", 10.9), ("k", True), ("n", False),
+                                            ("k", "3"), ("n", None), ("k", 3.0)])
+    def test_from_dict_takes_only_json_integer_sizes(self, form, field, bad):
+        # int() would load 3.7 as 3, true as 1 and "3" as 3
+        with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+            universe_from_dict({"k": 3, "n": 10, **form, field: bad})
+
+    @pytest.mark.parametrize("field", ["k", "n"])
+    def test_from_dict_missing_size_is_value_error(self, field):
+        doc = {"k": 3, "n": 10, "values": [0.5, 0.2, 0.1]}
+        del doc[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            universe_from_dict(doc)
+
+    def test_bool_sizes_rejected(self):
+        # bool is an int subclass, so an isinstance check alone lets True in as 1
+        with pytest.raises(ValueError, match="universe size k"):
+            QualityUniverse(k=True, n=5, values=[0.5])
+        with pytest.raises(ValueError, match="dataset size n"):
+            QualityUniverse.sparse([0.5], k=3, n=True)
 
     def test_dense_order_matches_two_sort_reference(self):
         # reference: the id order sorted ascending by negated value
@@ -414,8 +437,9 @@ class TestDenseSparseEquivalence:
             ud = QualityUniverse.dense(vals, n=500)
             us = QualityUniverse.sparse(vals, k=k, n=500, fill=rng.choice([0.0, -1.0]))
             ell = rng.randint(1, k)
-            for name in ("em", "rem", "mol", "st13", "lmm"):
-                mech = build_mechanism(name, budget, ell=ell)
+            mechs = {name: build_mechanism(name, budget) for name in ("em", "mol", "st13", "lmm")}
+            mechs["rem"] = lambda u, src: restricted_exponential(u, ell, budget.alpha, src)
+            for name, mech in mechs.items():
                 for seed in range(8):
                     for zero in (False, True):
                         got_d = mech(ud, NoiseSource(seed, zero_override=zero))

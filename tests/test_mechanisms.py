@@ -9,7 +9,6 @@ import pytest
 from privmax import (
     CapExhausted,
     Fail,
-    GapMechanismConfig,
     NoiseSource,
     PrivacyBudget,
     QualityUniverse,
@@ -406,14 +405,6 @@ class TestGapMechanism:
         assert freqs["fail"] >= 0.5
         assert freqs["fail"] == pytest.approx(1.0 - delta / 2, abs=0.01)
 
-    def test_custom_multipliers(self):
-        u = QualityUniverse.dense([0.5, 0.5], n=10)
-        cfg = GapMechanismConfig(noise_scale_multiplier=1.0, fail_threshold_multiplier=4.0)
-        out = gap_max_st13(u, PrivacyBudget(1.0, 0.1), NoiseSource(0, zero_override=True), cfg)
-        assert isinstance(out, Fail)
-        with pytest.raises(ValueError):
-            GapMechanismConfig(noise_scale_multiplier=0.0)
-
     def test_requires_positive_delta(self):
         u = QualityUniverse.dense([0.5, 0.2], n=10)
         with pytest.raises(ValueError):
@@ -445,16 +436,13 @@ class TestMechanismRegistry:
             mech = build_mechanism(name, budget)
             res = mech(u, NoiseSource(0, zero_override=True))
             assert isinstance(res, Fail) or 1 <= res.item <= 2
-        rem = build_mechanism("rem", budget, ell=1)
-        assert rem(u, NoiseSource(0)).item == 1
+        assert restricted_exponential(u, 1, budget.alpha, NoiseSource(0)).item == 1
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            build_mechanism("nope", PrivacyBudget(1.0, 0.05))
-
-    def test_rem_needs_ell(self):
-        with pytest.raises(ValueError):
-            build_mechanism("rem", PrivacyBudget(1.0, 0.05))
+        # rem needs an ell the CLI cannot supply, so it is called directly
+        for name in ("nope", "rem"):
+            with pytest.raises(ValueError, match="registered: em, mol, st13, lmm$"):
+                build_mechanism(name, PrivacyBudget(1.0, 0.05))
 
 
 def test_laplace_block_max_distribution():
