@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+import marshal
 import math
-from collections import Counter
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -35,6 +37,10 @@ _RIGHT_SEED_OFFSET = 1 << 32
 # trials per noise stream in estimate_distribution: seeding a Mersenne Twister
 # costs far more than a trial's few draws, so a stream serves a whole shard
 _SHARD_TRIALS = 1024
+
+# an audit forks one worker per usable core, but only while each worker gets
+# at least this many shards: a fork costs milliseconds, a shard tens of them
+_MIN_SHARDS_PER_WORKER = 8
 
 
 def hoeffding_slack(trials: int, confidence: float = 0.99) -> float:
@@ -64,18 +70,130 @@ def estimate_distribution(
     Trials are cut into shards of ``_SHARD_TRIALS``; shard j draws from the
     hashed child stream ``NoiseSource(seed).spawn(j)``, and its trials consume
     that one stream in order. Aggregation is order-independent and any shard
-    can be replayed on its own. Outcomes are keyed by :func:`outcome_key`;
-    ``zero_override`` propagates the deterministic noise mode to every shard.
+    can be replayed on its own, so the shards run on every usable core (see
+    :func:`_estimate_jobs`) and the result is the same for any number of them.
+    Outcomes are keyed by :func:`outcome_key`; ``zero_override`` propagates
+    the deterministic noise mode to every shard.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    base = NoiseSource(seed, zero_override=zero_override)
-    counts: Counter = Counter()
-    for shard, start in enumerate(range(0, trials, _SHARD_TRIALS)):
-        src = base.spawn(shard)
-        for _ in range(min(_SHARD_TRIALS, trials - start)):
-            counts[outcome_key(mechanism(u, src))] += 1
-    return {k: c / trials for k, c in counts.items()}
+    (freqs,), _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
+    return freqs
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
+    """Outcome frequencies of each job ``(mechanism, universe, trials, seed,
+    zero_override)`` and the number of processes that counted them.
+
+    Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
+    to max(1, min(usable cores, tasks // _MIN_SHARDS_PER_WORKER)) workers:
+    this process counts the first slice and a forked child each other one
+    (none where ``os.fork`` does not exist). A child inherits the mechanism,
+    so nothing is pickled, but its outcomes must be marshal-able (ints,
+    strings, tuples of them). Shard counts are merged in task order, so each
+    dict equals the serial estimate, key order included, for any worker count.
+    A child that fails raises ``RuntimeError`` here; every child is reaped.
+    """
+    bases = []
+    tasks = []
+    for j, (_, _, trials, seed, zero_override) in enumerate(jobs):
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        bases.append(NoiseSource(seed, zero_override=zero_override))
+        tasks += [(j, shard) for shard in range(-(-trials // _SHARD_TRIALS))]
+    cores = _usable_cores() if hasattr(os, "fork") else 1
+    workers = max(1, min(cores, len(tasks) // _MIN_SHARDS_PER_WORKER))
+    slices = [tasks[w::workers] for w in range(workers)]
+    shard_counts = {}
+    children = []  # (pid, read end of its pipe)
+    try:
+        for part in slices[1:]:
+            children.append(_fork_counter(jobs, bases, part))
+        shard_counts.update(zip(slices[0], _count_tasks(jobs, bases, slices[0])))
+        for (pid, source), part in zip(children, slices[1:]):
+            shard_counts.update(zip(part, _receive_counts(pid, source)))
+    except BaseException:
+        if children:
+            import signal  # only a failed fan-out needs it
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, source in children:
+            source.close()
+            os.waitpid(pid, 0)
+    totals = [{} for _ in jobs]
+    for j, shard in tasks:
+        total = totals[j]
+        for key, c in shard_counts[j, shard].items():
+            total[key] = total.get(key, 0) + c
+    freqs = [{k: c / trials for k, c in total.items()}
+             for (_, _, trials, _, _), total in zip(jobs, totals)]
+    return freqs, workers
+
+
+def _count_tasks(jobs: list[tuple], bases: list[NoiseSource], tasks: list[tuple]) -> list[dict]:
+    """Outcome counts of each ``(job, shard)`` task, in task order."""
+    out = []
+    for j, shard in tasks:
+        mechanism, u, trials, _, _ = jobs[j]
+        src = bases[j].spawn(shard)
+        counts = {}
+        for _ in range(min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)):
+            key = outcome_key(mechanism(u, src))
+            counts[key] = counts.get(key, 0) + 1
+        out.append(counts)
+    return out
+
+
+def _fork_counter(jobs: list[tuple], bases: list[NoiseSource], tasks: list[tuple]):
+    """Fork a child that counts ``tasks`` and writes ``marshal`` of
+    (True, counts), or of (False, its error), to a pipe; returns the child's
+    pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child leaves by os._exit and never returns into its caller
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                data = marshal.dumps((True, _count_tasks(jobs, bases, tasks)))
+            except Exception as exc:
+                data = marshal.dumps((False, f"{type(exc).__name__}: {exc}"))
+            with open(write_fd, "wb") as sink:
+                sink.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive_counts(pid: int, source) -> list[dict]:
+    """The task counts a forked child sent; RuntimeError if it sent an error
+    or nothing readable."""
+    with source:
+        data = source.read()
+    try:
+        ok, payload = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        raise RuntimeError(f"audit worker {pid} exited without sending its counts") from None
+    if not ok:
+        raise RuntimeError(f"audit worker {pid} failed: {payload}")
+    return payload
 
 
 @dataclass(frozen=True)
@@ -218,18 +336,25 @@ def group_outcome_checks(
 
 
 def _estimate_sides(mechanism: Callable, left: QualityUniverse, right: QualityUniverse,
-                    trials: int, confidence: float, seed: int) -> tuple[float, dict, dict, list[str]]:
-    """Slack, both outcome distributions and the warnings of one audit; the
-    right side draws from seed + _RIGHT_SEED_OFFSET."""
+                    trials: int, confidence: float, seed: int) -> tuple[float, dict, dict, list[str], dict]:
+    """Slack, both outcome distributions, the warnings and the run metadata
+    (workers, wall_s, trials_per_s over both sides) of one audit. Both sides'
+    shards share one fan-out; the right side draws from seed +
+    _RIGHT_SEED_OFFSET."""
+    t0 = time.perf_counter()
     slack = hoeffding_slack(trials, confidence)
-    p_left = estimate_distribution(mechanism, left, trials, seed)
-    p_right = estimate_distribution(mechanism, right, trials, seed + _RIGHT_SEED_OFFSET)
+    (p_left, p_right), workers = _estimate_jobs(
+        [(mechanism, left, trials, seed, False),
+         (mechanism, right, trials, seed + _RIGHT_SEED_OFFSET, False)]
+    )
     warnings = []
     if slack > _SLACK_WARN:
         warnings.append(
             f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
         )
-    return slack, p_left, p_right, warnings
+    wall = time.perf_counter() - t0
+    run = {"workers": workers, "wall_s": wall, "trials_per_s": 2 * trials / wall}
+    return slack, p_left, p_right, warnings, run
 
 
 def check_approx_dp(
@@ -245,9 +370,10 @@ def check_approx_dp(
     Estimates both outcome distributions (independent derived seeds per side),
     then runs the per-outcome inequality in both directions at the stated
     confidence. Singleton outcome sets only; see the module docstring for what
-    a pass does and does not mean.
+    a pass does and does not mean. The metadata records how the estimates ran:
+    ``workers``, ``wall_s`` and ``trials_per_s`` (both sides' trials).
     """
-    slack, p_left, p_right, warnings = _estimate_sides(
+    slack, p_left, p_right, warnings, run = _estimate_sides(
         mechanism, pair.left, pair.right, trials, confidence, seed
     )
     return AuditReport(
@@ -258,7 +384,7 @@ def check_approx_dp(
         checks=dp_outcome_checks(p_left, p_right, budget.alpha, budget.delta, slack),
         trials=trials,
         confidence=confidence,
-        metadata={"provenance": pair.provenance, "seed": seed},
+        metadata={"provenance": pair.provenance, "seed": seed, **run},
         warnings=warnings,
     )
 
@@ -274,8 +400,9 @@ def check_group_privacy(
     seed: int = 0,
     provenance: str = "",
 ) -> AuditReport:
-    """Group-privacy audit across universes differing by a k-step neighbor chain."""
-    slack, p_left, p_right, warnings = _estimate_sides(
+    """Group-privacy audit across universes differing by a k-step neighbor
+    chain; its metadata records the run as :func:`check_approx_dp`'s does."""
+    slack, p_left, p_right, warnings, run = _estimate_sides(
         mechanism, u_far, u_near, trials, confidence, seed
     )
     return AuditReport(
@@ -287,7 +414,7 @@ def check_group_privacy(
         trials=trials,
         confidence=confidence,
         group_size=k,
-        metadata={"provenance": provenance, "seed": seed},
+        metadata={"provenance": provenance, "seed": seed, **run},
         warnings=warnings,
     )
 

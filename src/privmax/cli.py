@@ -30,6 +30,7 @@ from .core import (
     PrivacyBudget,
     QualityUniverse,
     json_int,
+    json_numbers,
     load_universe,
     order_stat,
 )
@@ -246,8 +247,10 @@ def cmd_audit(args) -> int:
     report.write_json(f"{prefix}.json")
     report.write_csv(f"{prefix}.csv")
     status = "PASS" if report.passed else "FAIL"
+    run = report.metadata
     print(f"{status}: {len(report.violations)} violation(s) across {len(report.checks)} checks "
-          f"(slack {report.slack:.5f}); wrote {prefix}.json, {prefix}.csv")
+          f"(slack {report.slack:.5f}); {run['trials_per_s']:,.0f} trials/s on {run['workers']} "
+          f"worker(s); wrote {prefix}.json, {prefix}.csv")
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -289,10 +292,10 @@ def cmd_pac(args) -> int:
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    if "error_profile" not in spec:
-        raise ValueError("class spec missing field 'error_profile'")
+    if not isinstance(spec, dict):
+        raise ValueError(f"class spec must be a JSON object, got {type(spec).__name__}")
     num_hypotheses, n, d = (json_int(spec, field) for field in ("num_hypotheses", "n", "d"))
-    errors = [float(e) for e in spec["error_profile"]]
+    errors = list(map(float, json_numbers(spec, "error_profile")))
     if len(errors) != num_hypotheses:
         raise ValueError("error_profile length must equal num_hypotheses")
     universe = QualityUniverse.dense([1.0 - e for e in errors], n=n)

@@ -319,17 +319,40 @@ def json_int(doc: dict, field: str) -> int:
     return value
 
 
+def json_numbers(doc: dict, field: str) -> list:
+    """``doc[field]``, which must be a JSON array of numbers.
+
+    A string or bool element raises ValueError: ``float()`` would parse "0.5"
+    and read true as 1.0. The element check is one C-level pass.
+    """
+    if field not in doc:
+        raise ValueError(f"missing field {field!r}")
+    value = doc[field]
+    if type(value) is not list:
+        raise ValueError(f"field {field!r} must be an array of numbers, got {type(value).__name__}")
+    if not set(map(type, value)) <= {int, float}:
+        bad = next(x for x in value if type(x) not in (int, float))
+        raise ValueError(f"field {field!r} must hold only numbers, got {bad!r}")
+    return value
+
+
 def universe_from_dict(doc: dict) -> QualityUniverse:
     """Build a universe from its JSON document form.
 
     Dense: {"k": int, "n": int, "values": [...]}.
     Sparse: {"k": int, "n": int, "nonzeros": [...], "fill": float}.
+    Sizes must be JSON integers and values JSON numbers (no strings or bools).
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"universe document must be a JSON object, got {type(doc).__name__}")
     k, n = json_int(doc, "k"), json_int(doc, "n")
     if "values" in doc:
-        return QualityUniverse(k=k, n=n, values=doc["values"])
+        return QualityUniverse(k=k, n=n, values=json_numbers(doc, "values"))
     if "nonzeros" in doc:
-        return QualityUniverse(k=k, n=n, nonzeros=doc["nonzeros"], fill=float(doc.get("fill", 0.0)))
+        fill = doc.get("fill", 0.0)
+        if type(fill) not in (int, float):
+            raise ValueError(f"field 'fill' must be a number, got {fill!r}")
+        return QualityUniverse(k=k, n=n, nonzeros=json_numbers(doc, "nonzeros"), fill=fill)
     raise ValueError("universe document needs a 'values' or 'nonzeros' field")
 
 

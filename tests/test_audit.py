@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import warnings
 
 import pytest
 
@@ -30,6 +32,7 @@ from privmax import (
     satisfies_margin,
     top_set,
 )
+from privmax import audit
 from privmax.audit import _SHARD_TRIALS, outcome_key
 from oracles import exact_selection_weights, tv_distance
 
@@ -116,6 +119,118 @@ class TestEstimateDistribution:
                 counts[key] = counts.get(key, 0) + 1
         replay = {key: c / trials for key, c in counts.items()}
         assert estimate_distribution(mech, u, trials, 17) == replay
+
+
+def _on_cores(monkeypatch, cores):
+    monkeypatch.setattr(audit, "_usable_cores", lambda: cores)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    """Shards run on max(1, min(cores, shards // 8)) processes; the counts
+    must not depend on how many."""
+
+    LEFT = QualityUniverse.dense([0.5, 0.45, 0.4, 0.1], n=10)
+    RIGHT = QualityUniverse.dense([0.45, 0.5, 0.35, 0.15], n=10)
+
+    @pytest.mark.parametrize("zero_override", [False, True])
+    def test_estimate_equal_for_one_and_three_workers(self, monkeypatch, zero_override):
+        mech = build_mechanism("lmm", PrivacyBudget(1.0, 0.05))
+        runs = []
+        for cores in (1, 3):
+            _on_cores(monkeypatch, cores)
+            runs.append(estimate_distribution(mech, self.LEFT, 50_000, 23, zero_override))
+        serial, forked = runs
+        assert forked == serial
+        assert list(forked) == list(serial)  # the same key order, too
+        _assert_no_child_left()
+
+    def test_audit_checks_equal_for_one_and_three_workers(self, monkeypatch):
+        pair = NeighborPair(self.LEFT, self.RIGHT)
+        budget = PrivacyBudget(1.0, 0.05)
+        mechs = [build_mechanism("lmm", budget),
+                 lambda u, src: max_of_laplaces(u, budget.alpha, src)]
+        for mech in mechs:
+            reports = []
+            for cores in (1, 3):
+                _on_cores(monkeypatch, cores)
+                reports.append(check_approx_dp(pair, mech, budget, 12 * _SHARD_TRIALS, seed=9))
+            serial, forked = reports
+            assert forked.checks == serial.checks
+            assert (serial.metadata["workers"], forked.metadata["workers"]) == (1, 3)
+        _assert_no_child_left()
+
+    def test_worker_only_failure_raises_in_parent(self, monkeypatch):
+        _on_cores(monkeypatch, 3)
+        parent = os.getpid()
+
+        def mech(u, src):
+            if os.getpid() != parent:
+                raise ArithmeticError("only in a worker")
+            return argmax_mechanism(u, src)
+
+        with pytest.raises(RuntimeError, match="ArithmeticError: only in a worker"):
+            estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 0)
+        _assert_no_child_left()
+
+    def test_worker_that_sends_nothing_raises_in_parent(self, monkeypatch):
+        _on_cores(monkeypatch, 2)
+        parent = os.getpid()
+
+        def mech(u, src):
+            if os.getpid() != parent:
+                os._exit(0)
+            return argmax_mechanism(u, src)
+
+        with pytest.raises(RuntimeError, match="without sending its counts"):
+            estimate_distribution(mech, self.LEFT, 16 * _SHARD_TRIALS, 0)
+        _assert_no_child_left()
+
+    def test_parent_failure_keeps_its_type_and_reaps_workers(self, monkeypatch):
+        _on_cores(monkeypatch, 3)
+        parent = os.getpid()
+
+        def mech(u, src):
+            if os.getpid() == parent:
+                raise ArithmeticError("only in the parent")
+            return argmax_mechanism(u, src)
+
+        with pytest.raises(ArithmeticError, match="only in the parent"):
+            estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 0)
+        _assert_no_child_left()
+
+    def test_forked_path_raises_no_warning(self, monkeypatch):
+        _on_cores(monkeypatch, 2)
+        pair = NeighborPair(self.LEFT, self.RIGHT)
+        mech = build_mechanism("em", PrivacyBudget(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_approx_dp(pair, mech, PrivacyBudget(1.0), 8 * _SHARD_TRIALS, seed=4)
+        assert report.metadata["workers"] == 2
+
+    def test_few_shards_never_fork(self, monkeypatch):
+        _on_cores(monkeypatch, 2)
+
+        def no_fork():
+            raise AssertionError("forked under 8 shards")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        freqs = estimate_distribution(argmax_mechanism, self.LEFT, 1000, 0)
+        assert freqs == {1: 1.0}
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        _on_cores(monkeypatch, 2)
+        mech = build_mechanism("em", PrivacyBudget(1.0))
+        forked = estimate_distribution(mech, self.LEFT, 16 * _SHARD_TRIALS, 8)
+        monkeypatch.delattr(os, "fork")
+        assert estimate_distribution(mech, self.LEFT, 16 * _SHARD_TRIALS, 8) == forked
+        pair = NeighborPair(self.LEFT, self.RIGHT)
+        report = check_approx_dp(pair, mech, PrivacyBudget(1.0), 16 * _SHARD_TRIALS, seed=8)
+        assert report.metadata["workers"] == 1
 
 
 class TestNeighborPair:
@@ -239,6 +354,16 @@ class TestCheckApproxDp:
         report = check_approx_dp(pair, mech, PrivacyBudget(1.0), trials=50_000, seed=3)
         assert report.passed
 
+    def test_metadata_reports_the_run(self):
+        u = QualityUniverse.dense([0.6, 0.4], n=10)
+        mech = build_mechanism("em", PrivacyBudget(1.0))
+        report = check_approx_dp(NeighborPair(u, u, "same"), mech, PrivacyBudget(1.0),
+                                 trials=3000, seed=1)
+        meta = report.metadata
+        assert list(meta) == ["provenance", "seed", "workers", "wall_s", "trials_per_s"]
+        assert (meta["provenance"], meta["seed"], meta["workers"]) == ("same", 1, 1)
+        assert meta["trials_per_s"] == pytest.approx(2 * 3000 / meta["wall_s"])
+
     def test_small_trials_warn(self):
         u = QualityUniverse.dense([0.5, 0.5], n=10)
         pair = NeighborPair(u, u)
@@ -256,6 +381,16 @@ class TestCheckGroupPrivacy:
         )
         assert report.passed
         assert report.group_size == 0
+
+    def test_metadata_reports_the_run(self):
+        u = QualityUniverse.dense([0.7, 0.3], n=10)
+        mech = build_mechanism("em", PrivacyBudget(1.0))
+        report = check_group_privacy(u, u, 0, mech, PrivacyBudget(1.0), trials=3000, seed=2,
+                                     provenance="same")
+        meta = report.metadata
+        assert list(meta) == ["provenance", "seed", "workers", "wall_s", "trials_per_s"]
+        assert meta["workers"] == 1 and meta["wall_s"] > 0.0
+        assert meta["trials_per_s"] == pytest.approx(2 * 3000 / meta["wall_s"])
 
     def test_single_step_matches_dp_reverse_orientation(self):
         left = QualityUniverse.dense([0.6, 0.5, 0.3], n=10)

@@ -88,6 +88,20 @@ class TestSelect:
         assert run("select", "--in", str(path)) == EXIT_ERROR
         assert "field 'k' must be an integer, got 3.7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["42", "[0.5, 0.1]", "null", '"u"'])
+    def test_non_object_universe_file_rejected(self, tmp_path, capsys, document):
+        path = tmp_path / "u.json"
+        path.write_text(document)
+        assert run("select", "--in", str(path)) == EXIT_ERROR
+        assert "universe document must be a JSON object" in capsys.readouterr().err
+
+    def test_non_number_universe_value_rejected(self, tmp_path, capsys):
+        # float() would load these values as (0.5, 1.0)
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"k": 2, "n": 10, "values": ["0.5", True]}))
+        assert run("select", "--in", str(path)) == EXIT_ERROR
+        assert "field 'values' must hold only numbers, got '0.5'" in capsys.readouterr().err
+
     def test_env_var_seed(self, clear_universe, tmp_path, monkeypatch):
         monkeypatch.setenv("PRIVMAX_SEED", "41")
         out = tmp_path / "o.json"
@@ -153,6 +167,17 @@ class TestAudit:
         assert code == EXIT_OK
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "report.csv").exists()
+
+    def test_summary_reports_throughput(self, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        save_universe(QualityUniverse.dense([0.6, 0.4], n=10), path)
+        prefix = tmp_path / "report"
+        code = run("audit", "--pair", str(path), str(path), "--mechanism", "em",
+                   "--trials", "2000", "--out", str(prefix))
+        assert code == EXIT_OK
+        summary = capsys.readouterr().out
+        meta = json.loads((tmp_path / "report.json").read_text())["metadata"]
+        assert f"{meta['trials_per_s']:,.0f} trials/s on 1 worker(s)" in summary
 
     def test_overclaimed_alpha_flagged(self, tmp_path):
         left, right = tmp_path / "l.json", tmp_path / "r.json"
@@ -263,11 +288,39 @@ class TestPac:
         assert run("pac", "--spec", self._spec(tmp_path, **{field: bad})) == EXIT_ERROR
         assert f"field '{field}' must be an integer" in capsys.readouterr().err
 
+    def test_non_object_spec_rejected(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text("42")
+        assert run("pac", "--spec", str(path)) == EXIT_ERROR
+        assert "class spec must be a JSON object, got int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile, message", [
+        (["0.1", True, 0.3, 0.4, 0.5], "must hold only numbers, got '0.1'"),
+        ([0.05, True, 0.35, 0.4, 0.5], "must hold only numbers, got True"),
+        ([0.05, 0.3, None, 0.4, 0.5], "must hold only numbers, got None"),
+        ("0.05 0.3 0.35 0.4 0.5", "must be an array of numbers, got str"),
+    ])
+    def test_non_number_error_profile_rejected(self, tmp_path, capsys, profile, message):
+        # float() would read "0.1" as 0.1 and true as 1.0
+        assert run("pac", "--spec", self._spec(tmp_path, error_profile=profile)) == EXIT_ERROR
+        assert f"field 'error_profile' {message}" in capsys.readouterr().err
+
+    def test_integer_errors_accepted(self, tmp_path):
+        code = run("pac", "--spec", self._spec(tmp_path, error_profile=[0, 1, 1, 1, 1]),
+                   "--zero-noise", "--out", str(tmp_path / "pac.json"))
+        assert code == EXIT_OK
+
     def test_missing_spec_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "class.json"
         path.write_text(json.dumps({"num_hypotheses": 1, "n": 400, "error_profile": [0.1]}))
         assert run("pac", "--spec", str(path)) == EXIT_ERROR
         assert "missing field 'd'" in capsys.readouterr().err
+
+    def test_missing_error_profile_rejected(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({"num_hypotheses": 1, "n": 400, "d": 2}))
+        assert run("pac", "--spec", str(path)) == EXIT_ERROR
+        assert "missing field 'error_profile'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["select", "bench-range"])

@@ -119,6 +119,34 @@ class TestQualityUniverse:
         with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
             universe_from_dict({"k": 3, "n": 10, **form, field: bad})
 
+    @pytest.mark.parametrize("doc", [42, [0.5, 0.2], None, "u", 3.5])
+    def test_from_dict_needs_an_object(self, doc):
+        with pytest.raises(ValueError, match="universe document must be a JSON object"):
+            universe_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"values": ["0.5", True]}, "field 'values' must hold only numbers, got '0.5'"),
+        ({"values": [0.5, True]}, "field 'values' must hold only numbers, got True"),
+        ({"values": [0.5, None]}, "field 'values' must hold only numbers, got None"),
+        ({"values": "0.5 0.1"}, "field 'values' must be an array of numbers, got str"),
+        ({"nonzeros": ["0.5"]}, "field 'nonzeros' must hold only numbers, got '0.5'"),
+        ({"nonzeros": [False]}, "field 'nonzeros' must hold only numbers, got False"),
+        ({"nonzeros": {"0": 0.5}}, "field 'nonzeros' must be an array of numbers, got dict"),
+        ({"nonzeros": [0.5], "fill": "0.1"}, "field 'fill' must be a number, got '0.1'"),
+        ({"nonzeros": [0.5], "fill": True}, "field 'fill' must be a number, got True"),
+        ({"nonzeros": [0.5], "fill": None}, "field 'fill' must be a number, got None"),
+    ])
+    def test_from_dict_takes_only_json_numbers(self, doc, message):
+        # float() would parse "0.5" and read true as 1.0
+        with pytest.raises(ValueError, match=message):
+            universe_from_dict({"k": 2, "n": 10, **doc})
+
+    def test_from_dict_accepts_json_integers_as_values(self):
+        dense = universe_from_dict({"k": 2, "n": 10, "values": [1, 0]})
+        sparse = universe_from_dict({"k": 3, "n": 10, "nonzeros": [1], "fill": 0})
+        assert dense.values == (1.0, 0.0)
+        assert (sparse.nonzeros, sparse.fill) == ((1.0,), 0.0)
+
     @pytest.mark.parametrize("field", ["k", "n"])
     def test_from_dict_missing_size_is_value_error(self, field):
         doc = {"k": 3, "n": 10, "values": [0.5, 0.2, 0.1]}
