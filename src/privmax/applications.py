@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import QualityUniverse
 from .audit import NeighborPair
@@ -59,8 +59,16 @@ class BasketDataset:
         return len(self.baskets)
 
     @classmethod
-    def from_lists(cls, baskets: Sequence[Sequence[str]]) -> "BasketDataset":
-        sets = tuple(map(frozenset, baskets))
+    def from_lists(cls, baskets: Iterable[Iterable[str]]) -> "BasketDataset":
+        """Dataset from any iterable of token iterables, read in one pass.
+
+        Each basket may be a one-shot iterator. Tokens pass through one
+        canonicaliser per call, so equal tokens are one ``str`` object across
+        the whole dataset: later hashing, set checks, counting and sorting
+        compare shared objects, not copies.
+        """
+        canon = _Canonical()
+        sets = tuple(map(frozenset, map(map, repeat(canon.__getitem__), baskets)))
         if not sets:
             raise ValueError("dataset must contain at least one basket")
         vocab = tuple(sorted(set().union(*sets)))
@@ -68,22 +76,32 @@ class BasketDataset:
         return cls(baskets=sets, vocabulary=vocab, max_basket_len=max_len)
 
 
+class _Canonical(dict):
+    """Maps each token to the first equal object seen: ``d[t]`` stores and
+    returns ``t`` on a miss, so a lookup is one C-level dict read."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> str:
+        self[token] = token
+        return token
+
+
 def load_baskets(path) -> BasketDataset:
     """Read a basket file: one basket per line, whitespace-separated tokens.
 
-    Tokens are deduplicated per basket; blank lines are skipped; an empty file
-    is an error. Vocabulary order (and therefore id assignment) is the sorted
-    token order, stable across reloads.
+    The file is streamed line by line into :meth:`BasketDataset.from_lists`,
+    so no line's token copies outlive the line. Tokens are deduplicated per
+    basket; blank lines are skipped; a file with no tokens is an error.
+    Vocabulary order (and therefore id assignment) is the sorted token order,
+    stable across reloads.
     """
-    baskets = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                baskets.append(tokens)
-    if not baskets:
-        raise ValueError(f"no baskets found in {path}")
-    return BasketDataset.from_lists(baskets)
+        lines = filter(None, map(str.split, fh))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"no baskets found in {path}")
+        return BasketDataset.from_lists(chain((first,), lines))
 
 
 def _comb_rank(indices: tuple[int, ...], v: int) -> int:

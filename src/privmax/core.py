@@ -7,8 +7,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 NEG_INF = float("-inf")
@@ -323,17 +325,34 @@ def json_numbers(doc: dict, field: str) -> list:
     """``doc[field]``, which must be a JSON array of numbers.
 
     A string or bool element raises ValueError: ``float()`` would parse "0.5"
-    and read true as 1.0. The element check is one C-level pass.
+    and read true as 1.0. So does an integer beyond the float range, on which
+    ``float()`` would raise OverflowError. The type check is one C-level
+    pass; only an array that holds integers takes a second one over them.
     """
     if field not in doc:
         raise ValueError(f"missing field {field!r}")
     value = doc[field]
     if type(value) is not list:
         raise ValueError(f"field {field!r} must be an array of numbers, got {type(value).__name__}")
-    if not set(map(type, value)) <= {int, float}:
+    types = set(map(type, value))
+    if not types <= {int, float}:
         bad = next(x for x in value if type(x) not in (int, float))
         raise ValueError(f"field {field!r} must hold only numbers, got {bad!r}")
+    if int in types:
+        # integers only: NaN compares false, so a max over the mixed array
+        # could skip an integer that float() rejects
+        ints = compress(value, map(operator.is_, map(type, value), repeat(int)))
+        _require_float_range(field, max(map(abs, ints)))
     return value
+
+
+def _require_float_range(field: str, number) -> None:
+    """Raise ValueError if ``float(number)`` would overflow: a JSON integer
+    may be written with more digits than any float holds."""
+    try:
+        float(number)
+    except OverflowError:
+        raise ValueError(f"field {field!r} holds an integer too large for a float") from None
 
 
 def universe_from_dict(doc: dict) -> QualityUniverse:
@@ -352,6 +371,7 @@ def universe_from_dict(doc: dict) -> QualityUniverse:
         fill = doc.get("fill", 0.0)
         if type(fill) not in (int, float):
             raise ValueError(f"field 'fill' must be a number, got {fill!r}")
+        _require_float_range("fill", fill)
         return QualityUniverse(k=k, n=n, nonzeros=json_numbers(doc, "nonzeros"), fill=fill)
     raise ValueError("universe document needs a 'values' or 'nonzeros' field")
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -59,6 +60,41 @@ class TestLoadBaskets:
         path.write_text("zebra apple\nmango apple\n")
         d = load_baskets(path)
         assert d.vocabulary == ("apple", "mango", "zebra")
+
+    def test_tokens_are_the_vocabulary_objects(self, tmp_path):
+        # multi-character tokens: split() makes a fresh object for each
+        path = tmp_path / "baskets.txt"
+        path.write_text("zebra apple\nmango apple zebra\napple\n")
+        d = load_baskets(path)
+        entry = {tok: tok for tok in d.vocabulary}
+        assert all(tok is entry[tok] for b in d.baskets for tok in b)
+
+    def test_from_lists_shares_run_time_tokens(self):
+        # tokens built at run time, so interned literals cannot share them
+        baskets = [["".join(("tok", str(i % 5))) for i in range(j, j + 3)] for j in range(6)]
+        d = BasketDataset.from_lists(baskets)
+        entry = {tok: tok for tok in d.vocabulary}
+        assert all(tok is entry[tok] for b in d.baskets for tok in b)
+
+    def test_from_lists_reads_one_shot_iterators(self):
+        baskets = [["a", "b", "c", "d"], ["b", "e"], ["c", "d", "e", "f", "g"]]
+        from_iterators = BasketDataset.from_lists(iter(b) for b in baskets)
+        assert from_iterators == BasketDataset.from_lists(baskets)
+        assert from_iterators.baskets[0] == frozenset("abcd")
+
+    @pytest.mark.parametrize("content", ["", "\n \t\n\r\n   "], ids=["empty", "blank"])
+    def test_no_tokens_error_names_path(self, tmp_path, content):
+        path = tmp_path / "baskets.txt"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"no baskets found in {re.escape(str(path))}"):
+            load_baskets(path)
+
+    def test_crlf_and_unterminated_last_line(self, tmp_path):
+        plain, crlf = tmp_path / "plain.txt", tmp_path / "crlf.txt"
+        plain.write_bytes(b"apple pear\nfig apple\nplum\n")
+        crlf.write_bytes(b"apple pear\r\nfig apple\r\nplum")
+        assert load_baskets(crlf) == load_baskets(plain)
+        assert load_baskets(crlf).vocabulary == ("apple", "fig", "pear", "plum")
 
 
 class TestCombinatorics:

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,26 @@ class TestSelect:
         path.write_text(json.dumps({"k": 2, "n": 10, "values": ["0.5", True]}))
         assert run("select", "--in", str(path)) == EXIT_ERROR
         assert "field 'values' must hold only numbers, got '0.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, field", [
+        ({"k": 2, "n": 10, "values": [10**400, 0.5]}, "values"),
+        ({"k": 2, "n": 10, "values": [math.nan, 10**400]}, "values"),
+        ({"k": 2, "n": 10, "nonzeros": [0.5, -(10**400)]}, "nonzeros"),
+        ({"k": 2, "n": 10, "nonzeros": [0.5], "fill": 10**400}, "fill"),
+    ], ids=["values", "values-after-nan", "nonzeros", "fill"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, document, field):
+        # float() raises OverflowError on these, which is no ValueError
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(document))
+        assert run("select", "--in", str(path)) == EXIT_ERROR
+        assert f"field '{field}' holds an integer too large for a float" in capsys.readouterr().err
+
+    def test_integer_inside_float_range_accepted(self, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"k": 2, "n": 10, "values": [10**308, 0.5]}))
+        out = tmp_path / "o.json"
+        assert run("select", "--in", str(path), "--seed", "1", "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["item"] == 1
 
     def test_env_var_seed(self, clear_universe, tmp_path, monkeypatch):
         monkeypatch.setenv("PRIVMAX_SEED", "41")
@@ -304,6 +325,11 @@ class TestPac:
         # float() would read "0.1" as 0.1 and true as 1.0
         assert run("pac", "--spec", self._spec(tmp_path, error_profile=profile)) == EXIT_ERROR
         assert f"field 'error_profile' {message}" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_error_profile_rejected(self, tmp_path, capsys):
+        profile = [0.05, 0.3, 0.35, 0.4, 10**400]
+        assert run("pac", "--spec", self._spec(tmp_path, error_profile=profile)) == EXIT_ERROR
+        assert "field 'error_profile' holds an integer too large for a float" in capsys.readouterr().err
 
     def test_integer_errors_accepted(self, tmp_path):
         code = run("pac", "--spec", self._spec(tmp_path, error_profile=[0, 1, 1, 1, 1]),
