@@ -18,17 +18,20 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import QualityUniverse
+from .core import QualityUniverse, checked_make
 from .audit import NeighborPair
 
 
-@dataclass(frozen=True)
-class BasketDataset:
+class BasketDataset(
+    NamedTuple(
+        "BasketDataset",
+        [("baskets", tuple[frozenset, ...]), ("vocabulary", tuple[str, ...]), ("max_basket_len", int)],
+    )
+):
     """Per-user token baskets: the raw input of the itemset driver.
 
     baskets hold deduplicated tokens drawn from the vocabulary;
@@ -37,22 +40,24 @@ class BasketDataset:
     itemset codec and the driver's counting rely on it.
     """
 
-    baskets: tuple[frozenset, ...]
-    vocabulary: tuple[str, ...]
-    max_basket_len: int
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if not self.baskets:
+    def __new__(
+        cls, baskets: tuple[frozenset, ...], vocabulary: tuple[str, ...], max_basket_len: int
+    ) -> BasketDataset:
+        if not baskets:
             raise ValueError("dataset must contain at least one basket")
-        v = self.vocabulary
+        v = vocabulary
         if not all(map(operator.lt, v, v[1:])):
             raise ValueError("vocabulary must be sorted and free of duplicates")
         vocab = set(v)
-        for b in self.baskets:
-            if len(b) > self.max_basket_len:
-                raise ValueError(f"basket of size {len(b)} exceeds declared bound {self.max_basket_len}")
+        for b in baskets:
+            if len(b) > max_basket_len:
+                raise ValueError(f"basket of size {len(b)} exceeds declared bound {max_basket_len}")
             if not b <= vocab:
                 raise ValueError(f"basket tokens {sorted(b - vocab)} missing from vocabulary")
+        return super().__new__(cls, baskets, vocabulary, max_basket_len)
 
     @property
     def n(self) -> int:
@@ -146,8 +151,17 @@ def _comb_unrank(rank: int, v: int, r: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-@dataclass(frozen=True)
-class ItemsetCodec:
+class ItemsetCodec(
+    NamedTuple(
+        "ItemsetCodec",
+        [
+            ("vocabulary", tuple[str, ...]),
+            ("vocab_size", int),
+            ("r", int),
+            ("occurring", tuple[tuple[str, ...], ...]),
+        ],
+    )
+):
     """Bijective, stable mapping between universe ids and size-r itemsets.
 
     Ids 1..L are the occurring itemsets in universe (canonical sparse) order.
@@ -159,12 +173,10 @@ class ItemsetCodec:
     first decode of a fill id (above L) or the first encode, and their id map
     on the first encode of an occurring itemset, not when the codec is built:
     decoding an id in 1..L needs neither.
-    """
 
-    vocabulary: tuple[str, ...]
-    vocab_size: int
-    r: int
-    occurring: tuple[tuple[str, ...], ...]
+    The class sets no ``__slots__``: the two cached properties live in the
+    instance dict, outside the tuple, so equality and hashing ignore them.
+    """
 
     @cached_property
     def occurring_ranks(self) -> tuple[int, ...]:
@@ -318,26 +330,30 @@ def basket_neighbor_pair(
     )
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
-    """Finite hypothesis class as prediction vectors over one labeled sample."""
+class HypothesisClass(
+    NamedTuple("HypothesisClass", [("predictions", tuple[tuple, ...]), ("labels", tuple), ("d", int)])
+):
+    """Finite hypothesis class as prediction vectors over one labeled sample.
 
-    predictions: tuple[tuple, ...]
-    labels: tuple
-    d: int  # VC-dimension surrogate, supplied not computed
+    ``d`` is a VC-dimension surrogate, supplied not computed.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.predictions:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, predictions: tuple[tuple, ...], labels: tuple, d: int) -> HypothesisClass:
+        if not predictions:
             raise ValueError("hypothesis class must be nonempty")
-        if not self.labels:
+        if not labels:
             raise ValueError("sample must be nonempty")
-        for i, p in enumerate(self.predictions):
-            if len(p) != len(self.labels):
+        for i, p in enumerate(predictions):
+            if len(p) != len(labels):
                 raise ValueError(
-                    f"hypothesis {i} predicts {len(p)} points but the sample has {len(self.labels)}"
+                    f"hypothesis {i} predicts {len(p)} points but the sample has {len(labels)}"
                 )
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        return super().__new__(cls, predictions, labels, d)
 
     def empirical_errors(self) -> list[float]:
         n = len(self.labels)
@@ -353,25 +369,29 @@ def empirical_quality(h: HypothesisClass) -> QualityUniverse:
     return QualityUniverse.dense([1.0 - e for e in errors], n=len(h.labels))
 
 
-@dataclass(frozen=True)
-class ShellDecomposition:
+class ShellDecomposition(
+    NamedTuple(
+        "ShellDecomposition",
+        [("shell_sizes", tuple[int, ...]), ("width", float), ("min_err", float), ("C0", float), ("R", int)],
+    )
+):
     """Counts of hypotheses within t error-radius widths of the best one.
 
     shell_sizes[t] counts errors within t * width of the minimum, for
     t = 0..R; wider radius means a larger shell, so sizes are nondecreasing.
     """
 
-    shell_sizes: tuple[int, ...]
-    width: float
-    min_err: float
-    C0: float
-    R: int
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if len(self.shell_sizes) != self.R + 1:
-            raise ValueError(f"need R+1 = {self.R + 1} shell sizes, got {len(self.shell_sizes)}")
-        if any(a > b for a, b in zip(self.shell_sizes, self.shell_sizes[1:])):
+    def __new__(
+        cls, shell_sizes: tuple[int, ...], width: float, min_err: float, C0: float, R: int
+    ) -> ShellDecomposition:
+        if len(shell_sizes) != R + 1:
+            raise ValueError(f"need R+1 = {R + 1} shell sizes, got {len(shell_sizes)}")
+        if any(a > b for a, b in zip(shell_sizes, shell_sizes[1:])):
             raise ValueError("shell sizes must be nondecreasing in t")
+        return super().__new__(cls, shell_sizes, width, min_err, C0, R)
 
 
 def shell_decomposition(

@@ -13,16 +13,14 @@ exponential-mechanism family.
 
 from __future__ import annotations
 
-import csv
 import json
 import marshal
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Sequence
 
-from .core import PrivacyBudget, QualityUniverse, order_stat, top_set
+from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, top_set
 from .mechanisms import Fail
 from .noise import NoiseSource
 
@@ -196,17 +194,17 @@ def _receive_counts(pid: int, source) -> list[dict]:
     return payload
 
 
-@dataclass(frozen=True)
-class NeighborPair:
+class NeighborPair(
+    NamedTuple("NeighborPair", [("left", QualityUniverse), ("right", QualityUniverse), ("provenance", str)])
+):
     """Two universes whose values differ by at most 1/n per item: the
     Lipschitz witness for a single-record change. Checked on construction."""
 
-    left: QualityUniverse
-    right: QualityUniverse
-    provenance: str = ""
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        lu, ru = self.left, self.right
+    def __new__(cls, left: QualityUniverse, right: QualityUniverse, provenance: str = "") -> NeighborPair:
+        lu, ru = left, right
         if lu.k != ru.k or lu.n != ru.n:
             raise ValueError("neighbor universes must share k and n")
         bound = 1.0 / lu.n * (1.0 + 1e-9) + 1e-15
@@ -219,6 +217,7 @@ class NeighborPair:
                 raise ValueError(
                     f"item {i} moves by {abs(lu.value(i) - ru.value(i)):.6g} > 1/n = {1.0 / lu.n:.6g}"
                 )
+        return super().__new__(cls, left, right, provenance)
 
 
 class OutcomeCheck(NamedTuple):
@@ -233,20 +232,35 @@ class OutcomeCheck(NamedTuple):
     passed: bool
 
 
-@dataclass
 class AuditReport:
-    """Per-outcome probabilities and pass/fail results for one audit run."""
+    """Per-outcome probabilities and pass/fail results for one audit run.
 
-    kind: str
-    alpha: float
-    delta: float
-    slack: float
-    checks: list[OutcomeCheck]
-    trials: int | None = None
-    confidence: float | None = None
-    group_size: int = 1
-    metadata: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    ``metadata`` and ``warnings`` default to a fresh dict and list per report.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        alpha: float,
+        delta: float,
+        slack: float,
+        checks: list[OutcomeCheck],
+        trials: int | None = None,
+        confidence: float | None = None,
+        group_size: int = 1,
+        metadata: dict | None = None,
+        warnings: list[str] | None = None,
+    ) -> None:
+        self.kind = kind
+        self.alpha = alpha
+        self.delta = delta
+        self.slack = slack
+        self.checks = checks
+        self.trials = trials
+        self.confidence = confidence
+        self.group_size = group_size
+        self.metadata = {} if metadata is None else metadata
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def violations(self) -> list[OutcomeCheck]:
@@ -277,6 +291,8 @@ class AuditReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
     def write_csv(self, path) -> None:
+        import csv  # imported on use, so `import privmax` does not load it
+
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["outcome", "direction", "p_left", "p_right", "bound", "slack", "pass"])

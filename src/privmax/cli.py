@@ -20,7 +20,6 @@ only.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -68,7 +67,11 @@ EXIT_VIOLATION = 5
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PRIVMAX_SEED", "0"))
+    raw = os.environ.get("PRIVMAX_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PRIVMAX_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -126,6 +129,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> None:
+    import csv  # imported on use, so `import privmax` does not load it
+
     out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
     try:
         for key, value in sorted(config.items()):

@@ -8,7 +8,6 @@ import heapq
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from typing import NamedTuple, Sequence
@@ -34,22 +33,32 @@ class ThresholdPair(NamedTuple):
     r: int
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
+def checked_make(cls, iterable):
+    """``_make`` for a validated ``NamedTuple`` record: namedtuple's own
+    ``_make``, and the ``_replace`` built on it, skip ``__new__`` and so its
+    checks. Bind it with ``_make = classmethod(checked_make)``."""
+    values = tuple(iterable)
+    if len(values) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+    return cls(*values)
+
+
+class PrivacyBudget(NamedTuple("PrivacyBudget", [("alpha", float), ("delta", float)])):
     """Privacy-loss pair (alpha, delta) governing one mechanism invocation.
 
     delta = 0 is allowed only for pure-DP baselines; mechanisms that need an
     approximate budget call :meth:`require_approximate`.
     """
 
-    alpha: float
-    delta: float = 0.0
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+    def __new__(cls, alpha: float, delta: float = 0.0) -> PrivacyBudget:
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        if not (0.0 <= delta < 1.0):
+            raise ValueError(f"delta must lie in [0, 1), got {delta}")
+        return super().__new__(cls, alpha, delta)
 
     def require_approximate(self) -> None:
         if self.delta <= 0.0:

@@ -24,7 +24,7 @@ from privmax import (
     shell_decomposition,
     t_star,
 )
-from privmax.applications import ShellDecomposition, _comb_rank, _comb_unrank
+from privmax.applications import ItemsetCodec, ShellDecomposition, _comb_rank, _comb_unrank
 from oracles import itemset_quality_reference, shell_sizes_bruteforce
 
 
@@ -284,6 +284,59 @@ class TestBasketDatasetValidation:
             BasketDataset(baskets=(["a", "a"],), vocabulary=("a",), max_basket_len=2)
         with pytest.raises(TypeError):
             BasketDataset(baskets=(frozenset("a"), ("a", "b")), vocabulary=("a", "b"), max_basket_len=2)
+
+
+# each validated record type with one valid field tuple and a field change
+# its checks reject
+VALIDATED_RECORDS = [
+    (BasketDataset, ((frozenset("ab"), frozenset("b")), ("a", "b"), 2), {"max_basket_len": 1}),
+    (HypothesisClass, (((0, 1), (1, 1)), (0, 1), 1), {"d": 0}),
+    (ShellDecomposition, ((1, 2, 2), 0.1, 0.0, 1.0, 2), {"shell_sizes": (2, 1, 2)}),
+]
+RECORDS = [(cls, fields) for cls, fields, _ in VALIDATED_RECORDS] + [
+    (ItemsetCodec, (("a", "b", "c"), 3, 2, (("a", "b"),))),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+class TestRecordTypes:
+    def test_positional_and_keyword_forms(self, cls, fields):
+        record = cls(*fields)
+        assert record == cls(**dict(zip(cls._fields, fields)))
+        assert tuple(record) == fields
+        assert record == cls._make(fields)
+
+    def test_frozen(self, cls, fields):
+        record = cls(*fields)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[-1], fields[-1])
+
+    def test_equal_fields_equal_hash(self, cls, fields):
+        assert hash(cls(*fields)) == hash(cls(**dict(zip(cls._fields, fields))))
+
+
+@pytest.mark.parametrize(
+    "cls, fields, invalid", VALIDATED_RECORDS, ids=[cls.__name__ for cls, *_ in VALIDATED_RECORDS]
+)
+def test_record_make_and_replace_validate(cls, fields, invalid):
+    record = cls(*fields)
+    with pytest.raises(ValueError):
+        record._replace(**invalid)
+    changed = [invalid.get(name, value) for name, value in zip(cls._fields, fields)]
+    with pytest.raises(ValueError):
+        cls._make(changed)
+    assert record._replace() == record
+
+
+def test_codec_caches_ranks_outside_equality_and_hash():
+    fields = (("a", "b", "c"), 3, 2, (("b", "c"), ("a", "b")))
+    used, fresh = ItemsetCodec(*fields), ItemsetCodec(*fields)
+    assert used.occurring_ranks is used.occurring_ranks
+    assert used.occurring_ranks == (0, 2)
+    assert used.encode(("a", "c")) == 3
+    assert used.occurring_ids is used.occurring_ids
+    assert "occurring_ranks" in vars(used) and not vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
 
 
 class TestBasketNeighbor:

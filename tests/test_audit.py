@@ -279,6 +279,31 @@ class TestNeighborPair:
             with pytest.raises(ValueError, match="item 5 moves"):
                 NeighborPair(left, right)
 
+    def test_positional_and_keyword_forms(self):
+        left = QualityUniverse.dense([0.5, 0.4], n=10)
+        right = QualityUniverse.dense([0.45, 0.5], n=10)
+        pair = NeighborPair(left, right, "hand-built")
+        assert pair == NeighborPair(left=left, right=right, provenance="hand-built")
+        assert hash(pair) == hash(NeighborPair(left, right=right, provenance="hand-built"))
+        assert NeighborPair(left, right).provenance == ""
+        assert tuple(pair) == (left, right, "hand-built")
+
+    def test_frozen(self):
+        pair = NeighborPair(QualityUniverse.dense([0.5], n=10), QualityUniverse.dense([0.45], n=10))
+        with pytest.raises(AttributeError):
+            pair.provenance = "changed"
+
+    def test_make_and_replace_validate(self):
+        left = QualityUniverse.dense([0.5, 0.4], n=10)
+        right = QualityUniverse.dense([0.45, 0.5], n=10)
+        bad = QualityUniverse.dense([0.75, 0.4], n=10)
+        pair = NeighborPair(left, right)
+        with pytest.raises(ValueError, match="item 1 moves"):
+            pair._replace(right=bad)
+        with pytest.raises(ValueError, match="share k and n"):
+            NeighborPair._make((left, QualityUniverse.dense([0.5], n=10), ""))
+        assert pair._replace(provenance="x") == NeighborPair(left, right, "x")
+
 
 class TestDpOutcomeChecks:
     def test_identical_distributions_always_pass(self):
@@ -553,6 +578,24 @@ class TestAuditReport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["outcome", "direction", "p_left", "p_right", "bound", "slack", "pass"]
         assert len(rows) == 1 + len(report.checks)
+
+    def test_positional_form_and_defaults(self):
+        checks = dp_outcome_checks({1: 1.0}, {1: 1.0}, alpha=0.5, delta=0.0)
+        report = AuditReport("approx_dp", 0.5, 0.0, 0.01, checks)
+        assert (report.kind, report.alpha, report.delta, report.slack) == ("approx_dp", 0.5, 0.0, 0.01)
+        assert report.checks is checks
+        assert (report.trials, report.confidence, report.group_size) == (None, None, 1)
+        assert report.metadata == {} and report.warnings == []
+        full = AuditReport("group", 0.5, 0.0, 0.01, checks, 10, 0.9, 2, {"a": 1}, ["w"])
+        assert (full.trials, full.confidence, full.group_size) == (10, 0.9, 2)
+        assert full.metadata == {"a": 1} and full.warnings == ["w"]
+
+    def test_default_containers_are_per_report(self):
+        a, b = self._report(), self._report()
+        a.metadata["workers"] = 2
+        a.warnings.append("low trials")
+        assert b.metadata == {} and b.warnings == []
+        assert a.metadata is not b.metadata and a.warnings is not b.warnings
 
 
 def test_mol_deterministic_point_mass_under_zero_override():

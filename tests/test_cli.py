@@ -130,6 +130,12 @@ class TestSelect:
             "--alpha", "1", "--out", str(out))
         assert json.loads(out.read_text())["seed"] == 41
 
+    @pytest.mark.parametrize("raw", ["1.5", "abc", ""], ids=["float", "word", "empty"])
+    def test_non_integer_env_var_seed_named(self, raw, clear_universe, monkeypatch, capsys):
+        monkeypatch.setenv("PRIVMAX_SEED", raw)
+        assert run("select", "--in", clear_universe) == EXIT_ERROR
+        assert f"error: PRIVMAX_SEED must be an integer, got {raw!r}" in capsys.readouterr().err
+
     def test_csv_format(self, clear_universe, tmp_path):
         out = tmp_path / "o.csv"
         code = run("select", "--in", clear_universe, "--mechanism", "lmm",

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,48 @@ class TestPrivacyBudget:
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, 0.0).require_approximate()
         PrivacyBudget(1.0, 0.1).require_approximate()
+
+    def test_positional_and_keyword_forms(self):
+        b = PrivacyBudget(0.5, 0.05)
+        assert b == PrivacyBudget(alpha=0.5, delta=0.05) == PrivacyBudget(0.5, delta=0.05)
+        assert PrivacyBudget(alpha=0.5) == PrivacyBudget(0.5, 0.0)
+        alpha, delta = b
+        assert (alpha, delta) == (0.5, 0.05)
+
+    def test_frozen(self):
+        b = PrivacyBudget(0.5, 0.05)
+        with pytest.raises(AttributeError):
+            b.alpha = 1.0
+        with pytest.raises(AttributeError):
+            b.other = 1.0
+
+    def test_equal_fields_equal_hash(self):
+        assert hash(PrivacyBudget(0.5, 0.05)) == hash(PrivacyBudget(alpha=0.5, delta=0.05))
+        assert len({PrivacyBudget(0.5, 0.05), PrivacyBudget(0.5, 0.05), PrivacyBudget(0.5)}) == 2
+
+    def test_make_and_replace_validate(self):
+        b = PrivacyBudget(1.0, 0.05)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            b._replace(alpha=-1.0)
+        with pytest.raises(ValueError, match="delta must lie"):
+            b._replace(delta=1.0)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            PrivacyBudget._make((float("nan"), 0.05))
+        with pytest.raises(TypeError):
+            PrivacyBudget._make((1.0,))
+        assert b._replace(delta=0.1) == PrivacyBudget._make((1.0, 0.1)) == PrivacyBudget(1.0, 0.1)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # the package's records are NamedTuples and csv is imported by the CSV
+    # writers, so a cold `privmax` call pays for none of these modules
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, privmax.cli; print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestQualityUniverse:

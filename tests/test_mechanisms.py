@@ -551,6 +551,34 @@ def test_lmm_matches_eager_threshold_reference():
             assert (got.item, got.ell, got.m, got.certified) == want
 
 
+def test_lmm_runs_stay_aligned_on_a_shared_stream():
+    # an audit shard runs its 1,024 trials on one source, so each LMM run must
+    # consume exactly the draws the eager reference does, or every later run
+    # in the shard drifts; same cases and budgets as the fresh-source test
+    n, alpha, delta = 500, 1.0, 0.05
+    t1 = compute_thresholds(n, alpha, delta, 1).T
+    t2 = compute_thresholds(n, alpha, delta, 2).T
+    rng = random.Random(43)
+    cases = [
+        (QualityUniverse.dense([rng.randint(0, 50) / 50 for _ in range(12)], n=50), None),
+        (QualityUniverse.dense([1.0, 1.0 - t1, 1.0 - t2] + [0.1] * 5, n=n), None),
+        (QualityUniverse.sparse([0.9, 0.85, 0.8, 0.3], k=10**9, n=100), None),
+        (QualityUniverse.sparse([0.1], k=100, n=10), None),
+        (QualityUniverse.dense([0.6, 0.58, 0.57, 0.56] + [0.5] * 16, n=40), 5),
+        (QualityUniverse.dense([0.0, -0.0, 0.0, -0.0], n=100), None),
+    ]
+    for budget in (PrivacyBudget(alpha, delta), PrivacyBudget(0.5, 0.1)):
+        for u, cap in cases:
+            for zero in (False, True):
+                shared, reference = NoiseSource(9, zero_override=zero), NoiseSource(9, zero_override=zero)
+                got = []
+                for _ in range(200):
+                    out = large_margin_mechanism(u, budget, shared, cap=cap)
+                    got.append((out.item, out.ell, out.m, out.certified))
+                want = [_eager_lmm(u, budget, reference, cap=cap) for _ in range(200)]
+                assert got == want
+
+
 def test_lmm_sorts_only_the_prefix_it_reads():
     # a planted 1,500-item cluster far above the rest: the search certifies
     # near rank 1,500, and the dense universe never sorts all k items
