@@ -514,9 +514,11 @@ def exact_em_distribution(
 
     Direct normalization of exp(n*alpha*f(i)/2) over the support -- the
     sampling-free oracle the Monte Carlo estimates are checked against.
-    Requires an enumerable support: dense, or ell within the explicit part of
-    a sparse universe.
+    Enumerates the support id by id, fill ids past L included, so k (or ell,
+    when given) must be at most 10**6.
     """
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     count = u.k if ell is None else ell
     if count > 10**6:
         raise ValueError("support too large to enumerate exactly")

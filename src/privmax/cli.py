@@ -282,8 +282,6 @@ def cmd_fim(args) -> int:
             "quality_radius": lmm_quality_radius(universe.n, budget.alpha, args.eta, ell_star),
             "required_margin": lmm_required_margin(universe.n, budget.alpha, budget.delta, args.eta, ell_star),
             "em_exact_expected_gap": em_expected_gap(universe, budget.alpha),
-            # the exponential mechanism needs the universe fixed a priori for
-            # end-to-end privacy; the adaptive mechanism does not
             "universe_provenance": "a-priori" if args.vocab_size else "data-derived",
         }
 

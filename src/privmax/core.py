@@ -9,14 +9,14 @@ import json
 import math
 import operator
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from typing import NamedTuple, Sequence
 
 NEG_INF = float("-inf")
 
-# a dense universe's sorted prefix grows to at least this many ranks, and to
-# at least this multiple of its current length; a prefix of k/4 ranks or
-# more is sorted in full
+# a lazily sorted head grows to at least this many ranks, and to at least
+# this multiple of its current length; a prefix of k/4 ranks or more is
+# sorted in full
 _MIN_PREFIX = 256
 _PREFIX_GROWTH = 8
 
@@ -72,18 +72,17 @@ class QualityUniverse:
     id order, and the ids L+1..k form a block that all carry the constant
     ``fill`` value. ``k`` may be combinatorially large (the fill block is
     never materialized), which is what makes itemset-scale universes
-    workable. Every explicit value is >= the fill value unless the block is
-    empty.
+    workable.
 
-    Two constructors fill it in. :meth:`dense` stores one finite value per
-    item, ids 1..k in caller order, so L = k and the block is empty.
-    :meth:`sparse` stores explicit values sorted descending at ids 1..L, so
-    its descending order is known when it is built.
+    One constructor builds it, ``QualityUniverse(explicit, k, n, fill)``, and
+    every value must be finite. When L < k the explicit values must be sorted
+    descending down to the fill value, so the fill ids follow them in the
+    descending order. :meth:`dense` is the case L = k, values in caller order.
 
     Readers see the descending order (values descending, ties by ascending
     id) through a cached head: ``_sorted`` holds its values and ``_ids_desc``
-    its ids, and ranks past the explicit values read the fill value. A
-    sparse universe's head is complete from the start. A dense universe's
+    its ids, and ranks past the explicit values read the fill value. The
+    head of descending explicit values is complete from the start. Any other
     head is sorted only as far as :func:`order_stat` and :func:`top_set`
     read it and grows geometrically on demand. The head is the only state
     that ever changes. Each of its two tuples is only ever replaced whole by
@@ -93,51 +92,36 @@ class QualityUniverse:
     a race between two growths at worst repeats a sort.
     """
 
-    __slots__ = ("k", "n", "explicit", "fill", "values", "nonzeros", "_sorted", "_ids_desc")
+    __slots__ = ("k", "n", "explicit", "fill", "_sorted", "_ids_desc")
 
-    def __init__(self, *, k, n, values=None, nonzeros=None, fill=0.0):
+    def __init__(self, explicit: Sequence[float], k: int, n: int, fill: float = 0.0):
         # bool is an int subclass, but True is no universe size
         if not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
             raise ValueError(f"universe size k must be a positive integer, got {k!r}")
         if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"dataset size n must be a positive integer, got {n!r}")
-        if (values is None) == (nonzeros is None):
-            raise ValueError("exactly one of values/nonzeros must be given")
+        vals = tuple(map(float, explicit))
+        fill = float(fill)
+        if len(vals) > k:
+            raise ValueError(f"universe has {len(vals)} explicit values but k={k}")
+        if not (all(map(math.isfinite, vals)) and math.isfinite(fill)):
+            raise ValueError("explicit values and the fill value must all be finite")
+        # stops at the first ascent, so shuffled values cost next to nothing
+        descending = all(map(float.__ge__, vals, islice(vals, 1, None)))
+        if len(vals) < k and not (descending and (not vals or vals[-1] >= fill)):
+            raise ValueError("with L < k the explicit values must be sorted descending and >= the fill value")
         self.k = k
         self.n = n
-        if values is not None:
-            vals = tuple(map(float, values))
-            if len(vals) != k:
-                raise ValueError(f"dense universe needs exactly {k} values, got {len(vals)}")
-            if not all(map(math.isfinite, vals)):
-                raise ValueError("dense values must all be finite")
-            self.explicit = vals
-            self.values = vals
-            self.nonzeros = None
-            self.fill = 0.0
+        self.explicit = vals
+        self.fill = fill
+        if descending:
+            # the identity order is the stable descending one
+            self._sorted = vals
+            self._ids_desc = range(1, len(vals) + 1)
+        else:
             # cached prefix of the descending order, grown by _descending
             self._sorted = ()
             self._ids_desc = ()
-        else:
-            nz = tuple(map(float, nonzeros))
-            fill = float(fill)
-            if not math.isfinite(fill):
-                raise ValueError("fill value must be finite")
-            if len(nz) > k:
-                raise ValueError(f"sparse universe has {len(nz)} explicit values but k={k}")
-            if not all(map(math.isfinite, nz)):
-                raise ValueError("explicit sparse values must all be finite")
-            if not all(map(float.__ge__, nz, nz[1:])):
-                raise ValueError("sparse values must be sorted descending")
-            if nz and nz[-1] < fill:
-                raise ValueError("sparse values must all be >= the fill value")
-            self.explicit = nz
-            self.values = None
-            self.nonzeros = nz
-            self.fill = fill
-            # sorted descending at ids 1..L, so the head is complete
-            self._sorted = nz
-            self._ids_desc = range(1, len(nz) + 1)
 
     def _descending(self, m: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
         """Grow the cached descending head to at least ``min(m, L)`` ranks and
@@ -173,15 +157,16 @@ class QualityUniverse:
     @classmethod
     def dense(cls, values: Sequence[float], n: int) -> "QualityUniverse":
         values = tuple(values)
-        return cls(k=len(values), n=n, values=values)
+        return cls(values, len(values), n)
 
     @classmethod
     def sparse(cls, nonzeros: Sequence[float], k: int, n: int, fill: float = 0.0) -> "QualityUniverse":
-        return cls(k=k, n=n, nonzeros=nonzeros, fill=fill)
+        return cls(nonzeros, k, n, fill)
 
     @property
-    def is_sparse(self) -> bool:
-        return self.nonzeros is not None
+    def values(self) -> tuple[float, ...]:
+        """Alias of ``explicit`` for callers of :meth:`dense`; the library reads ``explicit``."""
+        return self.explicit
 
     @property
     def sensitivity(self) -> float:
@@ -189,7 +174,7 @@ class QualityUniverse:
 
     @property
     def explicit_count(self) -> int:
-        """L: number of explicitly stored values (== k for dense universes)."""
+        """L: number of explicitly stored values (== k when there is no fill block)."""
         return len(self.explicit)
 
     def value(self, item: int) -> float:
@@ -201,18 +186,17 @@ class QualityUniverse:
         return self.fill
 
     def __repr__(self) -> str:
-        form = "sparse" if self.is_sparse else "dense"
-        return f"QualityUniverse({form}, k={self.k}, n={self.n}, L={self.explicit_count})"
+        return f"QualityUniverse(k={self.k}, n={self.n}, L={self.explicit_count}, fill={self.fill!r})"
 
 
 def order_stat(u: QualityUniverse, r: int) -> float:
     """The r-th largest quality value; -inf for the r = k+1 sentinel.
 
     Ranks past the explicit values return the fill value. -inf is never a
-    stored value, only this sentinel. A dense universe sorts its values only
-    when a read goes past its cached descending head, so reading the top
-    ranks costs one linear pass, not a sort; a read inside the head costs no
-    more than an index.
+    stored value, only this sentinel. A universe built from unsorted values
+    sorts them only when a read goes past its cached descending head, so
+    reading the top ranks costs one linear pass, not a sort; a read inside the
+    head costs no more than an index.
     """
     if not 1 <= r <= u.k + 1:
         raise ValueError(f"rank {r} outside [1, {u.k + 1}]")
@@ -243,8 +227,9 @@ def top_set(u: QualityUniverse, ell: int) -> tuple[int, ...]:
     """Ids of the ell highest-quality items, ties broken by lowest id.
 
     The result is ordered by descending value (ties ascending by id), i.e. the
-    first ell entries of the stable descending sort. A dense universe sorts
-    only as far as the largest ell read so far (see :func:`order_stat`).
+    first ell entries of the stable descending sort. Unsorted explicit values
+    are sorted only as far as the largest ell read so far (see
+    :func:`order_stat`).
     """
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
@@ -367,28 +352,36 @@ def _require_float_range(field: str, number) -> None:
 def universe_from_dict(doc: dict) -> QualityUniverse:
     """Build a universe from its JSON document form.
 
-    Dense: {"k": int, "n": int, "values": [...]}.
-    Sparse: {"k": int, "n": int, "nonzeros": [...], "fill": float}.
+    All k values: {"k": int, "n": int, "values": [...]}.
+    L <= k values, sorted descending when L < k: {"k": int, "n": int,
+    "nonzeros": [...], "fill": float}, fill optional (0). Fields of both
+    forms in one document would leave some unread, so they are rejected.
     Sizes must be JSON integers and values JSON numbers (no strings or bools).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"universe document must be a JSON object, got {type(doc).__name__}")
     k, n = json_int(doc, "k"), json_int(doc, "n")
     if "values" in doc:
-        return QualityUniverse(k=k, n=n, values=json_numbers(doc, "values"))
+        for field in ("nonzeros", "fill"):
+            if field in doc:
+                raise ValueError(f"a 'values' universe document must not hold {field!r}")
+        values = json_numbers(doc, "values")
+        if len(values) != k:
+            raise ValueError(f"field 'values' needs exactly {k} values, got {len(values)}")
+        return QualityUniverse(values, k, n)
     if "nonzeros" in doc:
         fill = doc.get("fill", 0.0)
         if type(fill) not in (int, float):
             raise ValueError(f"field 'fill' must be a number, got {fill!r}")
         _require_float_range("fill", fill)
-        return QualityUniverse(k=k, n=n, nonzeros=json_numbers(doc, "nonzeros"), fill=fill)
+        return QualityUniverse(json_numbers(doc, "nonzeros"), k, n, fill)
     raise ValueError("universe document needs a 'values' or 'nonzeros' field")
 
 
 def universe_to_dict(u: QualityUniverse) -> dict:
-    if u.values is not None:
-        return {"k": u.k, "n": u.n, "values": list(u.values)}
-    return {"k": u.k, "n": u.n, "nonzeros": list(u.nonzeros), "fill": u.fill}
+    if u.explicit_count == u.k:
+        return {"k": u.k, "n": u.n, "values": list(u.explicit)}
+    return {"k": u.k, "n": u.n, "nonzeros": list(u.explicit), "fill": u.fill}
 
 
 def load_universe(path) -> QualityUniverse:

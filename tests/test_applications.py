@@ -127,13 +127,13 @@ class TestItemsetQuality:
         universe, codec = itemset_quality(d, 1)
         assert universe.k == 3
         # canonical order: support descending, lexicographic rank on ties
-        assert universe.nonzeros == (1.0, 0.5, 0.5)
+        assert universe.explicit == (1.0, 0.5, 0.5)
         assert codec.occurring == (("b",), ("a",), ("c",))
 
     def test_support_counts_each_basket_once(self):
         d = BasketDataset.from_lists([["a", "b", "c"], ["x", "y"]])
         universe, codec = itemset_quality(d, 2)
-        assert all(v == 0.5 for v in universe.nonzeros)
+        assert all(v == 0.5 for v in universe.explicit)
         assert universe.explicit_count == 4  # ab ac bc xy
 
     def test_explicit_count_bound(self):
@@ -191,7 +191,7 @@ class TestItemsetQuality:
         sparse, _ = itemset_quality(d, 2)
         dense = itemset_quality_dense(d, 2)
         assert dense.k == sparse.k
-        assert sorted(dense.values, reverse=True) == sorted(
+        assert sorted(dense.explicit, reverse=True) == sorted(
             [order_stat(sparse, r) for r in range(1, sparse.k + 1)], reverse=True
         )
 
@@ -227,7 +227,7 @@ class TestItemsetQualityMatchesEagerReference:
                     continue
                 universe, codec = itemset_quality(d, r, vocab_size=v)
                 ref = itemset_quality_reference(d, r, vocab_size=v)
-                assert universe.nonzeros == ref["nonzeros"]
+                assert universe.explicit == ref["nonzeros"]
                 assert (universe.k, universe.n) == (ref["k"], ref["n"])
                 assert codec.occurring == ref["occurring"]
                 assert codec.occurring_ranks == ref["occurring_ranks"]
@@ -530,7 +530,7 @@ def test_pac_selection_constant_matches_required_margin():
 def test_itemset_values_unit_range_and_sensitivity():
     d = BasketDataset.from_lists([["a", "b"], ["b", "c"], ["a", "b"]])
     universe, _ = itemset_quality(d, 2)
-    assert all(0.0 <= v <= 1.0 for v in universe.nonzeros)
+    assert all(0.0 <= v <= 1.0 for v in universe.explicit)
     assert universe.sensitivity == 1.0 / d.n
 
 

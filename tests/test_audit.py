@@ -547,6 +547,14 @@ class TestExactOracles:
         with pytest.raises(ValueError):
             exact_em_distribution(u, 1.0)
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
+    def test_exact_em_distribution_rejects_nonpositive_alpha(self, alpha):
+        # -1 would invert the distribution and 0 flatten it, where the
+        # mechanism itself and em_expected_gap both raise
+        u = QualityUniverse.dense([0.9, 0.1], n=10)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            exact_em_distribution(u, alpha)
+
 
 class TestAuditReport:
     def _report(self):

@@ -96,6 +96,15 @@ class TestSelect:
         assert run("select", "--in", str(path)) == EXIT_ERROR
         assert "universe document must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, field", [({"nonzeros": [0.9]}, "nonzeros"), ({"fill": 0.9}, "fill")],
+                             ids=["nonzeros", "fill"])
+    def test_ambiguous_universe_file_rejected(self, tmp_path, capsys, extra, field):
+        # loading would read 'values' and drop the other field unread
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"k": 3, "n": 5, "values": [0.1, 0.2, 0.3], **extra}))
+        assert run("select", "--in", str(path)) == EXIT_ERROR
+        assert f"a 'values' universe document must not hold '{field}'" in capsys.readouterr().err
+
     def test_non_number_universe_value_rejected(self, tmp_path, capsys):
         # float() would load these values as (0.5, 1.0)
         path = tmp_path / "u.json"

@@ -102,13 +102,13 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
 class TestQualityUniverse:
     def test_dense_basic(self):
         u = QualityUniverse.dense([0.5, 0.9, 0.1], n=10)
-        assert u.k == 3 and u.n == 10 and not u.is_sparse
+        assert u.k == 3 and u.n == 10 and u.explicit_count == u.k
         assert u.sensitivity == 0.1
         assert u.value(2) == 0.9
 
     def test_sparse_basic(self):
         u = QualityUniverse.sparse([0.7, 0.4], k=1000, n=50)
-        assert u.is_sparse and u.explicit_count == 2
+        assert u.explicit_count == 2 < u.k
         assert u.value(1) == 0.7 and u.value(999) == 0.0
 
     def test_sparse_must_be_sorted(self):
@@ -125,7 +125,7 @@ class TestQualityUniverse:
 
     def test_dense_wrong_count(self):
         with pytest.raises(ValueError):
-            QualityUniverse(k=3, n=5, values=[1.0, 0.5])
+            universe_from_dict({"k": 3, "n": 5, "values": [1.0, 0.5]})
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_nonfinite_rejected(self, bad):
@@ -149,7 +149,7 @@ class TestQualityUniverse:
             path = tmp_path / "u.json"
             save_universe(u, path)
             v = load_universe(path)
-            assert v.k == u.k and v.n == u.n and v.is_sparse == u.is_sparse
+            assert v.k == u.k and v.n == u.n and v.explicit_count == u.explicit_count
             assert all(v.value(i) == u.value(i) for i in (1, 2, 3))
 
     def test_from_dict_requires_values_or_nonzeros(self):
@@ -189,8 +189,8 @@ class TestQualityUniverse:
     def test_from_dict_accepts_json_integers_as_values(self):
         dense = universe_from_dict({"k": 2, "n": 10, "values": [1, 0]})
         sparse = universe_from_dict({"k": 3, "n": 10, "nonzeros": [1], "fill": 0})
-        assert dense.values == (1.0, 0.0)
-        assert (sparse.nonzeros, sparse.fill) == ((1.0,), 0.0)
+        assert dense.explicit == (1.0, 0.0)
+        assert (sparse.explicit, sparse.fill) == ((1.0,), 0.0)
 
     @pytest.mark.parametrize("field", ["k", "n"])
     def test_from_dict_missing_size_is_value_error(self, field):
@@ -202,7 +202,7 @@ class TestQualityUniverse:
     def test_bool_sizes_rejected(self):
         # bool is an int subclass, so an isinstance check alone lets True in as 1
         with pytest.raises(ValueError, match="universe size k"):
-            QualityUniverse(k=True, n=5, values=[0.5])
+            QualityUniverse([0.5], k=True, n=5)
         with pytest.raises(ValueError, match="dataset size n"):
             QualityUniverse.sparse([0.5], k=3, n=True)
 
@@ -305,6 +305,74 @@ class TestQualityUniverse:
         assert set(dd) == {"k", "n", "values"}
         sd = universe_to_dict(QualityUniverse.sparse([1.0], k=5, n=2))
         assert set(sd) == {"k", "n", "nonzeros", "fill"}
+
+    def test_one_form_in_storage(self):
+        assert QualityUniverse.__slots__ == ("k", "n", "explicit", "fill", "_sorted", "_ids_desc")
+        for u in (QualityUniverse.dense([0.2, 0.7], n=5), QualityUniverse.sparse([0.7], k=9, n=5)):
+            assert not hasattr(u, "nonzeros") and not hasattr(u, "is_sparse")
+            assert u.values is u.explicit
+
+    @pytest.mark.parametrize("explicit", [[0.4, 0.7], [0.5, -0.1]], ids=["ascending", "below-fill"])
+    def test_fill_block_needs_descending_values_down_to_fill(self, explicit):
+        with pytest.raises(ValueError, match="L < k"):
+            QualityUniverse(explicit, k=3, n=5)
+
+    def test_without_fill_block_any_order_is_dense(self):
+        u = QualityUniverse([0.4, 0.7], k=2, n=5)
+        ref = QualityUniverse.dense([0.4, 0.7], n=5)
+        assert [u.value(i) for i in (1, 2)] == [ref.value(i) for i in (1, 2)] == [0.4, 0.7]
+        assert [order_stat(u, r) for r in (1, 2, 3)] == [order_stat(ref, r) for r in (1, 2, 3)]
+        assert top_set(u, 2) == top_set(ref, 2) == (2, 1)
+
+    def test_descending_dense_head_matches_shuffled_and_reference(self):
+        # a descending dense universe starts with its complete head; it and a
+        # shuffle of it must read the two-sort reference order at every rank,
+        # and the seeded LMM and EM must pick the same rank in both
+        budget = PrivacyBudget(1.0, 0.05)
+        mechs = [build_mechanism(name, budget) for name in ("lmm", "em")]
+        rng = random.Random(29)
+        cases = [[0.5, 0.5, 0.5], [0.3, 0.0, -0.0, 0.0, -0.0], [0.0, -0.0, -1.0]]
+        cases += [[rng.choice((0.0, -0.0, 0.02, 0.25)) for _ in range(rng.randint(1, 30))] for _ in range(15)]
+        for vals in cases:
+            desc = sorted(vals, reverse=True)
+            shuffled = rng.sample(vals, len(vals))
+            k = len(vals)
+            ud = QualityUniverse.dense(desc, n=100)
+            assert ud._ids_desc == range(1, k + 1)
+            us = QualityUniverse.dense(shuffled, n=100)
+            for u, raw in ((ud, desc), (us, shuffled)):
+                ref_ids = tuple(i + 1 for i in sorted(range(k), key=lambda j: -raw[j]))
+                ref_sorted = [repr(raw[i - 1]) for i in ref_ids]
+                assert [repr(order_stat(u, r)) for r in range(1, k + 1)] == ref_sorted
+                assert [top_set(u, ell) for ell in range(1, k + 1)] == [ref_ids[:ell] for ell in range(1, k + 1)]
+            # the stable descending order of the shuffle maps rank q to its id
+            order = top_set(us, k)
+            for mech in mechs:
+                for seed in range(6):
+                    got_d = mech(ud, NoiseSource(seed))
+                    got_s = mech(us, NoiseSource(seed))
+                    assert order[got_d.item - 1] == got_s.item, (vals, seed)
+                    assert (got_d.m, got_d.ell, got_d.certified) == (got_s.m, got_s.ell, got_s.certified)
+
+    def test_file_form_follows_fill_block(self, tmp_path):
+        path = tmp_path / "u.json"
+        u = QualityUniverse.sparse([0.9, 0.1], k=2, n=7)
+        save_universe(u, path)
+        assert json.loads(path.read_text()) == {"k": 2, "n": 7, "values": [0.9, 0.1]}
+        v = load_universe(path)
+        assert (v.k, v.n, v.explicit, v.fill) == (2, 7, (0.9, 0.1), 0.0)
+        save_universe(QualityUniverse.sparse([0.9, 0.1], k=3, n=7, fill=0.05), path)
+        assert json.loads(path.read_text()) == {"k": 3, "n": 7, "nonzeros": [0.9, 0.1], "fill": 0.05}
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"values": [0.1, 0.2, 0.3], "nonzeros": [0.9]}, "nonzeros"),
+        ({"values": [0.1, 0.2, 0.3], "fill": 0.9}, "fill"),
+        ({"values": [0.1, 0.2, 0.3], "nonzeros": [0.9], "fill": 0.0}, "nonzeros"),
+    ], ids=["values-and-nonzeros", "values-and-fill", "all-three"])
+    def test_from_dict_rejects_ambiguous_document(self, doc, field):
+        # a field that no form reads would otherwise be dropped unread
+        with pytest.raises(ValueError, match=f"must not hold '{field}'"):
+            universe_from_dict({"k": 3, "n": 5, **doc})
 
 
 class TestOrderStat:
