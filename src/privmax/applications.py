@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, combinations, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import QualityUniverse, checked_make
+from .core import QualityUniverse, checked_make, require_alpha
 from .audit import NeighborPair
 
 
@@ -447,8 +447,7 @@ def t_star(
         raise ValueError(f"C must be positive, got {C}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     rhs = s.C0 * alpha * math.sqrt(d * n * math.log(n)) / C
     for t in range(1, s.R):
         size_next = s.shell_sizes[t + 1]

@@ -20,7 +20,7 @@ import os
 import time
 from typing import Callable, Hashable, NamedTuple, Sequence
 
-from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, top_set
+from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha, top_set
 from .mechanisms import Fail
 from .noise import NoiseSource
 
@@ -92,19 +92,22 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
     to max(1, min(usable cores, tasks // _MIN_SHARDS_PER_WORKER)) workers:
     this process counts the first slice and a forked child each other one
-    (none where ``os.fork`` does not exist). A child inherits the mechanism,
-    so nothing is pickled, but its outcomes must be marshal-able (ints,
-    strings, tuples of them). Shard counts are merged in task order, so each
-    dict equals the serial estimate, key order included, for any worker count.
-    A child that fails raises ``RuntimeError`` here; every child is reaped.
+    (none where ``os.fork`` does not exist). Each job's mechanism is bound to
+    its universe once, here, before any fork (see :func:`_bind`), so a bind
+    error raises in this process. A child inherits the bound runs, so nothing
+    is pickled, but its outcomes must be marshal-able (ints, strings, tuples
+    of them). Shard counts are merged in task order, so each dict equals the
+    serial estimate, key order included, for any worker count. A child that
+    fails raises ``RuntimeError`` here; every child is reaped.
     """
-    bases = []
     tasks = []
-    for j, (_, _, trials, seed, zero_override) in enumerate(jobs):
+    for j, (_, _, trials, _, _) in enumerate(jobs):
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        bases.append(NoiseSource(seed, zero_override=zero_override))
         tasks += [(j, shard) for shard in range(-(-trials // _SHARD_TRIALS))]
+    # (bound run, trials, base stream) per job
+    bound = [(_bind(mechanism, u), trials, NoiseSource(seed, zero_override=zero_override))
+             for mechanism, u, trials, seed, zero_override in jobs]
     cores = _usable_cores() if hasattr(os, "fork") else 1
     workers = max(1, min(cores, len(tasks) // _MIN_SHARDS_PER_WORKER))
     slices = [tasks[w::workers] for w in range(workers)]
@@ -112,8 +115,8 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     children = []  # (pid, read end of its pipe)
     try:
         for part in slices[1:]:
-            children.append(_fork_counter(jobs, bases, part))
-        shard_counts.update(zip(slices[0], _count_tasks(jobs, bases, slices[0])))
+            children.append(_fork_counter(bound, part))
+        shard_counts.update(zip(slices[0], _count_tasks(bound, slices[0])))
         for (pid, source), part in zip(children, slices[1:]):
             shard_counts.update(zip(part, _receive_counts(pid, source)))
     except BaseException:
@@ -137,21 +140,30 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     return freqs, workers
 
 
-def _count_tasks(jobs: list[tuple], bases: list[NoiseSource], tasks: list[tuple]) -> list[dict]:
+def _bind(mechanism: Callable, u: QualityUniverse) -> Callable:
+    """``mechanism.bind(u)``, the run(src) that does the per-universe work
+    once; a mechanism without ``bind`` is called as ``mechanism(u, src)``."""
+    bind = getattr(mechanism, "bind", None)
+    if bind is None:
+        return lambda src: mechanism(u, src)
+    return bind(u)
+
+
+def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     """Outcome counts of each ``(job, shard)`` task, in task order."""
     out = []
     for j, shard in tasks:
-        mechanism, u, trials, _, _ = jobs[j]
-        src = bases[j].spawn(shard)
+        run, trials, base = bound[j]
+        src = base.spawn(shard)
         counts = {}
         for _ in range(min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)):
-            key = outcome_key(mechanism(u, src))
+            key = outcome_key(run(src))
             counts[key] = counts.get(key, 0) + 1
         out.append(counts)
     return out
 
 
-def _fork_counter(jobs: list[tuple], bases: list[NoiseSource], tasks: list[tuple]):
+def _fork_counter(bound: list[tuple], tasks: list[tuple]):
     """Fork a child that counts ``tasks`` and writes ``marshal`` of
     (True, counts), or of (False, its error), to a pipe; returns the child's
     pid and the pipe's read end."""
@@ -168,7 +180,7 @@ def _fork_counter(jobs: list[tuple], bases: list[NoiseSource], tasks: list[tuple
         try:
             os.close(read_fd)
             try:
-                data = marshal.dumps((True, _count_tasks(jobs, bases, tasks)))
+                data = marshal.dumps((True, _count_tasks(bound, tasks)))
             except Exception as exc:
                 data = marshal.dumps((False, f"{type(exc).__name__}: {exc}"))
             with open(write_fd, "wb") as sink:
@@ -465,8 +477,7 @@ def lb2_delta_bound(ell: int, alpha: float) -> float:
     hard family: (1 - e^(-alpha)) / (2 (ell - 1))."""
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     return (1.0 - math.exp(-alpha)) / (2.0 * (ell - 1))
 
 
@@ -489,8 +500,7 @@ def build_lb2_family(
         raise ValueError(f"ell must be >= 2, got {ell}")
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     m = math.floor(min(n / 2.0, math.log((ell - 1) / 2.0) / alpha))
     if m < 1:
         raise ValueError(
@@ -517,8 +527,7 @@ def exact_em_distribution(
     Enumerates the support id by id, fill ids past L included, so k (or ell,
     when given) must be at most 10**6.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     count = u.k if ell is None else ell
     if count > 10**6:
         raise ValueError("support too large to enumerate exactly")
@@ -538,8 +547,7 @@ def em_expected_gap(u: QualityUniverse, alpha: float) -> float:
     range-dependence visible when the universe is padded: the fill block's
     weight share grows with k while every sampled run still looks perfect.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     rate = 0.5 * u.n * alpha
     vmax = order_stat(u, 1)
     weights = [math.exp(rate * (v - vmax)) for v in u.explicit]

@@ -8,7 +8,6 @@ import heapq
 import json
 import math
 import operator
-from functools import lru_cache
 from itertools import compress, islice, repeat
 from typing import NamedTuple, Sequence
 
@@ -33,6 +32,14 @@ class ThresholdPair(NamedTuple):
     r: int
 
 
+def require_alpha(alpha: float) -> None:
+    """Raise ValueError unless ``alpha`` is positive and finite. An infinite
+    alpha would turn exp(n*alpha*(f - f_max)/2) into inf * 0 = NaN at the top
+    item and collapse every threshold to its t term."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def checked_make(cls, iterable):
     """``_make`` for a validated ``NamedTuple`` record: namedtuple's own
     ``_make``, and the ``_replace`` built on it, skip ``__new__`` and so its
@@ -54,8 +61,7 @@ class PrivacyBudget(NamedTuple("PrivacyBudget", [("alpha", float), ("delta", flo
     _make = classmethod(checked_make)
 
     def __new__(cls, alpha: float, delta: float = 0.0) -> PrivacyBudget:
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        require_alpha(alpha)
         if not (0.0 <= delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {delta}")
         return super().__new__(cls, alpha, delta)
@@ -241,7 +247,6 @@ def top_set(u: QualityUniverse, ell: int) -> tuple[int, ...]:
     return tuple(ids[:ell]) + tuple(range(len(ids) + 1, ell + 1))
 
 
-@lru_cache(maxsize=200_000)
 def compute_thresholds(n: int, alpha: float, delta: float, r: int) -> ThresholdPair:
     """Margin width t and search threshold T for rank r.
 
@@ -251,16 +256,14 @@ def compute_thresholds(n: int, alpha: float, delta: float, r: int) -> ThresholdP
 
     Both are strictly increasing in r and scale as 1/n for fixed (alpha, delta).
     The adaptive mechanism asks for a rank only when its search reaches it, so
-    a call pays for the ranks it scans. The result is cached because repeated
-    runs on one (n, alpha, delta), such as audit trials, revisit the same few
-    low ranks on every run.
+    a call pays for the ranks it scans, and a bound plan keeps the pairs it
+    has read for its later runs (see ``mechanisms.ThresholdSchedule``).
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")
     if not (isinstance(r, int) and r >= 1):
         raise ValueError(f"rank must be a positive integer, got {r}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     na = n * alpha
@@ -349,33 +352,39 @@ def _require_float_range(field: str, number) -> None:
         raise ValueError(f"field {field!r} holds an integer too large for a float") from None
 
 
+# the keys each universe document form may hold
+_DOCUMENT_FIELDS = {"values": ("k", "n", "values"), "nonzeros": ("k", "n", "nonzeros", "fill")}
+
+
 def universe_from_dict(doc: dict) -> QualityUniverse:
     """Build a universe from its JSON document form.
 
     All k values: {"k": int, "n": int, "values": [...]}.
     L <= k values, sorted descending when L < k: {"k": int, "n": int,
-    "nonzeros": [...], "fill": float}, fill optional (0). Fields of both
-    forms in one document would leave some unread, so they are rejected.
-    Sizes must be JSON integers and values JSON numbers (no strings or bools).
+    "nonzeros": [...], "fill": float}, fill optional (0). Any other key, a
+    field of the other form or a misspelt one, would be left unread, so it is
+    rejected by name. Sizes must be JSON integers and values JSON numbers (no
+    strings or bools).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"universe document must be a JSON object, got {type(doc).__name__}")
+    form = "values" if "values" in doc else "nonzeros" if "nonzeros" in doc else None
+    if form is None:
+        raise ValueError("universe document needs a 'values' or 'nonzeros' field")
+    for field in doc:
+        if field not in _DOCUMENT_FIELDS[form]:
+            raise ValueError(f"a {form!r} universe document must not hold {field!r}")
     k, n = json_int(doc, "k"), json_int(doc, "n")
-    if "values" in doc:
-        for field in ("nonzeros", "fill"):
-            if field in doc:
-                raise ValueError(f"a 'values' universe document must not hold {field!r}")
+    if form == "values":
         values = json_numbers(doc, "values")
         if len(values) != k:
             raise ValueError(f"field 'values' needs exactly {k} values, got {len(values)}")
         return QualityUniverse(values, k, n)
-    if "nonzeros" in doc:
-        fill = doc.get("fill", 0.0)
-        if type(fill) not in (int, float):
-            raise ValueError(f"field 'fill' must be a number, got {fill!r}")
-        _require_float_range("fill", fill)
-        return QualityUniverse(json_numbers(doc, "nonzeros"), k, n, fill)
-    raise ValueError("universe document needs a 'values' or 'nonzeros' field")
+    fill = doc.get("fill", 0.0)
+    if type(fill) not in (int, float):
+        raise ValueError(f"field 'fill' must be a number, got {fill!r}")
+    _require_float_range("fill", fill)
+    return QualityUniverse(json_numbers(doc, "nonzeros"), k, n, fill)
 
 
 def universe_to_dict(u: QualityUniverse) -> dict:

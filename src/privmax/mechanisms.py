@@ -14,6 +14,12 @@ Five mechanisms over a :class:`~privmax.core.QualityUniverse`:
 
 All mechanisms are pure given a NoiseSource. Noise stream order is fixed and
 documented per mechanism so zero-override and replay traces are exact.
+
+Each registered mechanism runs through a plan: the per-universe work (budget
+and cap checks, order statistics, the T(r) schedule, the exponential weights)
+done once, with its tables grown only as far as a run reads them. The direct
+functions build a fresh plan per call; :func:`build_mechanism` returns a
+:class:`Mechanism` whose ``bind(u)`` keeps one plan for many runs.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .core import (
     ThresholdPair,
     compute_thresholds,
     order_stat,
+    require_alpha,
     top_set,
 )
 from .noise import NoiseSource
@@ -49,47 +56,87 @@ class CapExhausted(RuntimeError):
         self.cap = cap
 
 
-def _pick_exponential(u: QualityUniverse, alpha: float, ell: int, src: NoiseSource) -> int:
-    """Sample an id from p_i proportional to exp(n*alpha*f(i)/2) over the top-ell set.
+class _ExponentialWeights:
+    """Sampler for p_i proportional to exp(n*alpha*f(i)/2) over the top-ell set
+    of one universe at one alpha, for any ell.
 
     The maximum exponent is subtracted before exponentiation, so the weights
     never overflow regardless of n*alpha*f. One uniform is inverted through
     the cumulative weights; cumulative order is the top-set order (descending
     value, ties by ascending id): the explicit values of the head, then the
-    fill ids of the top set as a single closed-form segment.
+    fill ids of the top set as a single closed-form segment. The cumulative
+    sums of the explicit values are one list, summed in that order and grown
+    as far as the largest ell drawn, so every ell reads the same sums a fresh
+    pass would give. Single-owner, like the plans that hold it.
     """
-    rate = 0.5 * u.n * alpha
-    vals = u.explicit
-    n_explicit = min(ell, len(vals))
-    n_fill = ell - n_explicit
-    # the head first: reading rank 1 first would sort a prefix that a
-    # full-universe selection then sorts again
-    ids = u._ids_desc
-    if len(ids) < n_explicit:
-        ids = top_set(u, n_explicit)
-    vmax = order_stat(u, 1)
-    total = 0.0
-    cum = []
-    for i in ids[:n_explicit]:
-        total += math.exp(rate * (vals[i - 1] - vmax))
-        cum.append(total)
-    w_fill = math.exp(rate * (u.fill - vmax)) if n_fill > 0 else 0.0
-    grand = total + n_fill * w_fill
-    target = src.uniform() * grand
-    if target < total or n_fill == 0:
-        return ids[min(bisect_right(cum, target), n_explicit - 1)]
-    if w_fill <= 0.0:  # fill weight underflowed; lowest fill id stands in
-        return n_explicit + 1
-    j = min(int((target - total) / w_fill), n_fill - 1)
-    return n_explicit + 1 + j
+
+    __slots__ = ("_u", "_rate", "_vmax", "_w_fill", "_ids", "_cum", "_ends")
+
+    def __init__(self, u: QualityUniverse, alpha: float):
+        self._u = u
+        self._rate = 0.5 * u.n * alpha
+        self._vmax = order_stat(u, 1)
+        # a universe without a fill block may hold values below its fill 0.0,
+        # where this weight would overflow; it is never read there
+        has_fill = len(u.explicit) < u.k
+        self._w_fill = math.exp(self._rate * (u.fill - self._vmax)) if has_fill else 0.0
+        self._ids = ()
+        self._cum = []
+        self._ends = {}  # ell -> (explicit ids in the top-ell set, their total, grand total)
+
+    def _end(self, ell: int) -> tuple[int, float, float]:
+        u = self._u
+        n_explicit = min(ell, len(u.explicit))
+        cum = self._cum
+        if len(cum) < n_explicit:
+            ids = self._ids
+            if len(ids) < n_explicit:
+                # the head first: reading rank 1 first would sort a prefix
+                # that a full-universe selection then sorts again
+                ids = u._ids_desc
+                if len(ids) < n_explicit:
+                    ids = top_set(u, n_explicit)
+                self._ids = ids
+            vals, rate, vmax = u.explicit, self._rate, self._vmax
+            total = cum[-1] if cum else 0.0
+            for i in ids[len(cum):n_explicit]:
+                total += math.exp(rate * (vals[i - 1] - vmax))
+                cum.append(total)
+        total = cum[n_explicit - 1] if n_explicit else 0.0
+        end = self._ends[ell] = (n_explicit, total, total + (ell - n_explicit) * self._w_fill)
+        return end
+
+    def pick(self, ell: int, src: NoiseSource) -> int:
+        """One id from the top-ell set, drawn with one uniform."""
+        end = self._ends.get(ell)
+        n_explicit, total, grand = self._end(ell) if end is None else end
+        target = src.uniform() * grand
+        if target < total or n_explicit == ell:
+            return self._ids[min(bisect_right(self._cum, target, 0, n_explicit), n_explicit - 1)]
+        w_fill = self._w_fill
+        if w_fill <= 0.0:  # fill weight underflowed; lowest fill id stands in
+            return n_explicit + 1
+        j = min(int((target - total) / w_fill), ell - n_explicit - 1)
+        return n_explicit + 1 + j
+
+
+class _ExponentialPlan:
+    """Exponential mechanism over all of one universe at one alpha."""
+
+    __slots__ = ("_k", "_budget", "_weights")
+
+    def __init__(self, u: QualityUniverse, alpha: float):
+        self._k = u.k
+        self._budget = PrivacyBudget(alpha)
+        self._weights = _ExponentialWeights(u, alpha)
+
+    def run(self, src: NoiseSource) -> MechanismOutcome:
+        return MechanismOutcome(self._weights.pick(self._k, src), self._budget)
 
 
 def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
     """Select item i with probability proportional to exp(n*alpha*f(i)/2)."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    item = _pick_exponential(u, alpha, u.k, src)
-    return MechanismOutcome(item=item, budget=PrivacyBudget(alpha))
+    return _ExponentialPlan(u, alpha).run(src)
 
 
 def restricted_exponential(u: QualityUniverse, ell: int, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -100,16 +147,14 @@ def restricted_exponential(u: QualityUniverse, ell: int, alpha: float, src: Nois
     """
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    item = _pick_exponential(u, alpha, ell, src)
-    return MechanismOutcome(item=item, budget=PrivacyBudget(alpha), ell=ell)
+    budget = PrivacyBudget(alpha)
+    item = _ExponentialWeights(u, alpha).pick(ell, src)
+    return MechanismOutcome(item=item, budget=budget, ell=ell)
 
 
 def noisy_max_estimate(u: QualityUniverse, alpha: float, src: NoiseSource) -> float:
     """Top value plus Lap(1/alpha)/n: a private estimate of the maximum."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     return order_stat(u, 1) + src.laplace(1.0 / alpha) / u.n
 
 
@@ -136,8 +181,7 @@ def margin_search(
     lazy one such as :class:`ThresholdSchedule`: only the entries of the
     ranks visited are read, in rank order.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     limit = u.k if cap is None else cap
     if not 1 <= limit <= u.k:
         raise ValueError(f"cap {cap} outside [1, {u.k}]")
@@ -146,9 +190,10 @@ def margin_search(
             f"threshold count mismatch: need {limit - 1} for ranks 1..{limit - 1}, got {len(thresholds)}"
         )
     n = u.n
+    z_scale = 4.0 / alpha
     G = src.laplace(2.0 / alpha)
     for r in range(1, limit):
-        z_r = src.laplace(4.0 / alpha)
+        z_r = src.laplace(z_scale)
         if m - order_stat(u, r + 1) > (z_r + G) / n + thresholds[r - 1].T:
             return r
     if limit == u.k:
@@ -157,20 +202,24 @@ def margin_search(
 
 
 class ThresholdSchedule(Sequence):
-    """Read-only T(r) schedule for ranks 1..count whose pairs are computed on access.
+    """Read-only T(r) schedule for ranks 1..count whose pairs are computed on
+    first access and kept.
 
-    Item r-1 is ``compute_thresholds(n, alpha, delta, r)``, evaluated when it
-    is read, so a margin search that stops at rank r pays for r pairs instead
-    of count.
+    Item r-1 is ``compute_thresholds(n, alpha, delta, r)``. The pairs are
+    computed in rank order, each the first time a reader reaches it, so a
+    margin search that stops at rank r pays for r pairs instead of count,
+    and a plan's later searches pay only for ranks no earlier one reached.
+    Single-owner, like the plans that hold it.
     """
 
-    __slots__ = ("_n", "_alpha", "_delta", "_count")
+    __slots__ = ("_n", "_alpha", "_delta", "_count", "_pairs")
 
     def __init__(self, n: int, alpha: float, delta: float, count: int):
         self._n = n
         self._alpha = alpha
         self._delta = delta
         self._count = count
+        self._pairs = []
 
     def __len__(self) -> int:
         return self._count
@@ -178,7 +227,10 @@ class ThresholdSchedule(Sequence):
     def __getitem__(self, index: int) -> ThresholdPair:
         if not 0 <= index < self._count:
             raise IndexError(f"rank index {index} outside [0, {self._count})")
-        return compute_thresholds(self._n, self._alpha, self._delta, index + 1)
+        pairs = self._pairs
+        while len(pairs) <= index:
+            pairs.append(compute_thresholds(self._n, self._alpha, self._delta, len(pairs) + 1))
+        return pairs[index]
 
 
 def default_cap(u: QualityUniverse) -> int:
@@ -190,6 +242,38 @@ def default_cap(u: QualityUniverse) -> int:
     feasible.
     """
     return min(u.k, len(u.explicit) + 1)
+
+
+class _LargeMarginPlan:
+    """The large-margin mechanism on one universe at one budget and cap."""
+
+    __slots__ = ("_u", "_budget", "_limit", "_third", "_vmax", "_m_scale", "_schedule", "_weights")
+
+    def __init__(self, u: QualityUniverse, budget: PrivacyBudget, cap: int | None = None):
+        budget.require_approximate()
+        limit = default_cap(u) if cap is None else cap
+        if not 1 <= limit <= u.k:
+            raise ValueError(f"cap {cap} outside [1, {u.k}]")
+        alpha = budget.alpha
+        third = alpha / 3.0
+        self._u = u
+        self._budget = budget
+        self._limit = limit
+        self._third = third
+        self._vmax = order_stat(u, 1)
+        self._m_scale = 1.0 / third
+        self._schedule = ThresholdSchedule(u.n, alpha, budget.delta, limit - 1)
+        self._weights = _ExponentialWeights(u, third)
+
+    def run(self, src: NoiseSource) -> MechanismOutcome:
+        u = self._u
+        # stage 1 is noisy_max_estimate(u, third, src), inlined
+        m = self._vmax + src.laplace(self._m_scale) / u.n
+        try:
+            ell = margin_search(u, self._third, m, self._schedule, src, self._limit)
+        except CapExhausted:
+            return MechanismOutcome(self._weights.pick(u.k, src), self._budget, m, None, False)
+        return MechanismOutcome(self._weights.pick(ell, src), self._budget, m, ell, True)
 
 
 def large_margin_mechanism(
@@ -215,20 +299,7 @@ def large_margin_mechanism(
     Thresholds are computed only for the ranks the search reaches, so the
     cost follows the ranks scanned rather than k.
     """
-    budget.require_approximate()
-    third = budget.alpha / 3.0
-    limit = default_cap(u) if cap is None else cap
-    if not 1 <= limit <= u.k:
-        raise ValueError(f"cap {cap} outside [1, {u.k}]")
-    thresholds = ThresholdSchedule(u.n, budget.alpha, budget.delta, limit - 1)
-    m = noisy_max_estimate(u, third, src)
-    try:
-        ell = margin_search(u, third, m, thresholds, src, cap=limit)
-    except CapExhausted:
-        item = _pick_exponential(u, third, u.k, src)
-        return MechanismOutcome(item=item, budget=budget, m=m, ell=None, certified=False)
-    item = _pick_exponential(u, third, ell, src)
-    return MechanismOutcome(item=item, budget=budget, m=m, ell=ell, certified=True)
+    return _LargeMarginPlan(u, budget, cap).run(src)
 
 
 def _laplace_block_max(scale: float, count: int, src: NoiseSource) -> float:
@@ -245,6 +316,36 @@ def _laplace_block_max(scale: float, count: int, src: NoiseSource) -> float:
     return scale * (math.log(2.0) + log_f)
 
 
+class _NoisyMaxPlan:
+    """Report-noisy-max on one universe at one alpha."""
+
+    __slots__ = ("_u", "_budget", "_scale")
+
+    def __init__(self, u: QualityUniverse, alpha: float):
+        self._u = u
+        self._budget = PrivacyBudget(alpha)
+        self._scale = 2.0 / (u.n * alpha)
+
+    def run(self, src: NoiseSource) -> MechanismOutcome:
+        u, scale = self._u, self._scale
+        best_id = 0
+        best = float("-inf")
+        for i, v in enumerate(u.explicit, start=1):
+            noisy = v + src.laplace(scale)
+            if noisy > best:
+                best, best_id = noisy, i
+        n_fill = u.k - len(u.explicit)
+        if n_fill > 0:
+            if src.zero_override:
+                block, block_id = u.fill, len(u.explicit) + 1
+            else:
+                block = u.fill + _laplace_block_max(scale, n_fill, src)
+                block_id = len(u.explicit) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
+            if block > best or best_id == 0:
+                best, best_id = block, block_id
+        return MechanismOutcome(best_id, self._budget)
+
+
 def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
     """Report-noisy-max: add Lap(2/(n*alpha)) per item, return the argmax.
 
@@ -254,25 +355,27 @@ def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> Mecha
     O(L), not O(k). Noise order: explicit ids ascending, then the block max,
     then the block index.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    scale = 2.0 / (u.n * alpha)
-    best_id = 0
-    best = float("-inf")
-    for i, v in enumerate(u.explicit, start=1):
-        noisy = v + src.laplace(scale)
-        if noisy > best:
-            best, best_id = noisy, i
-    n_fill = u.k - len(u.explicit)
-    if n_fill > 0:
-        if src.zero_override:
-            block, block_id = u.fill, len(u.explicit) + 1
-        else:
-            block = u.fill + _laplace_block_max(scale, n_fill, src)
-            block_id = len(u.explicit) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
-        if block > best or best_id == 0:
-            best, best_id = block, block_id
-    return MechanismOutcome(item=best_id, budget=PrivacyBudget(alpha))
+    return _NoisyMaxPlan(u, alpha).run(src)
+
+
+class _GapPlan:
+    """The gap mechanism on one universe at one budget."""
+
+    __slots__ = ("_budget", "_gap", "_scale", "_threshold", "_top")
+
+    def __init__(self, u: QualityUniverse, budget: PrivacyBudget):
+        budget.require_approximate()
+        na = u.n * budget.alpha
+        self._budget = budget
+        self._gap = order_stat(u, 1) - order_stat(u, 2)
+        self._scale = 2.0 / na
+        self._threshold = 2.0 * math.log(1.0 / budget.delta) / na
+        self._top = top_set(u, 1)[0]
+
+    def run(self, src: NoiseSource) -> MechanismOutcome | Fail:
+        if self._gap + src.laplace(self._scale) > self._threshold:
+            return MechanismOutcome(self._top, self._budget)
+        return Fail(self._budget)
 
 
 def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome | Fail:
@@ -282,14 +385,7 @@ def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) ->
     released iff g > 2 ln(1/delta) / (n*alpha), otherwise the distinguished
     Fail outcome is returned.
     """
-    budget.require_approximate()
-    na = u.n * budget.alpha
-    gap = order_stat(u, 1) - order_stat(u, 2)
-    noisy_gap = gap + src.laplace(2.0 / na)
-    threshold = 2.0 * math.log(1.0 / budget.delta) / na
-    if noisy_gap > threshold:
-        return MechanismOutcome(item=top_set(u, 1)[0], budget=budget)
-    return Fail(budget)
+    return _GapPlan(u, budget).run(src)
 
 
 def lmm_required_margin(n: int, alpha: float, delta: float, eta: float, ell: int) -> float:
@@ -310,23 +406,67 @@ def lmm_quality_radius(n: int, alpha: float, eta: float, ell: int) -> float:
     this radius of the maximum, provided the gamma* margin holds."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if not (alpha > 0.0 and n >= 1 and ell >= 1):
-        raise ValueError("need alpha > 0, n >= 1, ell >= 1")
+    require_alpha(alpha)
+    if not (n >= 1 and ell >= 1):
+        raise ValueError("need n >= 1, ell >= 1")
     return 6.0 * math.log(2.0 * ell / eta) / (n * alpha)
 
 
-def build_mechanism(name: str, budget: PrivacyBudget, *, cap: int | None = None):
-    """Callable (universe, source) -> outcome for a registered mechanism name.
+# the plan behind each registered mechanism's function
+_PLANS = {
+    exponential_mechanism: _ExponentialPlan,
+    max_of_laplaces: _NoisyMaxPlan,
+    gap_max_st13: _GapPlan,
+    large_margin_mechanism: _LargeMarginPlan,
+}
+
+
+class Mechanism:
+    """A registered mechanism at a fixed budget (and, for lmm, a fixed cap).
+
+    ``mech(u, src)`` runs it once, as its function does. ``mech.bind(u)``
+    does the per-universe work once and returns ``run(src)``; each run gives
+    the outcome the function gives on the same stream, draw for draw, and
+    keeps the tables it grew (T(r) pairs, exponential weights) for the next.
+    A bound run is single-owner, like a NoiseSource: one caller, never shared
+    across threads mid-use.
+
+    ``bind`` looks the function up by its module-level name, so a
+    replacement installed there (a profiler's wrapper, say) is called once
+    per run instead of the plan, and sees every run.
+    """
+
+    __slots__ = ("_function", "_param", "_extra")
+
+    def __init__(self, function: str, param, *extra):
+        self._function = function
+        self._param = param
+        self._extra = extra
+
+    def __call__(self, u: QualityUniverse, src: NoiseSource):
+        return self.bind(u)(src)
+
+    def bind(self, u: QualityUniverse):
+        function = globals()[self._function]
+        param, extra = self._param, self._extra
+        plan = _PLANS.get(function)
+        if plan is None:
+            return lambda src: function(u, param, src, *extra)
+        return plan(u, param, *extra).run
+
+
+def build_mechanism(name: str, budget: PrivacyBudget, *, cap: int | None = None) -> Mechanism:
+    """The registered mechanism ``name`` at ``budget``, as a :class:`Mechanism`.
 
     Registered names: em, mol, st13, lmm -- the names the CLI's --mechanism
     takes. Used by the audit harness and the CLI; ``cap`` applies to lmm only.
     """
     if name == "em":
-        return lambda u, src: exponential_mechanism(u, budget.alpha, src)
+        return Mechanism("exponential_mechanism", budget.alpha)
     if name == "mol":
-        return lambda u, src: max_of_laplaces(u, budget.alpha, src)
+        return Mechanism("max_of_laplaces", budget.alpha)
     if name == "st13":
-        return lambda u, src: gap_max_st13(u, budget, src)
+        return Mechanism("gap_max_st13", budget)
     if name == "lmm":
-        return lambda u, src: large_margin_mechanism(u, budget, src, cap=cap)
+        return Mechanism("large_margin_mechanism", budget, cap)
     raise ValueError(f"unknown mechanism {name!r}; registered: em, mol, st13, lmm")

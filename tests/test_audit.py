@@ -233,6 +233,64 @@ class TestFanOut:
         assert report.metadata["workers"] == 1
 
 
+class CountingBinds:
+    """A registered mechanism that records the process of every bind."""
+
+    def __init__(self, mech):
+        self.mech = mech
+        self.binds = []
+
+    def __call__(self, u, src):
+        return self.mech(u, src)
+
+    def bind(self, u):
+        self.binds.append((os.getpid(), u))
+        return self.mech.bind(u)
+
+
+class TestBinding:
+    """An audit binds each job's mechanism once, before it forks, and a
+    bound run counts exactly what per-trial calls count."""
+
+    LEFT, RIGHT = TestFanOut.LEFT, TestFanOut.RIGHT
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_binds_once_per_job_in_the_parent(self, monkeypatch, cores):
+        _on_cores(monkeypatch, cores)
+        mech = CountingBinds(build_mechanism("lmm", PrivacyBudget(1.0, 0.05)))
+        report = check_approx_dp(NeighborPair(self.LEFT, self.RIGHT), mech, PrivacyBudget(1.0, 0.05),
+                                 12 * _SHARD_TRIALS, seed=3)
+        assert report.metadata["workers"] == cores
+        assert mech.binds == [(os.getpid(), self.LEFT), (os.getpid(), self.RIGHT)]
+        estimate_distribution(mech, self.LEFT, 12 * _SHARD_TRIALS, 3)
+        assert len(mech.binds) == 3
+        _assert_no_child_left()
+
+    def test_bind_error_raises_in_the_parent(self, monkeypatch):
+        # a pure budget cannot run lmm: the bind refuses it before any fork
+        _on_cores(monkeypatch, 3)
+        mech = build_mechanism("lmm", PrivacyBudget(1.0))
+        with pytest.raises(ValueError, match="requires delta"):
+            estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_bound_and_bindless_mechanisms_estimate_alike(self, monkeypatch, name):
+        budget = PrivacyBudget(1.0, 0.05)
+        mech = build_mechanism(name, budget, cap=3 if name == "lmm" else None)
+        plain = lambda u, src: mech(u, src)  # noqa: E731  (no bind attribute)
+        pair = NeighborPair(self.LEFT, self.RIGHT)
+        jobs = [(self.LEFT, 12 * _SHARD_TRIALS + 7, 5), (self.RIGHT, 12 * _SHARD_TRIALS + 7, 6)]
+        for cores in (1, 3):
+            _on_cores(monkeypatch, cores)
+            bound, _ = audit._estimate_jobs([(mech, u, t, s, False) for u, t, s in jobs])
+            bindless, _ = audit._estimate_jobs([(plain, u, t, s, False) for u, t, s in jobs])
+            assert [list(p.items()) for p in bound] == [list(p.items()) for p in bindless]
+            reports = [check_approx_dp(pair, m, budget, 12 * _SHARD_TRIALS, seed=9) for m in (mech, plain)]
+            assert reports[0].checks == reports[1].checks
+        _assert_no_child_left()
+
+
 class TestNeighborPair:
     def test_valid_pair(self):
         left = QualityUniverse.dense([0.5, 0.4], n=10)
@@ -554,6 +612,14 @@ class TestExactOracles:
         u = QualityUniverse.dense([0.9, 0.1], n=10)
         with pytest.raises(ValueError, match="alpha must be positive"):
             exact_em_distribution(u, alpha)
+
+    def test_exact_em_oracles_reject_infinite_alpha(self):
+        # inf * 0.0 is NaN in the top item's exponent: {1: nan, 2: nan} and a
+        # nan gap, where the mechanism's own PrivacyBudget refuses inf
+        u = QualityUniverse.dense([0.9, 0.1], n=10)
+        for oracle in (exact_em_distribution, em_expected_gap):
+            with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+                oracle(u, math.inf)
 
 
 class TestAuditReport:

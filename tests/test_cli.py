@@ -105,6 +105,17 @@ class TestSelect:
         assert run("select", "--in", str(path)) == EXIT_ERROR
         assert f"a 'values' universe document must not hold '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, form, field", [
+        ({"k": 3, "n": 5, "nonzeros": [0.9], "fil": 0.5}, "nonzeros", "fil"),
+        ({"k": 2, "n": 5, "values": [0.9, 0.1], "sorted": True}, "values", "sorted"),
+    ], ids=["nonzeros", "values"])
+    def test_unknown_universe_key_rejected(self, tmp_path, capsys, document, form, field):
+        # a misspelt key would otherwise be dropped unread: "fil" loaded fill 0.0
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(document))
+        assert run("select", "--in", str(path)) == EXIT_ERROR
+        assert f"a '{form}' universe document must not hold '{field}'" in capsys.readouterr().err
+
     def test_non_number_universe_value_rejected(self, tmp_path, capsys):
         # float() would load these values as (0.5, 1.0)
         path = tmp_path / "u.json"

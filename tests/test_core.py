@@ -375,6 +375,22 @@ class TestQualityUniverse:
             universe_from_dict({"k": 3, "n": 5, **doc})
 
 
+    @pytest.mark.parametrize("doc, form, field", [
+        ({"nonzeros": [0.9], "fil": 0.5}, "nonzeros", "fil"),
+        ({"nonzeros": [0.9], "fill": 0.5, "note": "x"}, "nonzeros", "note"),
+        ({"values": [0.9, 0.1, 0.0], "fill": 0.5}, "values", "fill"),
+        ({"values": [0.9, 0.1, 0.0], "valuse": [0.2]}, "values", "valuse"),
+    ], ids=["nonzeros-misspelt-fill", "nonzeros-extra", "values-fill", "values-misspelt"])
+    def test_from_dict_rejects_a_key_outside_its_form(self, doc, form, field):
+        # a misspelt "fil" would otherwise load with fill 0.0
+        with pytest.raises(ValueError, match=f"^a '{form}' universe document must not hold '{field}'$"):
+            universe_from_dict({"k": 3, "n": 5, **doc})
+
+    def test_from_dict_without_a_value_field_names_both_forms(self):
+        with pytest.raises(ValueError, match="needs a 'values' or 'nonzeros' field"):
+            universe_from_dict({"k": 3, "n": 5, "value": [0.9, 0.1, 0.0]})
+
+
 class TestOrderStat:
     def test_second_highest(self):
         u = QualityUniverse.dense([0.5, 0.9, 0.9, 0.1], n=10)
@@ -542,6 +558,12 @@ class TestComputeThresholds:
             compute_thresholds(10, 1.0, 1.0, 1)
         with pytest.raises(ValueError):
             compute_thresholds(10, 1.0, 0.05, 0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        # an infinite alpha zeroes every 1/(n alpha) term, leaving T = t = 6/n
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            compute_thresholds(10, alpha, 0.05, 1)
 
 
 class TestDenseSparseEquivalence:

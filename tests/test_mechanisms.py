@@ -108,6 +108,16 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError):
             exponential_mechanism(u, 0.0, NoiseSource(0))
 
+    def test_infinite_alpha_rejected_before_any_draw(self):
+        u = QualityUniverse.dense([0.9, 0.1], n=10)
+        src = RecordingSource(NoiseSource(0))
+        for call in (lambda: exponential_mechanism(u, math.inf, src),
+                     lambda: restricted_exponential(u, 1, math.inf, src),
+                     lambda: max_of_laplaces(u, math.inf, src)):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                call()
+        assert (src.laplace_scales, src.uniform_draws) == ([], 0)
+
     def test_overflow_free_with_extreme_exponents(self):
         # n*alpha*f/2 far beyond the float exponent range must still sample
         u = QualityUniverse.dense([900.0, 0.0, -900.0], n=10**6)
@@ -320,6 +330,13 @@ class TestLargeMarginMechanism:
             bad += u.value(out.item) <= cutoff
         assert bad / trials <= eta + hoeffding(trials)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0])
+    def test_guarantee_formulas_need_a_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            lmm_required_margin(500, alpha, 0.05, 0.05, 3)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            lmm_quality_radius(500, alpha, 0.05, 3)
+
     def test_range_independence_zero_override(self):
         nz = [1.0, 0.4, 0.2]
         small = QualityUniverse.sparse(nz, k=10, n=500)
@@ -445,6 +462,135 @@ class TestMechanismRegistry:
                 build_mechanism(name, PrivacyBudget(1.0, 0.05))
 
 
+def _direct_calls(budget, cap):
+    """Each registered name's direct function, called as the registry would."""
+    return {
+        "em": lambda u, src: exponential_mechanism(u, budget.alpha, src),
+        "mol": lambda u, src: max_of_laplaces(u, budget.alpha, src),
+        "st13": lambda u, src: gap_max_st13(u, budget, src),
+        "lmm": lambda u, src: large_margin_mechanism(u, budget, src, cap=cap),
+    }
+
+
+def _plan_cases():
+    """(universe, lmm cap) pairs covering every path a plan caches."""
+    t1 = compute_thresholds(500, 1.0, 0.05, 1).T
+    t2 = compute_thresholds(500, 1.0, 0.05, 2).T
+    rng = random.Random(47)
+    return [
+        (QualityUniverse.dense([rng.randint(0, 50) / 50 for _ in range(12)], n=50), None),
+        (QualityUniverse.dense([0.2, 1.0 - t2, 0.1, 1.0, 1.0 - t1, 0.1, 0.15, 0.05], n=500), None),
+        (QualityUniverse.sparse([0.9, 0.85, 0.8, 0.3], k=10**9, n=100), None),
+        (QualityUniverse.sparse([0.6, 0.4], k=40, n=20, fill=0.3), None),
+        (QualityUniverse.sparse([], k=5, n=10, fill=0.2), None),
+        (QualityUniverse.dense([0.6, 0.58, 0.57, 0.56] + [0.5] * 16, n=40), 5),  # cap fallback
+        (QualityUniverse.dense([0.0, -0.0, 0.0, -0.0], n=100), None),
+        # no fill block: the fill weight exp(n alpha (0 - f_max)/2) would overflow
+        (QualityUniverse.dense([-100.0, -100.5, -101.0], n=1000), None),
+    ]
+
+
+class TestBoundPlans:
+    """``build_mechanism(name, budget).bind(u)`` keeps one plan for many runs;
+    each run must equal the direct function's call, draw for draw."""
+
+    BUDGETS = (PrivacyBudget(1.0, 0.05), PrivacyBudget(0.5, 0.1))
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_bound_runs_match_direct_calls_on_a_shared_stream(self, name):
+        for budget in self.BUDGETS:
+            for u, cap in _plan_cases():
+                direct = _direct_calls(budget, cap)[name]
+                for zero in (False, True):
+                    run = build_mechanism(name, budget, cap=cap).bind(u)
+                    shared, reference = NoiseSource(9, zero_override=zero), NoiseSource(9, zero_override=zero)
+                    got = [run(shared) for _ in range(150)]
+                    assert got == [direct(u, reference) for _ in range(150)], (name, u, cap, zero)
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_bound_runs_draw_the_direct_scales(self, name):
+        # duck-typed sources see the same laplace scales and uniform count
+        budget = self.BUDGETS[0]
+        for u, cap in _plan_cases():
+            run = build_mechanism(name, budget, cap=cap).bind(u)
+            bound, direct = RecordingSource(NoiseSource(3)), RecordingSource(NoiseSource(3))
+            for _ in range(40):
+                run(bound)
+                _direct_calls(budget, cap)[name](u, direct)
+            assert (bound.laplace_scales, bound.uniform_draws) == (direct.laplace_scales, direct.uniform_draws)
+
+    def test_exponential_weights_grow_to_the_sums_of_a_fresh_pass(self):
+        # one table drawn at ells that grow it piece by piece must pick what a
+        # fresh table (restricted_exponential builds one per call) picks
+        from privmax.mechanisms import _ExponentialWeights
+
+        rng = random.Random(48)
+        explicit = sorted((rng.random() for _ in range(20)), reverse=True)
+        cases = [QualityUniverse.dense([rng.random() for _ in range(40)], n=10),
+                 QualityUniverse.sparse(explicit, k=60, n=10, fill=explicit[-1] / 2)]
+        for u in cases:
+            weights = _ExponentialWeights(u, 0.7)
+            ells = [1, 2, 3, 5, 8, 13, 21, 34, u.k] + [rng.randint(1, u.k) for _ in range(300)]
+            shared, reference = NoiseSource(5), NoiseSource(5)
+            got = [weights.pick(ell, shared) for ell in ells]
+            assert got == [restricted_exponential(u, ell, 0.7, reference).item for ell in ells]
+
+    def test_lmm_plan_draws_the_stage_scales(self):
+        u = QualityUniverse.dense([1.0, 0.3, 0.2, 0.1], n=500)
+        run = build_mechanism("lmm", self.BUDGETS[0]).bind(u)
+        rec = RecordingSource(NoiseSource(0, zero_override=True))
+        assert [run(rec).ell for _ in range(2)] == [1, 1]
+        assert rec.laplace_scales == [3.0, 6.0, 12.0] * 2
+        assert rec.uniform_draws == 2
+
+    def test_calling_the_mechanism_equals_a_fresh_bind(self):
+        u = QualityUniverse.dense([0.6, 0.55, 0.3, 0.1], n=50)
+        mech = build_mechanism("lmm", self.BUDGETS[0])
+        assert mech(u, NoiseSource(12345)) == mech.bind(u)(NoiseSource(12345))
+
+    def test_bound_lmm_computes_each_threshold_once(self, monkeypatch):
+        calls = []
+        real = mechanisms.compute_thresholds
+
+        def counting(n, alpha, delta, r):
+            calls.append(r)
+            return real(n, alpha, delta, r)
+
+        monkeypatch.setattr(mechanisms, "compute_thresholds", counting)
+        u = QualityUniverse.dense([1.0, 0.98, 0.95, 0.9] + [0.3] * 46, n=200)
+        run = build_mechanism("lmm", self.BUDGETS[0]).bind(u)
+        base = NoiseSource(41)
+        deepest = max(min(run(base.spawn(t)).ell, u.k - 1) for t in range(300))
+        assert calls == list(range(1, deepest + 1))
+
+    def test_bind_validates_before_any_run(self):
+        u = QualityUniverse.dense([0.5, 0.2], n=10)
+        with pytest.raises(ValueError, match="requires delta"):
+            build_mechanism("lmm", PrivacyBudget(1.0)).bind(u)
+        with pytest.raises(ValueError, match="requires delta"):
+            build_mechanism("st13", PrivacyBudget(1.0)).bind(u)
+        with pytest.raises(ValueError, match="cap 3 outside"):
+            build_mechanism("lmm", self.BUDGETS[0], cap=3).bind(u)
+
+    def test_a_replaced_function_runs_once_per_run(self, monkeypatch):
+        # bind resolves the function by its module-level name, so a wrapper
+        # installed there (as a profiler installs one) sees every run
+        seen = []
+        real = mechanisms.large_margin_mechanism
+
+        def wrapper(u, budget, src, cap=None):
+            seen.append(u)
+            return real(u, budget, src, cap)
+
+        monkeypatch.setattr(mechanisms, "large_margin_mechanism", wrapper)
+        u = QualityUniverse.dense([0.6, 0.55, 0.3, 0.1], n=50)
+        mech = build_mechanism("lmm", self.BUDGETS[0], cap=3)
+        run = mech.bind(u)
+        got = [run(NoiseSource(seed)) for seed in range(5)]
+        assert seen == [u] * 5
+        assert got == [real(u, self.BUDGETS[0], NoiseSource(seed), 3) for seed in range(5)]
+
+
 def test_laplace_block_max_distribution():
     # max of N iid Laplace drawn in closed form vs N explicit draws
     from privmax.mechanisms import _laplace_block_max
@@ -485,6 +631,17 @@ def test_threshold_schedule_sequence():
         with pytest.raises(IndexError):
             sched[index]
     assert list(ThresholdSchedule(500, 1.0, 0.05, 0)) == []
+
+
+def test_threshold_schedule_computes_each_pair_once(monkeypatch):
+    calls = []
+    real = mechanisms.compute_thresholds
+    monkeypatch.setattr(mechanisms, "compute_thresholds", lambda *args: calls.append(args[3]) or real(*args))
+    sched = ThresholdSchedule(500, 1.0, 0.05, 6)
+    assert sched[2] == real(500, 1.0, 0.05, 3)
+    assert [sched[1], sched[0], sched[2]] == [real(500, 1.0, 0.05, r) for r in (2, 1, 3)]
+    assert list(sched) == [real(500, 1.0, 0.05, r) for r in range(1, 7)]
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_lmm_computes_thresholds_only_for_scanned_ranks(monkeypatch):
