@@ -29,7 +29,7 @@ FAIL_KEY = "fail"
 # an audit whose statistical slack exceeds this cannot certify anything useful
 _SLACK_WARN = 0.1
 
-# per-side seed offset so left/right estimates never share a shard stream
+# per-side seed offset, mod 2^64, so left/right estimates never share a stream
 _RIGHT_SEED_OFFSET = 1 << 32
 
 # trials per noise stream in estimate_distribution: seeding a Mersenne Twister
@@ -326,16 +326,7 @@ def dp_outcome_checks(
     check for brute-force distributions.
     """
     ea = math.exp(alpha)
-    combined = slack * (1.0 + ea)
-    checks = []
-    for key in sorted(set(p_left) | set(p_right), key=str):
-        pl = p_left.get(key, 0.0)
-        pr = p_right.get(key, 0.0)
-        bound_lr = ea * pr + delta + combined
-        checks.append(OutcomeCheck(key, "left_vs_right", pl, pr, bound_lr, slack, pl <= bound_lr))
-        bound_rl = ea * pl + delta + combined
-        checks.append(OutcomeCheck(key, "right_vs_left", pl, pr, bound_rl, slack, pr <= bound_rl))
-    return checks
+    return _outcome_checks(p_left, p_right, slack, ea, delta, slack * (1.0 + ea), lower=False)
 
 
 def group_outcome_checks(
@@ -351,38 +342,54 @@ def group_outcome_checks(
         raise ValueError(f"group size must be >= 0, got {k}")
     eka = math.exp(-k * alpha)
     leak = delta / (1.0 - math.exp(-alpha)) if delta > 0.0 else 0.0
-    combined = slack * (1.0 + eka)
+    # IEEE x - y is x + (-y): the bounds are eka * p - leak - slack * (1 + eka), bit for bit
+    return _outcome_checks(p_left, p_right, slack, eka, -leak, -(slack * (1.0 + eka)), lower=True)
+
+
+def _outcome_checks(p_left: dict, p_right: dict, slack: float, scale: float, shift: float,
+                    margin: float, lower: bool) -> list[OutcomeCheck]:
+    """Both directions' checks of every outcome, in str order: one side's p
+    against the bound ``scale * other + shift + margin``, summed in that order;
+    a check passes when p <= bound, or p >= bound if ``lower``."""
     checks = []
     for key in sorted(set(p_left) | set(p_right), key=str):
         pl = p_left.get(key, 0.0)
         pr = p_right.get(key, 0.0)
-        bound_lr = eka * pr - leak - combined
-        checks.append(OutcomeCheck(key, "left_vs_right", pl, pr, bound_lr, slack, pl >= bound_lr))
-        bound_rl = eka * pl - leak - combined
-        checks.append(OutcomeCheck(key, "right_vs_left", pl, pr, bound_rl, slack, pr >= bound_rl))
+        for direction, p, other in (("left_vs_right", pl, pr), ("right_vs_left", pr, pl)):
+            bound = scale * other + shift + margin
+            checks.append(OutcomeCheck(key, direction, pl, pr, bound, slack,
+                                       p >= bound if lower else p <= bound))
     return checks
 
 
-def _estimate_sides(mechanism: Callable, left: QualityUniverse, right: QualityUniverse,
-                    trials: int, confidence: float, seed: int) -> tuple[float, dict, dict, list[str], dict]:
-    """Slack, both outcome distributions, the warnings and the run metadata
-    (workers, wall_s, trials_per_s over both sides) of one audit. Both sides'
-    shards share one fan-out; the right side draws from seed +
-    _RIGHT_SEED_OFFSET."""
-    t0 = time.perf_counter()
+def _audit(kind: str, left: QualityUniverse, right: QualityUniverse, mechanism: Callable,
+           budget: PrivacyBudget, trials: int, confidence: float, seed: int, provenance: str,
+           checks: Callable, group_size: int = 1) -> AuditReport:
+    """The one audit path: validate the inputs, estimate both sides in one
+    :func:`_estimate_jobs` fan-out, run ``checks(p_left, p_right, slack)`` and
+    build the report. The right side draws from (seed + _RIGHT_SEED_OFFSET)
+    mod 2^64, so every seed in [0, 2^64) is valid and gives two streams."""
     slack = hoeffding_slack(trials, confidence)
+    if group_size < 0:
+        raise ValueError(f"group size must be >= 0, got {group_size}")
+    t0 = time.perf_counter()
     (p_left, p_right), workers = _estimate_jobs(
         [(mechanism, left, trials, seed, False),
-         (mechanism, right, trials, seed + _RIGHT_SEED_OFFSET, False)]
+         (mechanism, right, trials, (seed + _RIGHT_SEED_OFFSET) % (1 << 64), False)]
     )
+    wall = time.perf_counter() - t0
     warnings = []
     if slack > _SLACK_WARN:
         warnings.append(
             f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
         )
-    wall = time.perf_counter() - t0
-    run = {"workers": workers, "wall_s": wall, "trials_per_s": 2 * trials / wall}
-    return slack, p_left, p_right, warnings, run
+    metadata = {"provenance": provenance, "seed": seed, "workers": workers, "wall_s": wall,
+                "trials_per_s": 2 * trials / wall}
+    return AuditReport(
+        kind=kind, alpha=budget.alpha, delta=budget.delta, slack=slack,
+        checks=checks(p_left, p_right, slack), trials=trials, confidence=confidence,
+        group_size=group_size, metadata=metadata, warnings=warnings,
+    )
 
 
 def check_approx_dp(
@@ -401,19 +408,10 @@ def check_approx_dp(
     a pass does and does not mean. The metadata records how the estimates ran:
     ``workers``, ``wall_s`` and ``trials_per_s`` (both sides' trials).
     """
-    slack, p_left, p_right, warnings, run = _estimate_sides(
-        mechanism, pair.left, pair.right, trials, confidence, seed
-    )
-    return AuditReport(
-        kind="approx_dp",
-        alpha=budget.alpha,
-        delta=budget.delta,
-        slack=slack,
-        checks=dp_outcome_checks(p_left, p_right, budget.alpha, budget.delta, slack),
-        trials=trials,
-        confidence=confidence,
-        metadata={"provenance": pair.provenance, "seed": seed, **run},
-        warnings=warnings,
+    return _audit(
+        "approx_dp", pair.left, pair.right, mechanism, budget, trials, confidence, seed,
+        pair.provenance,
+        lambda pl, pr, slack: dp_outcome_checks(pl, pr, budget.alpha, budget.delta, slack),
     )
 
 
@@ -430,20 +428,10 @@ def check_group_privacy(
 ) -> AuditReport:
     """Group-privacy audit across universes differing by a k-step neighbor
     chain; its metadata records the run as :func:`check_approx_dp`'s does."""
-    slack, p_left, p_right, warnings, run = _estimate_sides(
-        mechanism, u_far, u_near, trials, confidence, seed
-    )
-    return AuditReport(
-        kind="group_privacy",
-        alpha=budget.alpha,
-        delta=budget.delta,
-        slack=slack,
-        checks=group_outcome_checks(p_left, p_right, k, budget.alpha, budget.delta, slack),
-        trials=trials,
-        confidence=confidence,
+    return _audit(
+        "group_privacy", u_far, u_near, mechanism, budget, trials, confidence, seed, provenance,
+        lambda pl, pr, slack: group_outcome_checks(pl, pr, k, budget.alpha, budget.delta, slack),
         group_size=k,
-        metadata={"provenance": provenance, "seed": seed, **run},
-        warnings=warnings,
     )
 
 

@@ -112,20 +112,24 @@ def _config_dict(args) -> dict:
 
 def _emit(args, payload: dict) -> None:
     if args.format == "csv":
-        # flat key,value rows: plot-ready form of the same payload
-        lines = ["key,value"]
-        for key, value in payload.items():
-            if isinstance(value, list):
-                value = " ".join(str(v) for v in value)
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines)
+        import csv  # imported on use, so `import privmax` does not load it
+        import io
+
+        # flat key,value rows: plot-ready form of the same payload, each field
+        # quoted as RFC 4180 needs; None stays None and a list is space-joined
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        writer.writerows([key, " ".join(map(str, value)) if isinstance(value, list) else str(value)]
+                         for key, value in payload.items())
+        text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> None:

@@ -454,6 +454,17 @@ class TestCheckApproxDp:
         report = check_approx_dp(pair, mech, PrivacyBudget(1.0), trials=50, seed=0)
         assert report.warnings
 
+    @pytest.mark.parametrize("seed", [2**64 - 2**32, 2**64 - 1])
+    def test_seeds_up_to_2_64_audit(self, seed):
+        # the right side's seed wraps mod 2^64 instead of leaving the seed range
+        pair = NeighborPair(TestFanOut.LEFT, TestFanOut.RIGHT)
+        budget = PrivacyBudget(1.0, 0.05)
+        mech = build_mechanism("lmm", budget)
+        report = check_approx_dp(pair, mech, budget, 2000, seed=seed)
+        p_left = estimate_distribution(mech, pair.left, 2000, seed)
+        p_right = estimate_distribution(mech, pair.right, 2000, seed + 2**32 - 2**64)
+        assert report.checks == dp_outcome_checks(p_left, p_right, 1.0, 0.05, report.slack)
+
 
 class TestCheckGroupPrivacy:
     def test_zero_steps_reduces_to_equality(self):
@@ -495,6 +506,26 @@ class TestCheckGroupPrivacy:
     def test_group_size_validation(self):
         with pytest.raises(ValueError):
             group_outcome_checks({1: 1.0}, {1: 1.0}, -1, 1.0, 0.0)
+
+    def test_group_size_checked_before_estimating(self, monkeypatch):
+        def no_estimate(jobs):
+            raise AssertionError("estimated before checking the group size")
+
+        monkeypatch.setattr(audit, "_estimate_jobs", no_estimate)
+        u = QualityUniverse.dense([0.7, 0.3], n=10)
+        mech = build_mechanism("em", PrivacyBudget(1.0))
+        with pytest.raises(ValueError, match="group size must be >= 0, got -1"):
+            check_group_privacy(u, u, -1, mech, PrivacyBudget(1.0), trials=200_000)
+
+    @pytest.mark.parametrize("seed", [2**64 - 2**32, 2**64 - 1])
+    def test_seeds_up_to_2_64_audit(self, seed):
+        left, right = TestFanOut.LEFT, TestFanOut.RIGHT
+        budget = PrivacyBudget(1.0, 0.05)
+        mech = build_mechanism("lmm", budget)
+        report = check_group_privacy(left, right, 1, mech, budget, 2000, seed=seed)
+        p_left = estimate_distribution(mech, left, 2000, seed)
+        p_right = estimate_distribution(mech, right, 2000, seed + 2**32 - 2**64)
+        assert report.checks == group_outcome_checks(p_left, p_right, 1, 1.0, 0.05, report.slack)
 
 
 class TestBuildThresholdExample:

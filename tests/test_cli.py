@@ -255,6 +255,11 @@ class TestAudit:
         assert doc["kind"] == "group_privacy"
         assert doc["metadata"]["delta_within_lower_bound_regime"] is True
 
+    def test_largest_seed_audits(self, tmp_path):
+        code = run("audit", "--generator", "threshold-example", "--trials", "2000",
+                   "--seed", str(2**64 - 1), "--out", str(tmp_path / "report"))
+        assert code == EXIT_OK
+
     def test_basket_neighbor_generator(self, tmp_path):
         baskets = tmp_path / "baskets.txt"
         baskets.write_text("a b\nb c\na c\nb c\n")
@@ -291,6 +296,18 @@ class TestFim:
         assert doc["universe_provenance"] == "a-priori"
         assert doc["em_exact_expected_gap"] > 0.0
         assert doc["universe_size"] == str(50 * 49 // 2)
+
+    def test_csv_quotes_fields(self, tmp_path):
+        baskets = tmp_path / "baskets.txt"
+        baskets.write_text("a,b c\na,b c d\n")
+        out = tmp_path / "fim.csv"
+        # a large alpha puts the zero-noise exponential stage on the top itemset
+        run("fim", "--baskets", str(baskets), "--alpha", "50", "--zero-noise",
+            "--format", "csv", "--out", str(out))
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {2}
+        assert dict(rows)["itemset"] == "a,b c"
 
     def test_missing_baskets(self):
         assert run("fim", "--r", "2") == EXIT_ERROR

@@ -2,6 +2,9 @@
 
 Every case runs ``cli.main`` on inputs generated here from fixed seeds and
 compares its exit code and stdout, byte for byte, with ``golden_cli.json``.
+An audit case compares its exit code and the report CSV it writes instead:
+its stdout prints the measured trials per second, and the CSV holds no
+timings.
 A change that alters any seeded output fails here; a deliberate stream
 change regenerates the file and says so in CHANGES.md.
 
@@ -23,6 +26,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 SEEDS = (0, 7)
 SELECT_MECHANISMS = ("lmm", "em", "st13", "mol")
+AUDIT_TRIALS = str(12 * 1024)
 
 
 def write_inputs(root: Path) -> dict:
@@ -62,7 +66,8 @@ def write_inputs(root: Path) -> dict:
         lines.append(" ".join(basket))
     baskets = root / "baskets.txt"
     baskets.write_text("\n".join(lines) + "\n")
-    return {"dense": str(dense), "sparse": str(sparse), "spec": str(spec), "baskets": str(baskets)}
+    return {"dense": str(dense), "sparse": str(sparse), "spec": str(spec), "baskets": str(baskets),
+            "audit": str(root / "audit")}
 
 
 def cases() -> dict:
@@ -81,6 +86,15 @@ def cases() -> dict:
                 fim = ["fim", "--baskets", "{baskets}", "--r", str(r)]
                 out[f"fim-r{r}-{tag}"] = fim + tail
                 out[f"fim-r{r}-v1000-{tag}"] = fim + ["--vocab-size", "1000"] + tail
+        audit = ["audit", "--trials", AUDIT_TRIALS, "--seed", str(seed), "--out", "{audit}"]
+        for mech in SELECT_MECHANISMS:
+            out[f"audit-threshold-{mech}-s{seed}"] = audit + ["--generator", "threshold-example",
+                                                              "--mechanism", mech]
+        out[f"audit-lb2-s{seed}"] = audit + ["--generator", "lb2-family"]
+    as_csv = ["--format", "csv", "--seed", "0"]
+    out["select-dense-lmm-csv"] = ["select", "--in", "{dense}"] + as_csv
+    out["fim-r2-csv"] = ["fim", "--baskets", "{baskets}"] + as_csv
+    out["pac-csv"] = ["pac", "--spec", "{spec}"] + as_csv
     return out
 
 
@@ -89,6 +103,9 @@ def run_case(argv: list[str], paths: dict) -> dict:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
+    if argv[0] == "audit":
+        report = Path(paths["audit"] + ".csv").read_bytes().decode("utf-8")
+        return {"exit": code, "csv": report}
     return {"exit": code, "stdout": stdout.getvalue()}
 
 
