@@ -284,7 +284,9 @@ def cmd_fim(args) -> int:
             "universe_size": str(universe.k),
             "occurring_itemsets": universe.explicit_count,
             "quality_radius": lmm_quality_radius(universe.n, budget.alpha, args.eta, ell_star),
-            "required_margin": lmm_required_margin(universe.n, budget.alpha, budget.delta, args.eta, ell_star),
+            # the margin exists only for delta > 0; em and mol also run at delta = 0
+            "required_margin": (lmm_required_margin(universe.n, budget.alpha, budget.delta, args.eta, ell_star)
+                                if budget.delta > 0.0 else None),
             "em_exact_expected_gap": em_expected_gap(universe, budget.alpha),
             "universe_provenance": "a-priori" if args.vocab_size else "data-derived",
         }
@@ -307,9 +309,14 @@ def cmd_pac(args) -> int:
         raise ValueError("error_profile length must equal num_hypotheses")
     universe = QualityUniverse.dense([1.0 - e for e in errors], n=n)
     shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
-    ell_ref = shells.shell_sizes[min(1, shells.R)]
-    constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
-    ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
+    # the selection constant and t* exist only for delta > 0; em and mol also
+    # run at delta = 0, where all three diagnostics are null
+    selection = dict.fromkeys(("t_star", "t_star_exhausted", "selection_constant"))
+    if budget.delta > 0.0:
+        ell_ref = shells.shell_sizes[min(1, shells.R)]
+        constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
+        ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
+        selection.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
 
     def details(result):
         best = min(errors)
@@ -322,9 +329,7 @@ def cmd_pac(args) -> int:
             "regret_in_noise_units": (chosen - best) * n * budget.alpha,
             "shell_sizes": list(shells.shell_sizes),
             "shell_width": shells.width,
-            "t_star": ts.t,
-            "t_star_exhausted": ts.exhausted,
-            "selection_constant": constant,
+            **selection,
         }
 
     return _run_and_emit(args, mech, universe, details)

@@ -256,8 +256,8 @@ def compute_thresholds(n: int, alpha: float, delta: float, r: int) -> ThresholdP
 
     Both are strictly increasing in r and scale as 1/n for fixed (alpha, delta).
     The adaptive mechanism asks for a rank only when its search reaches it, so
-    a call pays for the ranks it scans, and a bound plan keeps the pairs it
-    has read for its later runs (see ``mechanisms.ThresholdSchedule``).
+    a call pays for the ranks it scans, and a bound plan keeps the T values it
+    has computed for its later runs (see ``mechanisms._LargeMarginPlan``).
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")

@@ -19,7 +19,9 @@ Each registered mechanism runs through a plan: the per-universe work (budget
 and cap checks, order statistics, the T(r) schedule, the exponential weights)
 done once, with its tables grown only as far as a run reads them. The direct
 functions build a fresh plan per call; :func:`build_mechanism` returns a
-:class:`Mechanism` whose ``bind(u)`` keeps one plan for many runs.
+:class:`Mechanism` whose ``bind(u)`` keeps one plan for many runs. The LMM
+plan runs the margin search inline; :func:`margin_search` is its readable
+reference, which the tests pin the plan against draw for draw.
 """
 
 from __future__ import annotations
@@ -177,9 +179,11 @@ def margin_search(
     :class:`CapExhausted` when a smaller cap is hit first, leaving the
     fallback choice to the caller.
 
-    ``thresholds`` may be any sequence of at least cap-1 pairs, including a
-    lazy one such as :class:`ThresholdSchedule`: only the entries of the
-    ranks visited are read, in rank order.
+    ``thresholds`` may be any sequence of at least cap-1 pairs; only the
+    entries of the ranks visited are read, in rank order. No mechanism calls
+    this function: the large-margin plan runs the same loop inline, over the
+    universe head and a T(r) list it keeps, and this is the reference it is
+    tested against.
     """
     require_alpha(alpha)
     limit = u.k if cap is None else cap
@@ -201,38 +205,6 @@ def margin_search(
     raise CapExhausted(limit)
 
 
-class ThresholdSchedule(Sequence):
-    """Read-only T(r) schedule for ranks 1..count whose pairs are computed on
-    first access and kept.
-
-    Item r-1 is ``compute_thresholds(n, alpha, delta, r)``. The pairs are
-    computed in rank order, each the first time a reader reaches it, so a
-    margin search that stops at rank r pays for r pairs instead of count,
-    and a plan's later searches pay only for ranks no earlier one reached.
-    Single-owner, like the plans that hold it.
-    """
-
-    __slots__ = ("_n", "_alpha", "_delta", "_count", "_pairs")
-
-    def __init__(self, n: int, alpha: float, delta: float, count: int):
-        self._n = n
-        self._alpha = alpha
-        self._delta = delta
-        self._count = count
-        self._pairs = []
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, index: int) -> ThresholdPair:
-        if not 0 <= index < self._count:
-            raise IndexError(f"rank index {index} outside [0, {self._count})")
-        pairs = self._pairs
-        while len(pairs) <= index:
-            pairs.append(compute_thresholds(self._n, self._alpha, self._delta, len(pairs) + 1))
-        return pairs[index]
-
-
 def default_cap(u: QualityUniverse) -> int:
     """Rank cap for the margin search: min(k, L+1), which is k when every
     value is explicit.
@@ -245,34 +217,65 @@ def default_cap(u: QualityUniverse) -> int:
 
 
 class _LargeMarginPlan:
-    """The large-margin mechanism on one universe at one budget and cap."""
+    """The large-margin mechanism on one universe at one budget and cap.
 
-    __slots__ = ("_u", "_budget", "_limit", "_third", "_vmax", "_m_scale", "_schedule", "_weights")
+    Bind does every check and computes the stage scales and f(1) once.
+    ``run`` does all three stages in one frame: stage 2 is
+    :func:`margin_search`'s loop, draw for draw, reading f(r+1) from the
+    universe head (or the fill value past the explicit values) and T(r) from
+    a list of floats that grows, in rank order, the first time a run reaches
+    a rank and serves every later run.
+    """
+
+    __slots__ = ("_u", "_budget", "_limit", "_vmax", "_m_scale", "_g_scale", "_z_scale", "_T", "_weights")
 
     def __init__(self, u: QualityUniverse, budget: PrivacyBudget, cap: int | None = None):
         budget.require_approximate()
         limit = default_cap(u) if cap is None else cap
         if not 1 <= limit <= u.k:
             raise ValueError(f"cap {cap} outside [1, {u.k}]")
-        alpha = budget.alpha
-        third = alpha / 3.0
+        third = budget.alpha / 3.0
+        require_alpha(third)
         self._u = u
         self._budget = budget
         self._limit = limit
-        self._third = third
         self._vmax = order_stat(u, 1)
         self._m_scale = 1.0 / third
-        self._schedule = ThresholdSchedule(u.n, alpha, budget.delta, limit - 1)
+        self._g_scale = 2.0 / third
+        self._z_scale = 4.0 / third
+        self._T = []  # T(r) at index r-1, for the ranks some run has reached
         self._weights = _ExponentialWeights(u, third)
 
     def run(self, src: NoiseSource) -> MechanismOutcome:
         u = self._u
-        # stage 1 is noisy_max_estimate(u, third, src), inlined
-        m = self._vmax + src.laplace(self._m_scale) / u.n
-        try:
-            ell = margin_search(u, self._third, m, self._schedule, src, self._limit)
-        except CapExhausted:
-            return MechanismOutcome(self._weights.pick(u.k, src), self._budget, m, None, False)
+        n = u.n
+        # stage 1 is noisy_max_estimate(u, alpha/3, src)
+        m = self._vmax + src.laplace(self._m_scale) / n
+        # stage 2 is margin_search(u, alpha/3, m, T, src, cap)
+        z_scale, head, T = self._z_scale, u._sorted, self._T
+        G = src.laplace(self._g_scale)
+        for r in range(1, self._limit):
+            z_r = src.laplace(z_scale)
+            try:
+                f = head[r]
+            except IndexError:  # past the head
+                if r >= len(u.explicit):  # the fill run
+                    f = u.fill
+                else:  # grow the head, and read the grown one from here on
+                    f = order_stat(u, r + 1)
+                    head = u._sorted
+            try:
+                t = T[r - 1]
+            except IndexError:  # the first run to reach rank r
+                t = compute_thresholds(n, self._budget.alpha, self._budget.delta, r).T
+                T.append(t)
+            if m - f > (z_r + G) / n + t:
+                ell = r
+                break
+        else:
+            ell = self._limit
+            if ell < u.k:  # cap exhausted: stage 3 falls back to all k items
+                return MechanismOutcome(self._weights.pick(u.k, src), self._budget, m, None, False)
         return MechanismOutcome(self._weights.pick(ell, src), self._budget, m, ell, True)
 
 
@@ -427,7 +430,7 @@ class Mechanism:
     ``mech(u, src)`` runs it once, as its function does. ``mech.bind(u)``
     does the per-universe work once and returns ``run(src)``; each run gives
     the outcome the function gives on the same stream, draw for draw, and
-    keeps the tables it grew (T(r) pairs, exponential weights) for the next.
+    keeps the tables it grew (T(r) values, exponential weights) for the next.
     A bound run is single-owner, like a NoiseSource: one caller, never shared
     across threads mid-use.
 

@@ -312,6 +312,19 @@ class TestFim:
     def test_missing_baskets(self):
         assert run("fim", "--r", "2") == EXIT_ERROR
 
+    @pytest.mark.parametrize("mechanism", ["em", "mol"])
+    def test_pure_dp_mechanism_at_delta_zero(self, tmp_path, mechanism):
+        # the required margin needs delta > 0, so it is null for a pure-DP run
+        baskets = tmp_path / "baskets.txt"
+        baskets.write_text("a b\n" * 30 + "b c\n" * 10)
+        out = tmp_path / "fim.json"
+        code = run("fim", "--baskets", str(baskets), "--r", "2", "--mechanism", mechanism,
+                   "--alpha", "1", "--delta", "0", "--seed", "4", "--out", str(out))
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["delta"] == 0.0 and doc["required_margin"] is None
+        assert doc["itemset"] in (["a", "b"], ["a", "c"], ["b", "c"])
+
 
 class TestPac:
     def _spec(self, tmp_path, **fields):
@@ -335,6 +348,18 @@ class TestPac:
         assert doc["regret"] == 0.0
         sizes = doc["shell_sizes"]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("mechanism", ["em", "mol"])
+    def test_pure_dp_mechanism_at_delta_zero(self, tmp_path, mechanism):
+        # the selection constant and t* need delta > 0, so they are null
+        out = tmp_path / "pac.json"
+        code = run("pac", "--spec", self._spec(tmp_path), "--mechanism", mechanism,
+                   "--alpha", "1", "--delta", "0", "--seed", "4", "--out", str(out))
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["delta"] == 0.0 and 0 <= doc["hypothesis"] < 5
+        assert doc["selection_constant"] is None
+        assert doc["t_star"] is None and doc["t_star_exhausted"] is None
 
     def test_bad_spec_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

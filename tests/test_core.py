@@ -1,5 +1,7 @@
 """Domain types, order statistics, margin predicates, and thresholds."""
 
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -97,6 +99,21 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_layer_trace_targets_resolve():
+    # perfbench/layertrace.py wraps these names where their callers look them
+    # up; a refactor that drops one breaks every traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.TARGETS
+    for module, cls, attr, traced, _ in layertrace.TARGETS:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), (module, cls, attr, traced)
 
 
 class TestQualityUniverse:

@@ -29,7 +29,6 @@ from privmax import (
     top_set,
 )
 from privmax import mechanisms
-from privmax.mechanisms import ThresholdSchedule
 from oracles import (
     FixedSource,
     RecordingSource,
@@ -623,27 +622,6 @@ def _eager_lmm(u, budget, src, cap=None):
     return restricted_exponential(u, ell, third, src).item, ell, m, True
 
 
-def test_threshold_schedule_sequence():
-    sched = ThresholdSchedule(500, 1.0, 0.05, 4)
-    assert len(sched) == 4
-    assert list(sched) == [compute_thresholds(500, 1.0, 0.05, r) for r in range(1, 5)]
-    for index in (-1, 4):
-        with pytest.raises(IndexError):
-            sched[index]
-    assert list(ThresholdSchedule(500, 1.0, 0.05, 0)) == []
-
-
-def test_threshold_schedule_computes_each_pair_once(monkeypatch):
-    calls = []
-    real = mechanisms.compute_thresholds
-    monkeypatch.setattr(mechanisms, "compute_thresholds", lambda *args: calls.append(args[3]) or real(*args))
-    sched = ThresholdSchedule(500, 1.0, 0.05, 6)
-    assert sched[2] == real(500, 1.0, 0.05, 3)
-    assert [sched[1], sched[0], sched[2]] == [real(500, 1.0, 0.05, r) for r in (2, 1, 3)]
-    assert list(sched) == [real(500, 1.0, 0.05, r) for r in range(1, 7)]
-    assert calls == [1, 2, 3, 4, 5, 6]
-
-
 def test_lmm_computes_thresholds_only_for_scanned_ranks(monkeypatch):
     calls = []
     real = mechanisms.compute_thresholds
@@ -734,6 +712,62 @@ def test_lmm_runs_stay_aligned_on_a_shared_stream():
                     got.append((out.item, out.ell, out.m, out.certified))
                 want = [_eager_lmm(u, budget, reference, cap=cap) for _ in range(200)]
                 assert got == want
+
+
+def _eager_lmm_paths(fresh, budget, caps, head):
+    """(cap, zero_override, ell) of bound runs on one plan, which must equal
+    the eager reference's, as direct calls must. Every caller gets a fresh
+    universe, and bind sorts a head of ``head`` ranks."""
+    key = lambda out: (out.item, out.ell, out.m, out.certified)  # noqa: E731
+    paths = set()
+    for cap in caps:
+        for zero in (False, True):
+            runs = 2 if zero else 24
+            u = fresh()
+            run = build_mechanism("lmm", budget, cap=cap).bind(u)
+            assert len(u._sorted) == head
+            shared, reference = NoiseSource(11, zero_override=zero), NoiseSource(11, zero_override=zero)
+            got = [key(run(shared)) for _ in range(runs)]
+            assert got == [_eager_lmm(fresh(), budget, reference, cap=cap) for _ in range(runs)]
+            for seed in range(runs // 4 or 1):
+                direct = large_margin_mechanism(fresh(), budget, NoiseSource(seed, zero_override=zero), cap=cap)
+                want = _eager_lmm(fresh(), budget, NoiseSource(seed, zero_override=zero), cap=cap)
+                assert key(direct) == want
+            paths.update((cap, zero, ell) for _, ell, _, _ in got)
+    return paths
+
+
+def test_lmm_matches_eager_reference_past_the_head():
+    k, n = 2000, 2000
+    for budget in (PrivacyBudget(1.0, 0.05), PrivacyBudget(0.5, 0.1)):
+        T = lambda n, r: compute_thresholds(n, budget.alpha, budget.delta, r).T  # noqa: E731
+        # shuffled distinct values, so bind sorts a head of exactly 256 ranks.
+        # The top 256 sit T(256) above the next 344, and the 600 sit far above
+        # the rest, so a sampled search certifies at rank 256, whose f(257) is
+        # read past the head, or a little further down, from the grown head;
+        # under zero noise it scans to rank 600. Each caller's first run
+        # crosses the boundary itself, and the plan's later runs read the
+        # grown head
+        rng = random.Random(45)
+        vals = [0.9 - rng.random() * 20 / n for _ in range(256)]
+        vals += [0.9 - T(n, 256) - rng.random() * 20 / n for _ in range(344)]
+        vals += [0.9 - T(n, 600) - (100 + rng.random() * 1000) / n for _ in range(k - 600)]
+        rng.shuffle(vals)
+        paths = _eager_lmm_paths(lambda: QualityUniverse.dense(vals, n=n), budget, (None, 400, 257), 256)
+        assert {(None, False, 256), (257, False, 256), (257, False, None)} <= paths
+        assert any(cap is None and not zero and 256 < ell < 600 for cap, zero, ell in paths)
+        assert {ell for cap, zero, ell in paths if zero} == {600, None}
+        # a sparse universe's head is its explicit values, and the ranks past
+        # it read the fill value, which sits just under T(4) below the top:
+        # searches certify in the fill run, exhaust an explicit cap past L+1,
+        # or, with cap k, scan to k
+        m = 500
+        top = [0.9, 0.9 - 5 / m, 0.9 - 10 / m, 0.9 - 15 / m]
+        fill = 0.9 - T(m, 4) + 15 / m
+        paths = _eager_lmm_paths(lambda: QualityUniverse.sparse(top, k=300, n=m, fill=fill), budget,
+                                 (None, 40, 300), 4)
+        assert {(40, False, None), (300, False, 300), (300, True, 300)} <= paths
+        assert any(cap == 40 and 4 < (ell or 0) < 40 for cap, _, ell in paths)
 
 
 def test_lmm_sorts_only_the_prefix_it_reads():
