@@ -18,6 +18,7 @@ import marshal
 import math
 import os
 import time
+from itertools import islice, repeat
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha, top_set
@@ -141,8 +142,9 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
 
 
 def _bind(mechanism: Callable, u: QualityUniverse) -> Callable:
-    """``mechanism.bind(u)``, the run(src) that does the per-universe work
-    once; a mechanism without ``bind`` is called as ``mechanism(u, src)``."""
+    """``mechanism.bind(u)``, the plan (or run(src) callable) that does the
+    per-universe work once; a mechanism without ``bind`` is called as
+    ``mechanism(u, src)``."""
     bind = getattr(mechanism, "bind", None)
     if bind is None:
         return lambda src: mechanism(u, src)
@@ -150,14 +152,21 @@ def _bind(mechanism: Callable, u: QualityUniverse) -> Callable:
 
 
 def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
-    """Outcome counts of each ``(job, shard)`` task, in task order."""
+    """Outcome counts of each ``(job, shard)`` task, in task order.
+
+    A shard's trials are successive runs on its one stream: the first
+    ``size`` outcomes of ``plan.runs(src)`` when the bound object has
+    ``runs`` (a bound plan), else ``size`` calls of it (a bindless
+    mechanism, or the run a replaced mechanism function binds to)."""
     out = []
     for j, shard in tasks:
         run, trials, base = bound[j]
         src = base.spawn(shard)
+        size = min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)
+        runs = getattr(run, "runs", None)
+        outcomes = map(run, repeat(src, size)) if runs is None else islice(runs(src), size)
         counts = {}
-        for _ in range(min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)):
-            key = outcome_key(run(src))
+        for key in map(outcome_key, outcomes):
             counts[key] = counts.get(key, 0) + 1
         out.append(counts)
     return out
@@ -538,8 +547,16 @@ def em_expected_gap(u: QualityUniverse, alpha: float) -> float:
     require_alpha(alpha)
     rate = 0.5 * u.n * alpha
     vmax = order_stat(u, 1)
-    weights = [math.exp(rate * (v - vmax)) for v in u.explicit]
     n_fill = u.k - len(u.explicit)
+    weights = []
+    for v in u.explicit:
+        w = math.exp(rate * (v - vmax))
+        # a fill block keeps the explicit values descending, so the weights
+        # descend too: past the first one that underflows to 0.0, every
+        # weight and gap term is an exact zero, which neither fsum reads
+        if not w and n_fill:
+            break
+        weights.append(w)
     w_fill = math.exp(rate * (u.fill - vmax)) if n_fill > 0 else 0.0
     total = math.fsum(weights) + n_fill * w_fill
     gap = math.fsum(w * (vmax - v) for w, v in zip(weights, u.explicit))

@@ -17,18 +17,21 @@ documented per mechanism so zero-override and replay traces are exact.
 
 Each registered mechanism runs through a plan: the per-universe work (budget
 and cap checks, order statistics, the T(r) schedule, the exponential weights)
-done once, with its tables grown only as far as a run reads them. The direct
-functions build a fresh plan per call; :func:`build_mechanism` returns a
-:class:`Mechanism` whose ``bind(u)`` keeps one plan for many runs. The LMM
-plan runs the margin search inline; :func:`margin_search` is its readable
-reference, which the tests pin the plan against draw for draw.
+done once, with its tables grown only as far as a run reads them. A plan's
+``runs(src)`` yields its outcomes on one stream, one run per item; calling
+the plan makes one run. The direct functions build a fresh plan per call;
+:func:`build_mechanism` returns a :class:`Mechanism` whose ``bind(u)`` keeps
+one plan for many runs. The LMM plan runs the margin search inline;
+:func:`margin_search` is its readable reference, which the tests pin the
+plan against draw for draw.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -56,6 +59,23 @@ class CapExhausted(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"margin search exhausted its rank cap {cap}")
         self.cap = cap
+
+
+# MechanismOutcome from a full field tuple (item, budget, m, ell, certified,
+# seed), without the Python-level __new__ a NamedTuple call runs
+_outcome = partial(tuple.__new__, MechanismOutcome)
+
+
+class _Plan:
+    """A mechanism's per-universe work, done once. ``runs(src)`` is an
+    endless generator of the outcomes of successive runs on one stream;
+    calling the plan makes one run, so both give the same outcomes, draw for
+    draw. Single-owner, like a NoiseSource."""
+
+    __slots__ = ()
+
+    def __call__(self, src: NoiseSource):
+        return next(self.runs(src))
 
 
 class _ExponentialWeights:
@@ -110,11 +130,14 @@ class _ExponentialWeights:
 
     def pick(self, ell: int, src: NoiseSource) -> int:
         """One id from the top-ell set, drawn with one uniform."""
-        end = self._ends.get(ell)
-        n_explicit, total, grand = self._end(ell) if end is None else end
+        try:
+            n_explicit, total, grand = self._ends[ell]
+        except KeyError:
+            n_explicit, total, grand = self._end(ell)
         target = src.uniform() * grand
         if target < total or n_explicit == ell:
-            return self._ids[min(bisect_right(self._cum, target, 0, n_explicit), n_explicit - 1)]
+            i = bisect_right(self._cum, target, 0, n_explicit)
+            return self._ids[i if i < n_explicit else n_explicit - 1]
         w_fill = self._w_fill
         if w_fill <= 0.0:  # fill weight underflowed; lowest fill id stands in
             return n_explicit + 1
@@ -122,7 +145,7 @@ class _ExponentialWeights:
         return n_explicit + 1 + j
 
 
-class _ExponentialPlan:
+class _ExponentialPlan(_Plan):
     """Exponential mechanism over all of one universe at one alpha."""
 
     __slots__ = ("_k", "_budget", "_weights")
@@ -132,13 +155,15 @@ class _ExponentialPlan:
         self._budget = PrivacyBudget(alpha)
         self._weights = _ExponentialWeights(u, alpha)
 
-    def run(self, src: NoiseSource) -> MechanismOutcome:
-        return MechanismOutcome(self._weights.pick(self._k, src), self._budget)
+    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+        k, budget, pick = self._k, self._budget, self._weights.pick
+        while True:
+            yield _outcome((pick(k, src), budget, None, None, True, None))
 
 
 def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
     """Select item i with probability proportional to exp(n*alpha*f(i)/2)."""
-    return _ExponentialPlan(u, alpha).run(src)
+    return _ExponentialPlan(u, alpha)(src)
 
 
 def restricted_exponential(u: QualityUniverse, ell: int, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -216,15 +241,16 @@ def default_cap(u: QualityUniverse) -> int:
     return min(u.k, len(u.explicit) + 1)
 
 
-class _LargeMarginPlan:
+class _LargeMarginPlan(_Plan):
     """The large-margin mechanism on one universe at one budget and cap.
 
     Bind does every check and computes the stage scales and f(1) once.
-    ``run`` does all three stages in one frame: stage 2 is
+    Each run does all three stages in the frame of ``runs``: stage 2 is
     :func:`margin_search`'s loop, draw for draw, reading f(r+1) from the
     universe head (or the fill value past the explicit values) and T(r) from
     a list of floats that grows, in rank order, the first time a run reaches
-    a rank and serves every later run.
+    a rank and serves every later run. Each run reads the head and the list
+    afresh, so it sees what earlier runs or other readers grew.
     """
 
     __slots__ = ("_u", "_budget", "_limit", "_vmax", "_m_scale", "_g_scale", "_z_scale", "_T", "_weights")
@@ -246,37 +272,40 @@ class _LargeMarginPlan:
         self._T = []  # T(r) at index r-1, for the ranks some run has reached
         self._weights = _ExponentialWeights(u, third)
 
-    def run(self, src: NoiseSource) -> MechanismOutcome:
-        u = self._u
-        n = u.n
-        # stage 1 is noisy_max_estimate(u, alpha/3, src)
-        m = self._vmax + src.laplace(self._m_scale) / n
-        # stage 2 is margin_search(u, alpha/3, m, T, src, cap)
-        z_scale, head, T = self._z_scale, u._sorted, self._T
-        G = src.laplace(self._g_scale)
-        for r in range(1, self._limit):
-            z_r = src.laplace(z_scale)
-            try:
-                f = head[r]
-            except IndexError:  # past the head
-                if r >= len(u.explicit):  # the fill run
-                    f = u.fill
-                else:  # grow the head, and read the grown one from here on
-                    f = order_stat(u, r + 1)
-                    head = u._sorted
-            try:
-                t = T[r - 1]
-            except IndexError:  # the first run to reach rank r
-                t = compute_thresholds(n, self._budget.alpha, self._budget.delta, r).T
-                T.append(t)
-            if m - f > (z_r + G) / n + t:
-                ell = r
-                break
-        else:
-            ell = self._limit
-            if ell < u.k:  # cap exhausted: stage 3 falls back to all k items
-                return MechanismOutcome(self._weights.pick(u.k, src), self._budget, m, None, False)
-        return MechanismOutcome(self._weights.pick(ell, src), self._budget, m, ell, True)
+    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+        u, budget, limit, vmax = self._u, self._budget, self._limit, self._vmax
+        n, k, n_explicit, fill = u.n, u.k, len(u.explicit), u.fill
+        m_scale, g_scale, z_scale = self._m_scale, self._g_scale, self._z_scale
+        laplace, pick = src.laplace, self._weights.pick
+        while True:
+            # stage 1 is noisy_max_estimate(u, alpha/3, src)
+            m = vmax + laplace(m_scale) / n
+            # stage 2 is margin_search(u, alpha/3, m, T, src, cap)
+            head, T = u._sorted, self._T
+            G = laplace(g_scale)
+            for r in range(1, limit):
+                z_r = laplace(z_scale)
+                try:
+                    f = head[r]
+                except IndexError:  # past the head
+                    if r >= n_explicit:  # the fill run
+                        f = fill
+                    else:  # grow the head, and read the grown one from here on
+                        f = order_stat(u, r + 1)
+                        head = u._sorted
+                try:
+                    t = T[r - 1]
+                except IndexError:  # the first run to reach rank r
+                    t = compute_thresholds(n, budget.alpha, budget.delta, r).T
+                    T.append(t)
+                if m - f > (z_r + G) / n + t:
+                    yield _outcome((pick(r, src), budget, m, r, True, None))
+                    break
+            else:
+                if limit < k:  # cap exhausted: stage 3 falls back to all k items
+                    yield _outcome((pick(k, src), budget, m, None, False, None))
+                else:
+                    yield _outcome((pick(k, src), budget, m, k, True, None))
 
 
 def large_margin_mechanism(
@@ -302,7 +331,7 @@ def large_margin_mechanism(
     Thresholds are computed only for the ranks the search reaches, so the
     cost follows the ranks scanned rather than k.
     """
-    return _LargeMarginPlan(u, budget, cap).run(src)
+    return _LargeMarginPlan(u, budget, cap)(src)
 
 
 def _laplace_block_max(scale: float, count: int, src: NoiseSource) -> float:
@@ -319,7 +348,7 @@ def _laplace_block_max(scale: float, count: int, src: NoiseSource) -> float:
     return scale * (math.log(2.0) + log_f)
 
 
-class _NoisyMaxPlan:
+class _NoisyMaxPlan(_Plan):
     """Report-noisy-max on one universe at one alpha."""
 
     __slots__ = ("_u", "_budget", "_scale")
@@ -329,24 +358,27 @@ class _NoisyMaxPlan:
         self._budget = PrivacyBudget(alpha)
         self._scale = 2.0 / (u.n * alpha)
 
-    def run(self, src: NoiseSource) -> MechanismOutcome:
-        u, scale = self._u, self._scale
-        best_id = 0
-        best = float("-inf")
-        for i, v in enumerate(u.explicit, start=1):
-            noisy = v + src.laplace(scale)
-            if noisy > best:
-                best, best_id = noisy, i
-        n_fill = u.k - len(u.explicit)
-        if n_fill > 0:
-            if src.zero_override:
-                block, block_id = u.fill, len(u.explicit) + 1
-            else:
-                block = u.fill + _laplace_block_max(scale, n_fill, src)
-                block_id = len(u.explicit) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
-            if block > best or best_id == 0:
-                best, best_id = block, block_id
-        return MechanismOutcome(best_id, self._budget)
+    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+        u, budget, scale = self._u, self._budget, self._scale
+        explicit, fill = u.explicit, u.fill
+        first_fill, n_fill = len(explicit) + 1, u.k - len(explicit)
+        laplace = src.laplace
+        while True:
+            best_id = 0
+            best = float("-inf")
+            for i, v in enumerate(explicit, start=1):
+                noisy = v + laplace(scale)
+                if noisy > best:
+                    best, best_id = noisy, i
+            if n_fill > 0:
+                if src.zero_override:
+                    block, block_id = fill, first_fill
+                else:
+                    block = fill + _laplace_block_max(scale, n_fill, src)
+                    block_id = first_fill + min(int(src.uniform() * n_fill), n_fill - 1)
+                if block > best or best_id == 0:
+                    best, best_id = block, block_id
+            yield _outcome((best_id, budget, None, None, True, None))
 
 
 def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -358,10 +390,10 @@ def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> Mecha
     O(L), not O(k). Noise order: explicit ids ascending, then the block max,
     then the block index.
     """
-    return _NoisyMaxPlan(u, alpha).run(src)
+    return _NoisyMaxPlan(u, alpha)(src)
 
 
-class _GapPlan:
+class _GapPlan(_Plan):
     """The gap mechanism on one universe at one budget."""
 
     __slots__ = ("_budget", "_gap", "_scale", "_threshold", "_top")
@@ -375,10 +407,13 @@ class _GapPlan:
         self._threshold = 2.0 * math.log(1.0 / budget.delta) / na
         self._top = top_set(u, 1)[0]
 
-    def run(self, src: NoiseSource) -> MechanismOutcome | Fail:
-        if self._gap + src.laplace(self._scale) > self._threshold:
-            return MechanismOutcome(self._top, self._budget)
-        return Fail(self._budget)
+    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
+        gap, scale, threshold, laplace = self._gap, self._scale, self._threshold, src.laplace
+        # both outcomes are immutable and the same on every run
+        release = _outcome((self._top, self._budget, None, None, True, None))
+        fail = Fail(self._budget)
+        while True:
+            yield release if gap + laplace(scale) > threshold else fail
 
 
 def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome | Fail:
@@ -388,7 +423,7 @@ def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) ->
     released iff g > 2 ln(1/delta) / (n*alpha), otherwise the distinguished
     Fail outcome is returned.
     """
-    return _GapPlan(u, budget).run(src)
+    return _GapPlan(u, budget)(src)
 
 
 def lmm_required_margin(n: int, alpha: float, delta: float, eta: float, ell: int) -> float:
@@ -428,15 +463,17 @@ class Mechanism:
     """A registered mechanism at a fixed budget (and, for lmm, a fixed cap).
 
     ``mech(u, src)`` runs it once, as its function does. ``mech.bind(u)``
-    does the per-universe work once and returns ``run(src)``; each run gives
-    the outcome the function gives on the same stream, draw for draw, and
-    keeps the tables it grew (T(r) values, exponential weights) for the next.
-    A bound run is single-owner, like a NoiseSource: one caller, never shared
-    across threads mid-use.
+    does the per-universe work once and returns the plan: ``plan(src)`` makes
+    one run, and ``plan.runs(src)`` yields the outcomes of successive runs on
+    one stream, as audits iterate it. Each run gives the outcome the function
+    gives on the same stream, draw for draw, and keeps the tables it grew
+    (T(r) values, exponential weights) for the next. A plan is single-owner,
+    like a NoiseSource: one caller, never shared across threads mid-use.
 
     ``bind`` looks the function up by its module-level name, so a
     replacement installed there (a profiler's wrapper, say) is called once
-    per run instead of the plan, and sees every run.
+    per run instead of the plan, and sees every run: ``bind`` then returns a
+    ``run(src)`` callable with no ``runs``.
     """
 
     __slots__ = ("_function", "_param", "_extra")
@@ -455,7 +492,7 @@ class Mechanism:
         plan = _PLANS.get(function)
         if plan is None:
             return lambda src: function(u, param, src, *extra)
-        return plan(u, param, *extra).run
+        return plan(u, param, *extra)
 
 
 def build_mechanism(name: str, budget: PrivacyBudget, *, cap: int | None = None) -> Mechanism:

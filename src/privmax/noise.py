@@ -66,7 +66,23 @@ class NoiseSource:
         return u
 
     def laplace(self, scale: float) -> float:
-        return sample_laplace(scale, self)
+        """One Laplace(scale) variate: :func:`sample_laplace` on this stream,
+        bit for bit, with the uniform drawn in the same frame."""
+        if not scale > 0.0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        if self.zero_override:
+            return 0.0
+        u = self._rng.random()
+        while u <= 0.0:
+            u = self._rng.random()
+        d = u - 0.5
+        # sample_laplace's -scale * sign(d) * log1p(-2|d|): multiplying by
+        # +-1.0 and negating are exact, so each branch is the same float
+        if d > 0.0:
+            return -scale * math.log1p(-2.0 * d)
+        if d < 0.0:
+            return scale * math.log1p(2.0 * d)
+        return 0.0
 
     def spawn(self, index: int) -> "NoiseSource":
         """Independent child stream ``index``, seeded with
@@ -83,6 +99,8 @@ def sample_laplace(scale: float, src: NoiseSource) -> float:
 
     A single uniform from ``src`` is pushed through the inverse CDF, so a
     replayed stream reproduces the variate exactly; zero-override yields 0.
+    Works on any source with ``uniform()``; :meth:`NoiseSource.laplace` is
+    this transform on its own stream, in one call.
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")

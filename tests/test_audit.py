@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import random
 import warnings
 
 import pytest
@@ -278,7 +279,8 @@ class TestBinding:
     def test_bound_and_bindless_mechanisms_estimate_alike(self, monkeypatch, name):
         budget = PrivacyBudget(1.0, 0.05)
         mech = build_mechanism(name, budget, cap=3 if name == "lmm" else None)
-        plain = lambda u, src: mech(u, src)  # noqa: E731  (no bind attribute)
+        assert hasattr(mech.bind(self.LEFT), "runs")  # shards iterate the plan
+        plain = lambda u, src: mech(u, src)  # noqa: E731  (no bind attribute, so one call per trial)
         pair = NeighborPair(self.LEFT, self.RIGHT)
         jobs = [(self.LEFT, 12 * _SHARD_TRIALS + 7, 5), (self.RIGHT, 12 * _SHARD_TRIALS + 7, 6)]
         for cores in (1, 3):
@@ -630,6 +632,24 @@ class TestExactOracles:
         small = QualityUniverse.sparse(nz, k=10, n=10)
         big = QualityUniverse.sparse(nz, k=10_000, n=10)
         assert em_expected_gap(big, 1.0) > em_expected_gap(small, 1.0) > 0.0
+
+    def test_em_expected_gap_equals_the_full_sum(self):
+        # with a fill block the sum stops at the first weight that underflows;
+        # every later term is an exact zero, so the full sums give the same
+        # float. Unsorted dense values underflow mid-list and must not stop it
+        rng = random.Random(51)
+        explicit = sorted((rng.random() * 0.9 for _ in range(400)), reverse=True)
+        shuffled = rng.sample(explicit, len(explicit))
+        for n, alpha in ((3000, 1.0), (200, 0.5), (10**6, 2.0)):
+            for u in (QualityUniverse.sparse(explicit, k=10**9, n=n), QualityUniverse.dense(shuffled, n=n)):
+                rate, vmax, n_fill = 0.5 * n * alpha, explicit[0], u.k - len(u.explicit)
+                weights = [math.exp(rate * (v - vmax)) for v in u.explicit]
+                w_fill = math.exp(rate * (0.0 - vmax))
+                total = math.fsum(weights) + n_fill * w_fill
+                gap = math.fsum(w * (vmax - v) for w, v in zip(weights, u.explicit)) + n_fill * w_fill * vmax
+                assert em_expected_gap(u, alpha).hex() == (gap / total).hex()
+                if n >= 3000:
+                    assert weights[-1] == 0.0 or not n_fill  # the cut is taken
 
     def test_exact_em_distribution_refuses_huge_support(self):
         u = QualityUniverse.sparse([0.5], k=10**9, n=10)

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -489,6 +490,26 @@ def _plan_cases():
     ]
 
 
+def _lmm_path_cases(budget):
+    """(fresh-universe factory, lmm cap) pairs whose searches read past the
+    256-rank initial head of a shuffled dense universe (k = 10,000, so a first
+    growth sorts only part of it), or certify in the fill run of a sparse
+    one or exhaust its cap; the shapes of
+    test_lmm_matches_eager_reference_past_the_head."""
+    T = lambda n, r: compute_thresholds(n, budget.alpha, budget.delta, r).T  # noqa: E731
+    n = 2000
+    rng = random.Random(45)
+    vals = [0.9 - rng.random() * 20 / n for _ in range(256)]
+    vals += [0.9 - T(n, 256) - rng.random() * 20 / n for _ in range(344)]
+    vals += [0.9 - T(n, 600) - (100 + rng.random() * 1000) / n for _ in range(9400)]
+    rng.shuffle(vals)
+    m = 500
+    top = [0.9, 0.9 - 5 / m, 0.9 - 10 / m, 0.9 - 15 / m]
+    fill = 0.9 - T(m, 4) + 15 / m
+    return [(lambda: QualityUniverse.dense(vals, n=n), None),
+            (lambda: QualityUniverse.sparse(top, k=300, n=m, fill=fill), 40)]
+
+
 class TestBoundPlans:
     """``build_mechanism(name, budget).bind(u)`` keeps one plan for many runs;
     each run must equal the direct function's call, draw for draw."""
@@ -517,6 +538,44 @@ class TestBoundPlans:
                 run(bound)
                 _direct_calls(budget, cap)[name](u, direct)
             assert (bound.laplace_scales, bound.uniform_draws) == (direct.laplace_scales, direct.uniform_draws)
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_runs_yield_what_single_calls_return(self, name):
+        # an audit shard iterates plan.runs(src); its outcomes must be the
+        # plan's single calls on a twin stream, and the direct function's on
+        # fresh plans, equal and of the same type, and leave the streams
+        # aligned. Each pass gets a fresh universe, so each grows its head
+        runs = 40
+        paths, regrown = set(), 0  # (L, k, ell, certified, Fail)
+        for budget in self.BUDGETS:
+            cases = [(lambda u=u: u, cap) for u, cap in _plan_cases()]
+            if name == "lmm":
+                cases += _lmm_path_cases(budget)
+            for fresh, cap in cases:
+                for zero in (False, True):
+                    u = fresh()
+                    src = NoiseSource(13, zero_override=zero)
+                    gen = build_mechanism(name, budget, cap=cap).bind(u).runs(src)
+                    got = [next(gen)]
+                    if 256 < len(u._sorted) < len(u.explicit):  # another reader grows it again
+                        order_stat(u, 4 * len(u._sorted) + 1)
+                        regrown += 1
+                    got += islice(gen, runs - 1)
+                    plan, twin = build_mechanism(name, budget, cap=cap).bind(fresh()), NoiseSource(13, zero_override=zero)
+                    assert got == [plan(twin) for _ in range(runs)], (name, u, cap, zero)
+                    u, reference = fresh(), NoiseSource(13, zero_override=zero)
+                    want = [_direct_calls(budget, cap)[name](u, reference) for _ in range(runs)]
+                    assert got == want and list(map(type, got)) == list(map(type, want))
+                    assert src.uniform() == twin.uniform() == reference.uniform()
+                    paths.update((len(u.explicit), u.k, getattr(o, "ell", None), getattr(o, "certified", None),
+                                  isinstance(o, Fail)) for o in got)
+        if name == "st13":
+            assert any(fail for *_, fail in paths)
+        if name == "lmm":
+            assert regrown
+            assert any(certified is False for _, _, _, certified, _ in paths)  # the cap fallback
+            assert any(ell and ell > 256 for _, _, ell, _, _ in paths)  # past the initial head
+            assert any(ell and L < ell < k for L, k, ell, _, _ in paths)  # the fill run
 
     def test_exponential_weights_grow_to_the_sums_of_a_fresh_pass(self):
         # one table drawn at ells that grow it piece by piece must pick what a

@@ -111,3 +111,48 @@ def test_symmetry_of_sampled_median():
     median = samples[trials // 2]
     # se of the Laplace sample median is ~ 1/sqrt(trials)
     assert abs(median) < 3.0 / math.sqrt(trials)
+
+
+def test_one_call_laplace_equals_the_reference_transform():
+    # NoiseSource.laplace draws its uniform in its own frame; it must give
+    # sample_laplace's float, bit for bit, and leave the stream where the
+    # reference leaves it
+    scales = (1e-3, 0.3, 1.0, 6.0, 250.0)
+    for seed in (0, 7, 987654321, 2**64 - 1):
+        fast, reference = NoiseSource(seed), NoiseSource(seed)
+        got = [fast.laplace(scales[i % 5]) for i in range(25_000)]
+        want = [sample_laplace(scales[i % 5], reference) for i in range(25_000)]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert fast.uniform() == reference.uniform()
+
+
+class _Replay:
+    """Stands in for a source's Mersenne Twister, replaying fixed random()s."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_one_call_laplace_edge_cases():
+    zero = NoiseSource(3, zero_override=True)
+    assert math.copysign(1.0, zero.laplace(4.0)) == 1.0 and zero.laplace(4.0) == 0.0
+    # a replayed 0.0 is rejected, as uniform() rejects it; 0.5 maps to +0.0
+    for values in ([0.0, 0.25, 0.5], [0.0, 0.0, 0.75, 0.5]):
+        fast, reference = NoiseSource(1), NoiseSource(1)
+        fast._rng, reference._rng = _Replay(values), _Replay(values)
+        got = [fast.laplace(2.0), fast.laplace(2.0)]
+        want = [sample_laplace(2.0, reference), sample_laplace(2.0, reference)]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert got[0] == sample_laplace(2.0, FixedSource([values[-2]])) and got[1] == 0.0
+    # a bad scale raises the reference's error, before any draw
+    for scale in (0.0, -1.0, float("nan")):
+        fast, reference = NoiseSource(5), NoiseSource(5)
+        with pytest.raises(ValueError) as got:
+            fast.laplace(scale)
+        with pytest.raises(ValueError) as want:
+            sample_laplace(scale, reference)
+        assert str(got.value) == str(want.value) == f"scale must be positive, got {scale}"
+        assert fast.uniform() == reference.uniform()
