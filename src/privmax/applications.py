@@ -415,11 +415,19 @@ def shell_decomposition(
         raise ValueError(f"C0 must be positive, got {C0}")
     width = C0 * math.sqrt(d * math.log(n / delta0) / n)
     R = math.ceil(math.sqrt(n / (d * math.log(n))))
-    ordered = sorted(errors)
-    min_err = ordered[0]
-    # bisect_right counts the errors e <= min_err + t*width, one sort for all shells
-    sizes = tuple(bisect_right(ordered, min_err + t * width) for t in range(R + 1))
-    return ShellDecomposition(shell_sizes=sizes, width=width, min_err=min_err, C0=C0, R=R)
+    min_err = min(errors)
+    # shell t counts the errors e <= min_err + t*width; the bounds rise with
+    # t, so each pass keeps only the errors above the last bound, and the
+    # shells past the largest error hold all k
+    k = len(errors)
+    rest = errors
+    sizes = []
+    for t in range(R + 1):
+        if rest:
+            bound = min_err + t * width
+            rest = [e for e in rest if e > bound]
+        sizes.append(k - len(rest))
+    return ShellDecomposition(shell_sizes=tuple(sizes), width=width, min_err=min_err, C0=C0, R=R)
 
 
 class TStarResult(NamedTuple):

@@ -319,7 +319,7 @@ def cmd_pac(args) -> int:
         selection.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
 
     def details(result):
-        best = min(errors)
+        best = shells.min_err
         chosen = errors[result.item - 1]
         return {
             "hypothesis": result.item - 1,

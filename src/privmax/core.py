@@ -4,7 +4,6 @@ margin-adaptive mechanism."""
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import operator
@@ -13,11 +12,16 @@ from typing import NamedTuple, Sequence
 
 NEG_INF = float("-inf")
 
-# a lazily sorted head grows to at least this many ranks, and to at least
-# this multiple of its current length; a prefix of k/4 ranks or more is
-# sorted in full
+# a lazily sorted head grows to at least this many ranks, to at least this
+# multiple of its current length, and to at least 1/_HEAD_FRACTION of the
+# explicit values, so that one growth covers the ranks a search reaches on a
+# large universe and its sort of about that many ids stays well below its
+# linear scan; a prefix of k/4 ranks or more is sorted in full
 _MIN_PREFIX = 256
 _PREFIX_GROWTH = 8
+_HEAD_FRACTION = 64
+# values in the stride sample that picks a growth's candidate threshold
+_SAMPLE_SIZE = 4096
 
 
 class ThresholdPair(NamedTuple):
@@ -71,6 +75,30 @@ class PrivacyBudget(NamedTuple("PrivacyBudget", [("alpha", float), ("delta", flo
             raise ValueError("this mechanism requires delta in (0, 1)")
 
 
+def _top_values(vals: tuple[float, ...], m: int) -> list[float] | None:
+    """At least ``m`` of ``vals``, every one >= each value left out, in id
+    order; None when no candidate from the sample admits m values.
+
+    The candidate is a value of a stride sample. About m/step sampled values
+    lie among the m largest, and a few standard deviations more make the first
+    candidate admit m values in all but adversarial layouts; each miss moves
+    twice as far down the sample.
+    """
+    step = max(1, len(vals) // _SAMPLE_SIZE)
+    sample = sorted(vals[::step], reverse=True)
+    last = len(sample) - 1
+    j = m // step
+    j += 3 * math.isqrt(j) + 1
+    while True:
+        cand = sample[min(j, last)]
+        top = [v for v in vals if v >= cand]
+        if len(top) >= m:
+            return top
+        if j >= last:
+            return None
+        j *= 2
+
+
 class QualityUniverse:
     """Per-item quality scores f(1..k) with declared sensitivity 1/n.
 
@@ -90,7 +118,9 @@ class QualityUniverse:
     its ids, and ranks past the explicit values read the fill value. The
     head of descending explicit values is complete from the start. Any other
     head is sorted only as far as :func:`order_stat` and :func:`top_set`
-    read it and grows geometrically on demand. The head is the only state
+    read it and grows geometrically on demand, each growth to at least 1/64
+    of the explicit values (see :meth:`_descending`), so a search on a large
+    universe grows it once. The head is the only state
     that ever changes. Each of its two tuples is only ever replaced whole by
     another prefix of the same order, and a reader reads the attribute once
     and indexes that tuple, or the longer one its growth returned, so every
@@ -133,23 +163,30 @@ class QualityUniverse:
         """Grow the cached descending head to at least ``min(m, L)`` ranks and
         return its (values, ids) pair.
 
-        The explicit values >= the m-th largest one form a prefix of the
-        stable descending order, and a stable sort of their ascending ids
-        keeps its tie-breaking, so the head equals the first ranks of the
-        full sort: the same ids and the same float objects, +-0.0 included.
+        A growth reaches at least max(m, 256, 8 times the current head, L/64)
+        ranks. Short of a full sort, it takes a candidate threshold from a
+        stride sample of about 4,096 values, keeps the values at or above it
+        (lowering the candidate until at least m pass), takes the exact m-th
+        largest of those, and scans the ids once. The explicit values >= the
+        m-th largest one form a prefix of the stable descending order, and a
+        stable sort of their ascending ids keeps its tie-breaking, so the head
+        equals the first ranks of the full sort: the same ids and the same
+        float objects, +-0.0 included.
         """
         vals = self.explicit
         size = len(vals)
-        m = max(m, _MIN_PREFIX, _PREFIX_GROWTH * len(self._ids_desc))
-        if 4 * m >= size:
+        m = max(m, _MIN_PREFIX, _PREFIX_GROWTH * len(self._ids_desc), size // _HEAD_FRACTION)
+        top = None if 4 * m >= size else _top_values(vals, m)
+        if top is None:
             # sorting the floats directly beats gathering them through the id
             # order: the gather reads the float objects in random order
             values = tuple(sorted(vals, reverse=True))
             # stable even with reverse=True: ties keep ascending-id order
             order = sorted(range(size), key=vals.__getitem__, reverse=True)
         else:
-            thr = heapq.nlargest(m, vals)[-1]
-            above = [j for j in range(size) if vals[j] >= thr]  # ascending ids
+            top.sort(reverse=True)
+            thr = top[m - 1]
+            above = [j for j, v in enumerate(vals) if v >= thr]  # ascending ids
             order = sorted(above, key=vals.__getitem__, reverse=True)
             values = tuple(map(vals.__getitem__, order))
         ids = tuple(map((1).__add__, order))
@@ -201,8 +238,9 @@ def order_stat(u: QualityUniverse, r: int) -> float:
     Ranks past the explicit values return the fill value. -inf is never a
     stored value, only this sentinel. A universe built from unsorted values
     sorts them only when a read goes past its cached descending head, so
-    reading the top ranks costs one linear pass, not a sort; a read inside the
-    head costs no more than an index.
+    reading the top ranks costs a linear scan of the values and one of the
+    ids, not a sort, and grows the head to at least L/64 ranks; a read inside
+    the head costs no more than an index.
     """
     if not 1 <= r <= u.k + 1:
         raise ValueError(f"rank {r} outside [1, {u.k + 1}]")

@@ -116,6 +116,19 @@ def shell_sizes_bruteforce(errors, min_err, width, R):
     return tuple(sum(1 for e in errors if e <= min_err + t * width) for t in range(R + 1))
 
 
+def shell_decomposition_sorted(errors, width, R):
+    """The sort-and-bisect shell count: (shell sizes, min_err) for t = 0..R.
+
+    One sort of all the errors, then ``bisect_right`` counts the errors
+    e <= min_err + t*width for each shell, comparing each bound with the
+    sorted errors as ``bound < e``."""
+    from bisect import bisect_right
+
+    ordered = sorted(errors)
+    min_err = ordered[0]
+    return tuple(bisect_right(ordered, min_err + t * width) for t in range(R + 1)), min_err
+
+
 def itemset_quality_reference(d, r, vocab_size=None):
     """The eager itemset driver: counts the index combinations basket by
     basket, orders them by a ``(-count, combo)`` key, and materialises the

@@ -25,7 +25,7 @@ from privmax import (
     t_star,
 )
 from privmax.applications import ItemsetCodec, ShellDecomposition, _comb_rank, _comb_unrank
-from oracles import itemset_quality_reference, shell_sizes_bruteforce
+from oracles import itemset_quality_reference, shell_decomposition_sorted, shell_sizes_bruteforce
 
 
 class TestLoadBaskets:
@@ -472,6 +472,34 @@ class TestShellDecomposition:
         for e in (0.0, -0.0, 0.25, 1.0):
             s = self._check_against_bruteforce([e], d=2, n=300, delta0=0.1)
             assert set(s.shell_sizes) == {1}
+
+    def test_counts_equal_the_sort_and_bisect_reference(self):
+        params = dict(d=1, n=400, delta0=0.05, C0=0.1)
+        probe = shell_decomposition([0.0], **params)
+        w, R = probe.width, probe.R
+        rng = random.Random(14)
+        spread = [0.05] + [0.05 + (t + 0.5) * w for t in range(R + 1)]
+        cases = [
+            [0.3],  # a single error
+            [-0.0],
+            [0.2] * 50,  # all equal
+            [0.0, -0.0, 0.0, -0.0, w, -0.0 + w],  # -0.0/0.0, both minima
+            [-0.0, 0.0, w, 2 * w],
+            # ties on the 1/n lattice
+            [rng.randint(0, 40) / 400 for _ in range(300)],
+            # every bound lands exactly on an error value, twice
+            [0.1 + t * w for t in range(R + 1)] * 2,
+            # one error in each of the R+1 shells and one past the last bound
+            spread,
+        ]
+        cases += [[0.1 + rng.uniform(0.0, (R + 1) * w) for _ in range(rng.randint(1, 200))] for _ in range(30)]
+        for errors in cases:
+            rng.shuffle(errors)
+            s = shell_decomposition(errors, **params)
+            sizes, min_err = shell_decomposition_sorted(errors, s.width, s.R)
+            assert s.shell_sizes == sizes
+            assert repr(s.min_err) == repr(min_err)
+        assert shell_decomposition(spread, **params).shell_sizes == tuple(range(1, R + 2))
 
     def test_sizes_length_invariant(self):
         with pytest.raises(ValueError):

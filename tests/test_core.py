@@ -317,6 +317,60 @@ class TestQualityUniverse:
             sys.setswitchinterval(interval)
         assert errors == []
 
+    @staticmethod
+    def _assert_head_reads_match_full_sort(vals, ranks):
+        # each rank on a fresh universe, so every read is a first growth
+        ref_sorted = [repr(v) for v in sorted(vals, reverse=True)]
+        ref_ids = tuple(i + 1 for i in sorted(range(len(vals)), key=lambda j: -vals[j]))
+        for r in ranks:
+            u = QualityUniverse.dense(vals, n=10)
+            assert repr(order_stat(u, r)) == ref_sorted[r - 1], r
+            assert top_set(u, r) == ref_ids[:r], r
+            head = u._sorted
+            assert list(map(repr, head)) == ref_sorted[: len(head)]
+            # the head ends at a value change, so ties at its last value are all in it
+            assert len(head) == len(vals) or head[-1] > float(ref_sorted[len(head)])
+
+    def test_head_growth_exact_on_adversarial_layouts(self):
+        rng = random.Random(14)
+        k = 40_960  # a stride of 10 over a 4,096-value sample
+        step = k // 4_096
+        ranks = (1, 2, 256, 257, k // 64, k // 64 + 1, 3_000, 10_000, k // 4 - 1, k // 4, k)
+        # ascending in id order: the sample holds exact quantiles, each a stride apart
+        self._assert_head_reads_match_full_sort([j / k for j in range(k)], ranks)
+        # the largest values on the stride: the sample sees only them, so the
+        # first candidates admit too few values and the search moves down; past
+        # the 4,096 sampled values no candidate admits the rank and the growth
+        # falls back to the full sort
+        on_stride = [rng.uniform(0.0, 0.5) for _ in range(k)]
+        for j in range(0, k, step):
+            on_stride[j] = 1.0 + rng.random()
+        self._assert_head_reads_match_full_sort(on_stride, ranks)
+        # the top block between the stride points, where the sample never looks
+        off_stride = [rng.uniform(0.0, 0.5) for _ in range(k)]
+        for j in range(1, 4_000 * step, step):
+            off_stride[j] = 1.0 + rng.random()
+        self._assert_head_reads_match_full_sort(off_stride, ranks)
+        # ties everywhere: all equal below one larger value, and a +-0.0 mix
+        self._assert_head_reads_match_full_sort([0.25] * (k - 1) + [0.5], (1, 2, 300, k))
+        pm_zero = [rng.choice((0.0, -0.0, 0.0, -0.0, 0.5, -0.5)) for _ in range(k)]
+        self._assert_head_reads_match_full_sort(pm_zero, ranks)
+        # all-equal values are descending, so the head is complete from the start
+        u = QualityUniverse.dense([-0.0] * 5 + [0.0] * 5, n=10)
+        assert len(u._sorted) == 10
+        assert [repr(order_stat(u, r)) for r in (1, 6, 10)] == ["-0.0", "0.0", "0.0"]
+        # k just above 4 x 256, where the stride is 1 and the sample is every value
+        small = [rng.uniform(-1.0, 1.0) for _ in range(4 * 256 + 3)]
+        self._assert_head_reads_match_full_sort(small, (1, 255, 256, 257, 4 * 256 + 3))
+        # at k = 64 x 256 the L/64 floor equals the 256-rank floor; at
+        # k = 64 x 257 it is 257 ranks
+        for size in (64 * 256, 64 * 257):
+            vals = [rng.uniform(-1.0, 1.0) for _ in range(size)]
+            self._assert_head_reads_match_full_sort(vals, (1, 256, 257, 258, size // 4))
+            u = QualityUniverse.dense(vals, n=10)
+            order_stat(u, 1)
+            assert len(u._sorted) == size // 64
+
     def test_to_dict_shapes(self):
         dd = universe_to_dict(QualityUniverse.dense([1.0], n=2))
         assert set(dd) == {"k", "n", "values"}

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -41,10 +42,15 @@ from oracles import (
 
 
 def sample_counts(mechanism, u, trials, seed):
+    """Outcome frequencies of ``trials`` runs on ``base.spawn(t)``, t = 0, 1, ...
+
+    A registered mechanism is bound to ``u`` once, and its plan makes every
+    run; any other ``mechanism(u, src)`` function is called per run."""
+    run = mechanism.bind(u) if hasattr(mechanism, "bind") else partial(mechanism, u)
     base = NoiseSource(seed)
     counts = Counter()
     for t in range(trials):
-        res = mechanism(u, base.spawn(t))
+        res = run(base.spawn(t))
         counts["fail" if isinstance(res, Fail) else res.item] += 1
     return {k: c / trials for k, c in counts.items()}
 
@@ -57,7 +63,7 @@ class TestExponentialMechanism:
 
     def test_equal_values_uniform(self):
         u = QualityUniverse.dense([0.5] * 4, n=10)
-        freqs = sample_counts(lambda uu, s: exponential_mechanism(uu, 1.0, s), u, 100_000, 17)
+        freqs = sample_counts(build_mechanism("em", PrivacyBudget(1.0)), u, 100_000, 17)
         for i in range(1, 5):
             assert freqs[i] == pytest.approx(0.25, abs=0.01)
 
@@ -66,14 +72,14 @@ class TestExponentialMechanism:
         n, alpha, k = 20, 0.5, 100
         u = QualityUniverse.sparse([1.0], k=k, n=n)
         expected = math.exp(n * alpha / 2) / (k - 1 + math.exp(n * alpha / 2))
-        freqs = sample_counts(lambda uu, s: exponential_mechanism(uu, alpha, s), u, 100_000, 29)
+        freqs = sample_counts(build_mechanism("em", PrivacyBudget(alpha)), u, 100_000, 29)
         assert freqs[1] == pytest.approx(expected, abs=0.01)
 
     def test_matches_direct_normalization_oracle(self):
         values = [0.9, 0.7, 0.5, 0.5, 0.2]
         u = QualityUniverse.dense(values, n=10)
         oracle = exact_selection_weights(values, n=10, alpha=1.0)
-        freqs = sample_counts(lambda uu, s: exponential_mechanism(uu, 1.0, s), u, 100_000, 41)
+        freqs = sample_counts(build_mechanism("em", PrivacyBudget(1.0)), u, 100_000, 41)
         assert tv_distance(freqs, oracle) < 0.01
 
     def test_shift_invariance_exact(self):
@@ -369,7 +375,7 @@ class TestMaxOfLaplaces:
 
     def test_equal_values_uniform(self):
         u = QualityUniverse.dense([0.5] * 5, n=10)
-        freqs = sample_counts(lambda uu, s: max_of_laplaces(uu, 1.0, s), u, 50_000, 91)
+        freqs = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), u, 50_000, 91)
         for i in range(1, 6):
             assert freqs[i] == pytest.approx(0.2, abs=0.01)
 
@@ -379,19 +385,19 @@ class TestMaxOfLaplaces:
         u = QualityUniverse.dense([1 / n, 0.0], n=n)
         scale = 2.0 / (n * alpha)
         expected = 1.0 - laplace_diff_tail(1 / n, scale)
-        freqs = sample_counts(lambda uu, s: max_of_laplaces(uu, alpha, s), u, 100_000, 97)
+        freqs = sample_counts(build_mechanism("mol", PrivacyBudget(alpha)), u, 100_000, 97)
         assert freqs[1] == pytest.approx(expected, abs=0.01)
 
     def test_sparse_block_matches_dense(self):
         dense = QualityUniverse.dense([0.5, 0.0, 0.0, 0.0], n=10)
         sparse = QualityUniverse.sparse([0.5], k=4, n=10)
-        fd = sample_counts(lambda uu, s: max_of_laplaces(uu, 1.0, s), dense, 50_000, 101)
-        fs = sample_counts(lambda uu, s: max_of_laplaces(uu, 1.0, s), sparse, 50_000, 103)
+        fd = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), dense, 50_000, 101)
+        fs = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), sparse, 50_000, 103)
         assert tv_distance(fd, fs) < 0.02
 
     def test_sparse_all_fill_uniform(self):
         u = QualityUniverse.sparse([], k=5, n=10)
-        freqs = sample_counts(lambda uu, s: max_of_laplaces(uu, 1.0, s), u, 50_000, 107)
+        freqs = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), u, 50_000, 107)
         for i in range(1, 6):
             assert freqs[i] == pytest.approx(0.2, abs=0.01)
 
@@ -417,7 +423,7 @@ class TestGapMechanism:
         delta = 0.2
         trials = 50_000
         freqs = sample_counts(
-            lambda uu, s: gap_max_st13(uu, PrivacyBudget(1.0, delta), s), u, trials, 113
+            build_mechanism("st13", PrivacyBudget(1.0, delta)), u, trials, 113
         )
         assert freqs["fail"] >= 0.5
         assert freqs["fail"] == pytest.approx(1.0 - delta / 2, abs=0.01)
@@ -842,3 +848,30 @@ def test_lmm_sorts_only_the_prefix_it_reads():
     assert out.certified and out.ell <= cluster
     assert u.value(out.item) > 0.8
     assert len(u._ids_desc) < u.k
+
+
+def test_lmm_grows_a_large_dense_head_once(monkeypatch):
+    # the pac shape at k = 120,000: a 1,000-item cluster far above the rest,
+    # so the search certifies near rank 1,000, below k/64 = 1,875, and the
+    # first growth already covers every rank it reads
+    k, n, cluster = 120_000, 20_000, 1_000
+    rng = random.Random(46)
+    vals = [0.9 - rng.randint(0, 60) / n for _ in range(cluster)]
+    vals += [0.5 - rng.randint(0, n // 3) / n for _ in range(k - cluster)]
+    rng.shuffle(vals)
+    growths = []
+    descending = QualityUniverse._descending
+
+    def counting(u, m):
+        growths.append(m)
+        return descending(u, m)
+
+    monkeypatch.setattr(QualityUniverse, "_descending", counting)
+    for seed in (5, 6, 7):
+        u = QualityUniverse.dense(vals, n=n)
+        growths.clear()
+        out = large_margin_mechanism(u, PrivacyBudget(1.0, 0.05), NoiseSource(seed))
+        assert out.certified and out.ell <= k // 64
+        assert len(growths) == 1
+        # ties at the k/64-th value may lengthen the head, never to all k
+        assert k // 64 <= len(u._sorted) < k
