@@ -18,6 +18,7 @@ import marshal
 import math
 import os
 import time
+from collections import _count_elements
 from itertools import islice, repeat
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -52,9 +53,10 @@ def hoeffding_slack(trials: int, confidence: float = 0.99) -> float:
 
 
 def outcome_key(result) -> Hashable:
-    """Distribution-table key for a mechanism result; Fail is a distinguished
-    outcome, not an error."""
-    return FAIL_KEY if isinstance(result, Fail) else result.item
+    """Distribution-table key for a mechanism result: its item, read as index
+    0 of a MechanismOutcome or of a plan's release tuple, or ``FAIL_KEY`` for
+    a Fail, which is a distinguished outcome, not an error."""
+    return FAIL_KEY if isinstance(result, Fail) else result[0]
 
 
 def estimate_distribution(
@@ -71,8 +73,10 @@ def estimate_distribution(
     that one stream in order. Aggregation is order-independent and any shard
     can be replayed on its own, so the shards run on every usable core (see
     :func:`_estimate_jobs`) and the result is the same for any number of them.
-    Outcomes are keyed by :func:`outcome_key`; ``zero_override`` propagates
-    the deterministic noise mode to every shard.
+    A bound plan's shard counts its release tuples (``plan.releases(src)``)
+    without building a MechanismOutcome per trial. Outcomes are keyed by
+    :func:`outcome_key`; ``zero_override`` propagates the deterministic noise
+    mode to every shard.
     """
     (freqs,), _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
     return freqs
@@ -96,10 +100,11 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     (none where ``os.fork`` does not exist). Each job's mechanism is bound to
     its universe once, here, before any fork (see :func:`_bind`), so a bind
     error raises in this process. A child inherits the bound runs, so nothing
-    is pickled, but its outcomes must be marshal-able (ints, strings, tuples
-    of them). Shard counts are merged in task order, so each dict equals the
-    serial estimate, key order included, for any worker count. A child that
-    fails raises ``RuntimeError`` here; every child is reaped.
+    is pickled, but its outcome keys must be marshal-able (ints, strings,
+    tuples of them), and it sends its counts as plain dicts. Shard counts
+    are merged in task order, so each dict equals the serial estimate, key
+    order included, for any worker count. A child that fails raises
+    ``RuntimeError`` here; every child is reaped.
     """
     tasks = []
     for j, (_, _, trials, _, _) in enumerate(jobs):
@@ -155,19 +160,20 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     """Outcome counts of each ``(job, shard)`` task, in task order.
 
     A shard's trials are successive runs on its one stream: the first
-    ``size`` outcomes of ``plan.runs(src)`` when the bound object has
-    ``runs`` (a bound plan), else ``size`` calls of it (a bindless
-    mechanism, or the run a replaced mechanism function binds to)."""
+    ``size`` release tuples of ``plan.releases(src)`` when the bound object
+    has ``releases`` (a bound plan), else ``size`` calls of it (a bindless
+    mechanism, or the run a replaced mechanism function binds to). Each
+    shard's counts are a plain dict in first-seen key order, counted in C;
+    not a Counter, which ``marshal`` cannot send from a forked child."""
     out = []
     for j, shard in tasks:
         run, trials, base = bound[j]
         src = base.spawn(shard)
         size = min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)
-        runs = getattr(run, "runs", None)
-        outcomes = map(run, repeat(src, size)) if runs is None else islice(runs(src), size)
+        releases = getattr(run, "releases", None)
+        outcomes = map(run, repeat(src, size)) if releases is None else islice(releases(src), size)
         counts = {}
-        for key in map(outcome_key, outcomes):
-            counts[key] = counts.get(key, 0) + 1
+        _count_elements(counts, map(outcome_key, outcomes))
         out.append(counts)
     return out
 

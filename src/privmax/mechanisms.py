@@ -18,7 +18,8 @@ documented per mechanism so zero-override and replay traces are exact.
 Each registered mechanism runs through a plan: the per-universe work (budget
 and cap checks, order statistics, the T(r) schedule, the exponential weights)
 done once, with its tables grown only as far as a run reads them. A plan's
-``runs(src)`` yields its outcomes on one stream, one run per item; calling
+one loop, ``releases(src)``, yields the plain field tuple of each run on one
+stream; ``runs(src)`` wraps those as outcomes, one run per item, and calling
 the plan makes one run. The direct functions build a fresh plan per call;
 :func:`build_mechanism` returns a :class:`Mechanism` whose ``bind(u)`` keeps
 one plan for many runs. The LMM plan runs the margin search inline;
@@ -67,12 +68,18 @@ _outcome = partial(tuple.__new__, MechanismOutcome)
 
 
 class _Plan:
-    """A mechanism's per-universe work, done once. ``runs(src)`` is an
-    endless generator of the outcomes of successive runs on one stream;
-    calling the plan makes one run, so both give the same outcomes, draw for
-    draw. Single-owner, like a NoiseSource."""
+    """A mechanism's per-universe work, done once. ``releases(src)`` is the
+    plan's one loop: an endless generator of the field tuples (item, budget,
+    m, ell, certified, None) of successive runs on one stream, which audit
+    shards count as they come. ``runs(src)`` wraps each tuple as a
+    MechanismOutcome in one C-level map, and calling the plan makes one run,
+    so all three give the same outcomes, draw for draw. Single-owner, like a
+    NoiseSource."""
 
     __slots__ = ()
+
+    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+        return map(_outcome, self.releases(src))
 
     def __call__(self, src: NoiseSource):
         return next(self.runs(src))
@@ -155,10 +162,10 @@ class _ExponentialPlan(_Plan):
         self._budget = PrivacyBudget(alpha)
         self._weights = _ExponentialWeights(u, alpha)
 
-    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+    def releases(self, src: NoiseSource) -> Iterator[tuple]:
         k, budget, pick = self._k, self._budget, self._weights.pick
         while True:
-            yield _outcome((pick(k, src), budget, None, None, True, None))
+            yield pick(k, src), budget, None, None, True, None
 
 
 def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -245,7 +252,7 @@ class _LargeMarginPlan(_Plan):
     """The large-margin mechanism on one universe at one budget and cap.
 
     Bind does every check and computes the stage scales and f(1) once.
-    Each run does all three stages in the frame of ``runs``: stage 2 is
+    Each run does all three stages in the frame of ``releases``: stage 2 is
     :func:`margin_search`'s loop, draw for draw, reading f(r+1) from the
     universe head (or the fill value past the explicit values) and T(r) from
     a list of floats that grows, in rank order, the first time a run reaches
@@ -272,7 +279,7 @@ class _LargeMarginPlan(_Plan):
         self._T = []  # T(r) at index r-1, for the ranks some run has reached
         self._weights = _ExponentialWeights(u, third)
 
-    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+    def releases(self, src: NoiseSource) -> Iterator[tuple]:
         u, budget, limit, vmax = self._u, self._budget, self._limit, self._vmax
         n, k, n_explicit, fill = u.n, u.k, len(u.explicit), u.fill
         m_scale, g_scale, z_scale = self._m_scale, self._g_scale, self._z_scale
@@ -299,13 +306,13 @@ class _LargeMarginPlan(_Plan):
                     t = compute_thresholds(n, budget.alpha, budget.delta, r).T
                     T.append(t)
                 if m - f > (z_r + G) / n + t:
-                    yield _outcome((pick(r, src), budget, m, r, True, None))
+                    yield pick(r, src), budget, m, r, True, None
                     break
             else:
                 if limit < k:  # cap exhausted: stage 3 falls back to all k items
-                    yield _outcome((pick(k, src), budget, m, None, False, None))
+                    yield pick(k, src), budget, m, None, False, None
                 else:
-                    yield _outcome((pick(k, src), budget, m, k, True, None))
+                    yield pick(k, src), budget, m, k, True, None
 
 
 def large_margin_mechanism(
@@ -358,7 +365,7 @@ class _NoisyMaxPlan(_Plan):
         self._budget = PrivacyBudget(alpha)
         self._scale = 2.0 / (u.n * alpha)
 
-    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome]:
+    def releases(self, src: NoiseSource) -> Iterator[tuple]:
         u, budget, scale = self._u, self._budget, self._scale
         explicit, fill = u.explicit, u.fill
         first_fill, n_fill = len(explicit) + 1, u.k - len(explicit)
@@ -378,7 +385,7 @@ class _NoisyMaxPlan(_Plan):
                     block_id = first_fill + min(int(src.uniform() * n_fill), n_fill - 1)
                 if block > best or best_id == 0:
                     best, best_id = block, block_id
-            yield _outcome((best_id, budget, None, None, True, None))
+            yield best_id, budget, None, None, True, None
 
 
 def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -407,13 +414,16 @@ class _GapPlan(_Plan):
         self._threshold = 2.0 * math.log(1.0 / budget.delta) / na
         self._top = top_set(u, 1)[0]
 
-    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
+    def releases(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
         gap, scale, threshold, laplace = self._gap, self._scale, self._threshold, src.laplace
         # both outcomes are immutable and the same on every run
         release = _outcome((self._top, self._budget, None, None, True, None))
         fail = Fail(self._budget)
         while True:
             yield release if gap + laplace(scale) > threshold else fail
+
+    # its releases are already outcomes, and a Fail must stay one
+    runs = releases
 
 
 def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome | Fail:
@@ -465,15 +475,18 @@ class Mechanism:
     ``mech(u, src)`` runs it once, as its function does. ``mech.bind(u)``
     does the per-universe work once and returns the plan: ``plan(src)`` makes
     one run, and ``plan.runs(src)`` yields the outcomes of successive runs on
-    one stream, as audits iterate it. Each run gives the outcome the function
-    gives on the same stream, draw for draw, and keeps the tables it grew
-    (T(r) values, exponential weights) for the next. A plan is single-owner,
-    like a NoiseSource: one caller, never shared across threads mid-use.
+    one stream. ``plan.releases(src)`` is the loop behind ``runs``: it yields
+    each run's plain field tuple (``st13``: its release or ``Fail``), which
+    ``runs`` wraps as a MechanismOutcome, and audit shards count the tuples
+    directly. Each run gives the outcome the function gives on the same
+    stream, draw for draw, and keeps the tables it grew (T(r) values,
+    exponential weights) for the next. A plan is single-owner, like a
+    NoiseSource: one caller, never shared across threads mid-use.
 
     ``bind`` looks the function up by its module-level name, so a
     replacement installed there (a profiler's wrapper, say) is called once
     per run instead of the plan, and sees every run: ``bind`` then returns a
-    ``run(src)`` callable with no ``runs``.
+    ``run(src)`` callable with neither ``runs`` nor ``releases``.
     """
 
     __slots__ = ("_function", "_param", "_extra")

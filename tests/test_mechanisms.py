@@ -1,5 +1,6 @@
 """Selection mechanisms against hand traces and sampling-free oracles."""
 
+import marshal
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from privmax import (
     CapExhausted,
     Fail,
+    MechanismOutcome,
     NoiseSource,
     PrivacyBudget,
     QualityUniverse,
@@ -30,7 +32,8 @@ from privmax import (
     restricted_exponential,
     top_set,
 )
-from privmax import mechanisms
+from privmax import audit, mechanisms
+from privmax.audit import _SHARD_TRIALS
 from oracles import (
     FixedSource,
     RecordingSource,
@@ -582,6 +585,53 @@ class TestBoundPlans:
             assert any(certified is False for _, _, _, certified, _ in paths)  # the cap fallback
             assert any(ell and ell > 256 for _, _, ell, _, _ in paths)  # past the initial head
             assert any(ell and L < ell < k for L, k, ell, _, _ in paths)  # the fill run
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_release_tuples_are_the_fields_of_runs(self, name):
+        # an audit shard counts plan.releases(src), the loop whose plain field
+        # tuples runs(src) wraps: field for field they must be the outcomes of
+        # runs and of single calls on twin streams, and leave the streams
+        # aligned; st13 yields its release or a Fail as they are. The shard
+        # counts must be plain dicts, which marshal sends from a forked child
+        runs = 40
+        kinds, regrown = set(), 0
+        for budget in self.BUDGETS:
+            cases = [(lambda u=u: u, cap) for u, cap in _plan_cases()]
+            if name == "lmm":
+                cases += _lmm_path_cases(budget)
+            for fresh, cap in cases:
+                mech = build_mechanism(name, budget, cap=cap)
+                for zero in (False, True):
+                    u = fresh()
+                    src = NoiseSource(13, zero_override=zero)
+                    gen = mech.bind(u).releases(src)
+                    got = [next(gen)]
+                    if 256 < len(u._sorted) < len(u.explicit):  # another reader grows it again
+                        order_stat(u, 4 * len(u._sorted) + 1)
+                        regrown += 1
+                    got += islice(gen, runs - 1)
+                    twin, single = NoiseSource(13, zero_override=zero), NoiseSource(13, zero_override=zero)
+                    outcomes = list(islice(mech.bind(fresh()).runs(twin), runs))
+                    plan = mech.bind(fresh())
+                    calls = [plan(single) for _ in range(runs)]
+                    assert list(map(tuple, got)) == list(map(tuple, outcomes)) == list(map(tuple, calls))
+                    assert list(map(type, outcomes)) == list(map(type, calls))
+                    assert src.uniform() == twin.uniform() == single.uniform()
+                    for release, outcome in zip(got, outcomes):
+                        if name == "st13":
+                            assert type(release) is type(outcome)
+                        else:
+                            assert (type(release), type(outcome)) == (tuple, MechanismOutcome)
+                        kinds.add(type(release))
+                bound = [(mech.bind(fresh()), _SHARD_TRIALS + 5, NoiseSource(21))]
+                counts = audit._count_tasks(bound, [(0, 0), (0, 1)])
+                assert [type(c) for c in counts] == [dict, dict]
+                assert marshal.loads(marshal.dumps(counts)) == counts
+                runs_of = [islice(mech.bind(fresh()).runs(NoiseSource(21).spawn(s)), size)
+                           for s, size in enumerate((_SHARD_TRIALS, 5))]
+                assert counts == [dict(Counter(map(audit.outcome_key, r))) for r in runs_of]
+        assert kinds == ({MechanismOutcome, Fail} if name == "st13" else {tuple})
+        assert regrown or name != "lmm"
 
     def test_exponential_weights_grow_to_the_sums_of_a_fresh_pass(self):
         # one table drawn at ells that grow it piece by piece must pick what a
