@@ -20,10 +20,11 @@ import os
 import time
 from collections import _count_elements
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha, top_set
-from .mechanisms import Fail
+from .mechanisms import Fail, _GapPlan
 from .noise import NoiseSource
 
 FAIL_KEY = "fail"
@@ -37,6 +38,9 @@ _RIGHT_SEED_OFFSET = 1 << 32
 # trials per noise stream in estimate_distribution: seeding a Mersenne Twister
 # costs far more than a trial's few draws, so a stream serves a whole shard
 _SHARD_TRIALS = 1024
+
+# the item of a plan's release tuple, read in C
+_item = itemgetter(0)
 
 # an audit forks one worker per usable core, but only while each worker gets
 # at least this many shards: a fork costs milliseconds, a shard tens of them
@@ -55,7 +59,9 @@ def hoeffding_slack(trials: int, confidence: float = 0.99) -> float:
 def outcome_key(result) -> Hashable:
     """Distribution-table key for a mechanism result: its item, read as index
     0 of a MechanismOutcome or of a plan's release tuple, or ``FAIL_KEY`` for
-    a Fail, which is a distinguished outcome, not an error."""
+    a Fail, which is a distinguished outcome, not an error. Audit shards key
+    by it only where a Fail can appear (st13's plan, and bindless or wrapped
+    runs); the other plans' release tuples are keyed by index 0 in C."""
     return FAIL_KEY if isinstance(result, Fail) else result[0]
 
 
@@ -75,8 +81,8 @@ def estimate_distribution(
     :func:`_estimate_jobs`) and the result is the same for any number of them.
     A bound plan's shard counts its release tuples (``plan.releases(src)``)
     without building a MechanismOutcome per trial. Outcomes are keyed by
-    :func:`outcome_key`; ``zero_override`` propagates the deterministic noise
-    mode to every shard.
+    :func:`outcome_key` (its item, or ``FAIL_KEY``); ``zero_override``
+    propagates the deterministic noise mode to every shard.
     """
     (freqs,), _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
     return freqs
@@ -162,18 +168,26 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     A shard's trials are successive runs on its one stream: the first
     ``size`` release tuples of ``plan.releases(src)`` when the bound object
     has ``releases`` (a bound plan), else ``size`` calls of it (a bindless
-    mechanism, or the run a replaced mechanism function binds to). Each
-    shard's counts are a plain dict in first-seen key order, counted in C;
-    not a Counter, which ``marshal`` cannot send from a forked child."""
+    mechanism, or the run a replaced mechanism function binds to). A plan's
+    loop draws straight from ``src._rng.random()``, uniforms in [0, 1) on
+    the 2^-53 grid, or the constant 0.5 under zero-override (see
+    :mod:`privmax.mechanisms`). Release tuples are keyed by their item,
+    index 0, in C; :func:`outcome_key` keys the runs where a Fail can appear,
+    st13's plan and bindless or wrapped runs. Each shard's counts are a plain
+    dict in first-seen key order, counted in C; not a Counter, which
+    ``marshal`` cannot send from a forked child."""
     out = []
     for j, shard in tasks:
         run, trials, base = bound[j]
         src = base.spawn(shard)
         size = min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)
         releases = getattr(run, "releases", None)
-        outcomes = map(run, repeat(src, size)) if releases is None else islice(releases(src), size)
+        if releases is None:
+            outcomes, key = map(run, repeat(src, size)), outcome_key
+        else:
+            outcomes, key = islice(releases(src), size), outcome_key if isinstance(run, _GapPlan) else _item
         counts = {}
-        _count_elements(counts, map(outcome_key, outcomes))
+        _count_elements(counts, map(key, outcomes))
         out.append(counts)
     return out
 

@@ -25,14 +25,32 @@ the plan makes one run. The direct functions build a fresh plan per call;
 one plan for many runs. The LMM plan runs the margin search inline;
 :func:`margin_search` is its readable reference, which the tests pin the
 plan against draw for draw.
+
+Each plan's loop draws from one raw uniform callable, picked once per
+stream: the source generator's ``_rng.random``, whose values lie in [0, 1)
+on the 2^-53 grid (as ``random.Random`` and ``random.SystemRandom`` give
+them), or under zero-override the constant 0.5. Each draw runs in the
+loop's own frame: a 0.0 is rejected, as :meth:`NoiseSource.uniform` rejects
+it, and a Laplace variate is :meth:`NoiseSource.laplace`'s inverse CDF, bit
+for bit, so the constant 0.5 gives the uniform 0.5 and the Laplace +0.0.
+Only mol's fill block, once per run, draws its max and index through
+``uniform()``, which reads the same generator. So a NoiseSource whose
+``_rng`` is any such generator runs every plan. The readable references --
+``NoiseSource.uniform`` and ``laplace``,
+:func:`~privmax.noise.sample_laplace`, :func:`noisy_max_estimate`,
+:func:`margin_search` and :func:`restricted_exponential` -- draw through
+``uniform()`` and ``laplace()``, and the tests pin the plans to them draw
+for draw.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial
+from itertools import repeat
+from math import log1p
 from typing import NamedTuple
 
 from .core import (
@@ -67,11 +85,21 @@ class CapExhausted(RuntimeError):
 _outcome = partial(tuple.__new__, MechanismOutcome)
 
 
+def _raw_uniforms(src: NoiseSource) -> Callable[[], float]:
+    """The raw uniform callable a plan's loop draws from on ``src``: its
+    generator's ``random``, or under zero-override the constant 0.5, so the
+    loop needs no per-draw branch."""
+    return repeat(0.5).__next__ if src.zero_override else src._rng.random
+
+
 class _Plan:
     """A mechanism's per-universe work, done once. ``releases(src)`` is the
     plan's one loop: an endless generator of the field tuples (item, budget,
     m, ell, certified, None) of successive runs on one stream, which audit
-    shards count as they come. ``runs(src)`` wraps each tuple as a
+    shards count as they come. The loop draws from ``src._rng.random()``
+    (uniforms in [0, 1) on the 2^-53 grid), or the constant 0.5 under
+    zero-override, rejecting 0.0 and applying the Laplace inverse CDF in its
+    own frame (see the module docstring). ``runs(src)`` wraps each tuple as a
     MechanismOutcome in one C-level map, and calling the plan makes one run,
     so all three give the same outcomes, draw for draw. Single-owner, like a
     NoiseSource."""
@@ -135,13 +163,14 @@ class _ExponentialWeights:
         end = self._ends[ell] = (n_explicit, total, total + (ell - n_explicit) * self._w_fill)
         return end
 
-    def pick(self, ell: int, src: NoiseSource) -> int:
-        """One id from the top-ell set, drawn with one uniform."""
+    def pick(self, ell: int, x: float) -> int:
+        """One id from the top-ell set, drawn with the caller's uniform ``x``
+        in (0, 1)."""
         try:
             n_explicit, total, grand = self._ends[ell]
         except KeyError:
             n_explicit, total, grand = self._end(ell)
-        target = src.uniform() * grand
+        target = x * grand
         if target < total or n_explicit == ell:
             i = bisect_right(self._cum, target, 0, n_explicit)
             return self._ids[i if i < n_explicit else n_explicit - 1]
@@ -164,8 +193,12 @@ class _ExponentialPlan(_Plan):
 
     def releases(self, src: NoiseSource) -> Iterator[tuple]:
         k, budget, pick = self._k, self._budget, self._weights.pick
+        random = _raw_uniforms(src)
         while True:
-            yield pick(k, src), budget, None, None, True, None
+            x = random()
+            while x <= 0.0:
+                x = random()
+            yield pick(k, x), budget, None, None, True, None
 
 
 def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -182,7 +215,7 @@ def restricted_exponential(u: QualityUniverse, ell: int, alpha: float, src: Nois
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
     budget = PrivacyBudget(alpha)
-    item = _ExponentialWeights(u, alpha).pick(ell, src)
+    item = _ExponentialWeights(u, alpha).pick(ell, src.uniform())
     return MechanismOutcome(item=item, budget=budget, ell=ell)
 
 
@@ -257,7 +290,11 @@ class _LargeMarginPlan(_Plan):
     universe head (or the fill value past the explicit values) and T(r) from
     a list of floats that grows, in rank order, the first time a run reaches
     a rank and serves every later run. Each run reads the head and the list
-    afresh, so it sees what earlier runs or other readers grew.
+    afresh, so it sees what earlier runs or other readers grew. A run's draws
+    (m, G, one Z_r per rank scanned, the pick's uniform) come
+    straight from ``src._rng.random()``, or the constant 0.5 under
+    zero-override, with each Laplace variate computed in this frame as
+    :meth:`NoiseSource.laplace` computes it, bit for bit.
     """
 
     __slots__ = ("_u", "_budget", "_limit", "_vmax", "_m_scale", "_g_scale", "_z_scale", "_T", "_weights")
@@ -283,15 +320,30 @@ class _LargeMarginPlan(_Plan):
         u, budget, limit, vmax = self._u, self._budget, self._limit, self._vmax
         n, k, n_explicit, fill = u.n, u.k, len(u.explicit), u.fill
         m_scale, g_scale, z_scale = self._m_scale, self._g_scale, self._z_scale
-        laplace, pick = src.laplace, self._weights.pick
+        random, pick = _raw_uniforms(src), self._weights.pick
         while True:
-            # stage 1 is noisy_max_estimate(u, alpha/3, src)
-            m = vmax + laplace(m_scale) / n
+            # stage 1 is noisy_max_estimate(u, alpha/3, src). Every Laplace
+            # draw here is NoiseSource.laplace on one raw uniform, bit for
+            # bit: reject 0.0, then its three log1p branches
+            x = random()
+            while x <= 0.0:
+                x = random()
+            d = x - 0.5
+            z = -m_scale * log1p(-2.0 * d) if d > 0.0 else m_scale * log1p(2.0 * d) if d < 0.0 else 0.0
+            m = vmax + z / n
             # stage 2 is margin_search(u, alpha/3, m, T, src, cap)
             head, T = u._sorted, self._T
-            G = laplace(g_scale)
+            x = random()
+            while x <= 0.0:
+                x = random()
+            d = x - 0.5
+            G = -g_scale * log1p(-2.0 * d) if d > 0.0 else g_scale * log1p(2.0 * d) if d < 0.0 else 0.0
             for r in range(1, limit):
-                z_r = laplace(z_scale)
+                x = random()
+                while x <= 0.0:
+                    x = random()
+                d = x - 0.5
+                z_r = -z_scale * log1p(-2.0 * d) if d > 0.0 else z_scale * log1p(2.0 * d) if d < 0.0 else 0.0
                 try:
                     f = head[r]
                 except IndexError:  # past the head
@@ -306,13 +358,19 @@ class _LargeMarginPlan(_Plan):
                     t = compute_thresholds(n, budget.alpha, budget.delta, r).T
                     T.append(t)
                 if m - f > (z_r + G) / n + t:
-                    yield pick(r, src), budget, m, r, True, None
+                    x = random()
+                    while x <= 0.0:
+                        x = random()
+                    yield pick(r, x), budget, m, r, True, None
                     break
             else:
+                x = random()
+                while x <= 0.0:
+                    x = random()
                 if limit < k:  # cap exhausted: stage 3 falls back to all k items
-                    yield pick(k, src), budget, m, None, False, None
+                    yield pick(k, x), budget, m, None, False, None
                 else:
-                    yield pick(k, src), budget, m, k, True, None
+                    yield pick(k, x), budget, m, k, True, None
 
 
 def large_margin_mechanism(
@@ -369,16 +427,22 @@ class _NoisyMaxPlan(_Plan):
         u, budget, scale = self._u, self._budget, self._scale
         explicit, fill = u.explicit, u.fill
         first_fill, n_fill = len(explicit) + 1, u.k - len(explicit)
-        laplace = src.laplace
+        random, zero = _raw_uniforms(src), src.zero_override
         while True:
             best_id = 0
             best = float("-inf")
             for i, v in enumerate(explicit, start=1):
-                noisy = v + laplace(scale)
+                # NoiseSource.laplace on one raw uniform, bit for bit
+                x = random()
+                while x <= 0.0:
+                    x = random()
+                d = x - 0.5
+                noisy = v + (-scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d) if d < 0.0 else 0.0)
                 if noisy > best:
                     best, best_id = noisy, i
             if n_fill > 0:
-                if src.zero_override:
+                # the block's two draws, once per run, go through uniform()
+                if zero:
                     block, block_id = fill, first_fill
                 else:
                     block = fill + _laplace_block_max(scale, n_fill, src)
@@ -415,12 +479,18 @@ class _GapPlan(_Plan):
         self._top = top_set(u, 1)[0]
 
     def releases(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
-        gap, scale, threshold, laplace = self._gap, self._scale, self._threshold, src.laplace
+        gap, scale, threshold, random = self._gap, self._scale, self._threshold, _raw_uniforms(src)
         # both outcomes are immutable and the same on every run
         release = _outcome((self._top, self._budget, None, None, True, None))
         fail = Fail(self._budget)
         while True:
-            yield release if gap + laplace(scale) > threshold else fail
+            # NoiseSource.laplace on one raw uniform, bit for bit
+            x = random()
+            while x <= 0.0:
+                x = random()
+            d = x - 0.5
+            noise = -scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d) if d < 0.0 else 0.0
+            yield release if gap + noise > threshold else fail
 
     # its releases are already outcomes, and a Fail must stay one
     runs = releases
@@ -480,7 +550,10 @@ class Mechanism:
     ``runs`` wraps as a MechanismOutcome, and audit shards count the tuples
     directly. Each run gives the outcome the function gives on the same
     stream, draw for draw, and keeps the tables it grew (T(r) values,
-    exponential weights) for the next. A plan is single-owner, like a
+    exponential weights) for the next. A plan reads the source's
+    ``zero_override`` and draws from its generator, ``_rng.random()``
+    (uniforms in [0, 1) on the 2^-53 grid), or the constant 0.5 under
+    zero-override; see the module docstring. A plan is single-owner, like a
     NoiseSource: one caller, never shared across threads mid-use.
 
     ``bind`` looks the function up by its module-level name, so a

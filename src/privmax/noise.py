@@ -32,6 +32,14 @@ class NoiseSource:
     mid-stream. Independent streams come from :meth:`spawn`, which hashes
     (seed, index) into a child seed, so children of nearby seeds or indices
     do not overlap.
+
+    The mechanisms' plans draw straight from the generator: each reads
+    ``_rng.random()``, whose values lie in [0, 1) on the 2^-53 grid, as
+    ``random.Random`` and ``random.SystemRandom`` give them, or the constant
+    0.5 under zero-override, and applies the transforms below in its own
+    frame (see :mod:`privmax.mechanisms`). So a source whose ``_rng`` is any
+    such generator runs every plan. :meth:`uniform` and :meth:`laplace` are
+    the readable references the plans are pinned to, draw for draw.
     """
 
     __slots__ = ("seed", "zero_override", "_rng")
@@ -100,7 +108,9 @@ def sample_laplace(scale: float, src: NoiseSource) -> float:
     A single uniform from ``src`` is pushed through the inverse CDF, so a
     replayed stream reproduces the variate exactly; zero-override yields 0.
     Works on any source with ``uniform()``; :meth:`NoiseSource.laplace` is
-    this transform on its own stream, in one call.
+    this transform on its own stream, in one call, and the mechanisms' plans
+    apply the same branches to the generator's raw ``random()`` in their own
+    frames. This is the reference they are tested against.
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")

@@ -70,23 +70,43 @@ def hoeffding(trials, confidence=0.999):
 
 
 class FixedSource:
-    """Duck-typed noise source replaying a fixed uniform sequence."""
+    """Duck-typed noise source replaying a fixed uniform sequence, both
+    through ``uniform()`` and as its own generator ``_rng.random()``, which
+    the mechanisms' plans read."""
 
     zero_override = False
 
     def __init__(self, uniforms):
         self._uniforms = list(uniforms)
         self._pos = 0
+        self._rng = self
 
     def uniform(self):
         u = self._uniforms[self._pos]
         self._pos += 1
         return u
 
+    random = uniform
+
     def laplace(self, scale):
         from privmax.noise import sample_laplace
 
         return sample_laplace(scale, self)
+
+
+class Replay:
+    """Stands in for a noise source's generator ``_rng``: ``random()``
+    returns the next of ``values`` and counts the draws, which is all a
+    mechanism's plan reads. ``Replay(iter(rng.random, None))`` counts the
+    draws of a real generator ``rng``."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return next(self._values)
 
 
 class RecordingSource:

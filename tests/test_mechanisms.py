@@ -30,6 +30,7 @@ from privmax import (
     noisy_max_estimate,
     order_stat,
     restricted_exponential,
+    sample_laplace,
     top_set,
 )
 from privmax import audit, mechanisms
@@ -37,6 +38,7 @@ from privmax.audit import _SHARD_TRIALS
 from oracles import (
     FixedSource,
     RecordingSource,
+    Replay,
     exact_selection_weights,
     hoeffding,
     laplace_diff_tail,
@@ -277,11 +279,19 @@ class TestLargeMarginMechanism:
 
     def test_budget_split_and_noise_order(self):
         # stage scales for alpha = 1: Lap(3) for m, then Lap(6) = G, then
-        # Lap(12) per visited rank, then one uniform for the final draw
+        # Lap(12) per visited rank, then one uniform for the final draw. The
+        # mechanism reads four raw uniforms at ell = 1, and m is the Lap(3)
+        # transform of the first, bit for bit; the reference draws the scales
         u = QualityUniverse.dense([1.0, 0.3, 0.2, 0.1], n=500)
-        rec = RecordingSource(NoiseSource(0, zero_override=True))
-        out = large_margin_mechanism(u, self.BUDGET, rec)
-        assert out.ell == 1
+        values = [0.6180339887498949, 0.4142135623730951, 0.7320508075688772, 0.2360679774997897]
+        src = NoiseSource(0)
+        src._rng = Replay(values)
+        out = large_margin_mechanism(u, self.BUDGET, src)
+        assert (out.ell, src._rng.draws) == (1, 4)
+        assert out.m.hex() == (1.0 + sample_laplace(3.0, FixedSource(values[:1])) / 500).hex()
+        rec = RecordingSource(NoiseSource(0))
+        rec._inner._rng = Replay(values)
+        assert _eager_lmm(u, self.BUDGET, rec) == (out.item, out.ell, out.m, out.certified)
         assert rec.laplace_scales == [3.0, 6.0, 12.0]
         assert rec.uniform_draws == 1
 
@@ -481,6 +491,46 @@ def _direct_calls(budget, cap):
     }
 
 
+def _release_of(out):
+    """What _reference_runs returns for a plan's outcome."""
+    if isinstance(out, Fail):
+        return "fail"
+    return (out.item, out.ell, out.m, out.certified) if out.m is not None else out.item
+
+
+def _reference_runs(budget):
+    """Each registered name's run written with its source's ``uniform()`` and
+    ``laplace()`` and the reference functions: the item (em, mol), the item
+    or "fail" (st13), or (item, ell, m, certified) (lmm)."""
+
+    def mol(u, src, cap):
+        scale = 2.0 / (u.n * budget.alpha)
+        best, best_id = float("-inf"), 0
+        for i, v in enumerate(u.explicit, start=1):
+            noisy = v + src.laplace(scale)
+            if noisy > best:
+                best, best_id = noisy, i
+        n_fill = u.k - len(u.explicit)
+        if n_fill:
+            block = u.fill + mechanisms._laplace_block_max(scale, n_fill, src)
+            block_id = len(u.explicit) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
+            if block > best:
+                best_id = block_id
+        return best_id
+
+    def st13(u, src, cap):
+        na = u.n * budget.alpha
+        gap = order_stat(u, 1) - order_stat(u, 2) + src.laplace(2.0 / na)
+        return top_set(u, 1)[0] if gap > 2.0 * math.log(1.0 / budget.delta) / na else "fail"
+
+    return {
+        "em": lambda u, src, cap: restricted_exponential(u, u.k, budget.alpha, src).item,
+        "mol": mol,
+        "st13": st13,
+        "lmm": lambda u, src, cap: _eager_lmm(u, budget, src, cap),
+    }
+
+
 def _plan_cases():
     """(universe, lmm cap) pairs covering every path a plan caches."""
     t1 = compute_thresholds(500, 1.0, 0.05, 1).T
@@ -538,15 +588,18 @@ class TestBoundPlans:
 
     @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
     def test_bound_runs_draw_the_direct_scales(self, name):
-        # duck-typed sources see the same laplace scales and uniform count
+        # bound and direct runs read the same number of raw uniforms from
+        # their sources' generators, run by run
         budget = self.BUDGETS[0]
         for u, cap in _plan_cases():
             run = build_mechanism(name, budget, cap=cap).bind(u)
-            bound, direct = RecordingSource(NoiseSource(3)), RecordingSource(NoiseSource(3))
+            bound, direct = NoiseSource(3), NoiseSource(3)
+            bound._rng, direct._rng = Replay(iter(bound._rng.random, None)), Replay(iter(direct._rng.random, None))
             for _ in range(40):
                 run(bound)
                 _direct_calls(budget, cap)[name](u, direct)
-            assert (bound.laplace_scales, bound.uniform_draws) == (direct.laplace_scales, direct.uniform_draws)
+                assert bound._rng.draws == direct._rng.draws
+            assert bound._rng.draws >= 40
 
     @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
     def test_runs_yield_what_single_calls_return(self, name):
@@ -646,16 +699,83 @@ class TestBoundPlans:
             weights = _ExponentialWeights(u, 0.7)
             ells = [1, 2, 3, 5, 8, 13, 21, 34, u.k] + [rng.randint(1, u.k) for _ in range(300)]
             shared, reference = NoiseSource(5), NoiseSource(5)
-            got = [weights.pick(ell, shared) for ell in ells]
+            got = [weights.pick(ell, shared.uniform()) for ell in ells]
             assert got == [restricted_exponential(u, ell, 0.7, reference).item for ell in ells]
 
     def test_lmm_plan_draws_the_stage_scales(self):
+        # two bound runs at ell = 1 read four raw uniforms each; each m is the
+        # Lap(3) transform of its run's first, bit for bit, and the reference
+        # on the same uniforms draws the stage scales
         u = QualityUniverse.dense([1.0, 0.3, 0.2, 0.1], n=500)
         run = build_mechanism("lmm", self.BUDGETS[0]).bind(u)
-        rec = RecordingSource(NoiseSource(0, zero_override=True))
-        assert [run(rec).ell for _ in range(2)] == [1, 1]
+        values = [0.6180339887498949, 0.4142135623730951, 0.7320508075688772, 0.2360679774997897,
+                  0.3819660112501051, 0.5857864376269049, 0.2679491924311228, 0.7639320225002103]
+        src = NoiseSource(0)
+        src._rng = Replay(values)
+        got = [run(src) for _ in range(2)]
+        assert ([out.ell for out in got], src._rng.draws) == ([1, 1], 8)
+        for out, first in zip(got, values[::4]):
+            assert out.m.hex() == (1.0 + sample_laplace(3.0, FixedSource([first])) / 500).hex()
+        rec = RecordingSource(NoiseSource(0))
+        rec._inner._rng = Replay(values)
+        assert [_eager_lmm(u, self.BUDGETS[0], rec) for _ in range(2)] == [
+            (out.item, out.ell, out.m, out.certified) for out in got]
         assert rec.laplace_scales == [3.0, 6.0, 12.0] * 2
         assert rec.uniform_draws == 2
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_plans_reject_a_raw_zero_at_every_draw(self, name):
+        # random() covers [0, 1): one or two 0.0s replayed before any draw of
+        # a run (m, G, each Z_r, the final pick, each mol item, the mol block
+        # max and block index, st13's gap) are skipped, as uniform() skips
+        # them, so the run equals the run without them and the reference on
+        # the same replay
+        budget = self.BUDGETS[0]
+        n = 500
+        t1, t2 = (compute_thresholds(n, 1.0, 0.05, r).T for r in (1, 2))
+        cases = [
+            (QualityUniverse.dense([0.9, 0.9 - t1, 0.9 - t2, 0.4, 0.35, 0.3], n=n), None),
+            (QualityUniverse.sparse([0.6, 0.4], k=40, n=20, fill=0.3), None),
+            (QualityUniverse.dense([0.6, 0.58, 0.57, 0.56] + [0.5] * 16, n=40), 5),  # cap fallback
+        ]
+        reference = _reference_runs(budget)[name]
+        paths = set()
+        for u, cap in cases:
+            run = build_mechanism(name, budget, cap=cap).bind(u)
+            for seed in range(12):
+                base = [x for x in islice(iter(random.Random(seed).random, None), 400) if x > 0.0]
+                src = NoiseSource(0)
+                src._rng = Replay(base)
+                want = run(src)
+                draws = src._rng.draws
+                paths.add((getattr(want, "ell", None), draws))
+                for at, zeros in [(i, [0.0] * z) for i in range(draws) for z in (1, 2)]:
+                    values = base[:at] + zeros + base[at:]
+                    src, ref = NoiseSource(0), NoiseSource(0)
+                    src._rng, ref._rng = Replay(values), Replay(values)
+                    got = run(src)
+                    assert got == want and src._rng.draws == draws + len(zeros), (name, u, at)
+                    assert reference(u, ref, cap) == _release_of(got) and ref._rng.draws == src._rng.draws
+        if name == "lmm":  # m, G, Z_1..Z_4 and the pick; certified at ranks 1 to 3, and the cap fallback
+            assert {ell for ell, _ in paths} >= {1, 2, 3, None} and max(d for _, d in paths) == 7
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_plans_run_on_a_system_random_generator(self, name):
+        # a plan reads only its source's zero_override and _rng.random(), so
+        # the operating system's generator (ROADMAP item 7's secure source)
+        # runs every plan to valid outcomes
+        for budget in self.BUDGETS:
+            for u, cap in _plan_cases():
+                src = NoiseSource(0)
+                src._rng = random.SystemRandom()
+                for out in islice(build_mechanism(name, budget, cap=cap).bind(u).runs(src), 50):
+                    if isinstance(out, Fail):
+                        assert name == "st13" and out.budget == budget
+                        continue
+                    assert type(out) is MechanismOutcome and 1 <= out.item <= u.k
+                    if name == "lmm":
+                        assert math.isfinite(out.m) and (out.ell is None) == (not out.certified)
+                        assert out.ell is None or 1 <= out.ell <= u.k
 
     def test_calling_the_mechanism_equals_a_fresh_bind(self):
         u = QualityUniverse.dense([0.6, 0.55, 0.3, 0.1], n=50)

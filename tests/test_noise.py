@@ -6,7 +6,7 @@ import pytest
 
 from privmax import NoiseSource, sample_laplace
 from privmax.noise import _mix64
-from oracles import FixedSource
+from oracles import FixedSource, Replay as _Replay
 
 
 def test_median_uniform_maps_to_zero():
@@ -124,16 +124,6 @@ def test_one_call_laplace_equals_the_reference_transform():
         want = [sample_laplace(scales[i % 5], reference) for i in range(25_000)]
         assert list(map(float.hex, got)) == list(map(float.hex, want))
         assert fast.uniform() == reference.uniform()
-
-
-class _Replay:
-    """Stands in for a source's Mersenne Twister, replaying fixed random()s."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
 
 
 def test_one_call_laplace_edge_cases():
