@@ -91,6 +91,9 @@ def cases() -> dict:
             out[f"audit-threshold-{mech}-s{seed}"] = audit + ["--generator", "threshold-example",
                                                               "--mechanism", mech]
         out[f"audit-lb2-s{seed}"] = audit + ["--generator", "lb2-family"]
+        out[f"audit-basket-neighbor-s{seed}"] = audit + [
+            "--generator", "basket-neighbor", "--baskets", "{baskets}", "--index", "3",
+            "--replacement", "tok03 tok17 tok29"]
     as_csv = ["--format", "csv", "--seed", "0"]
     out["select-dense-lmm-csv"] = ["select", "--in", "{dense}"] + as_csv
     out["fim-r2-csv"] = ["fim", "--baskets", "{baskets}"] + as_csv

@@ -853,7 +853,8 @@ def _eager_lmm(u, budget, src, cap=None):
     try:
         ell = margin_search(u, third, m, thresholds, src, cap=limit)
     except CapExhausted:
-        return exponential_mechanism(u, third, src).item, None, m, False
+        # at ell = k the restricted mechanism is the unrestricted one
+        return restricted_exponential(u, u.k, third, src).item, None, m, False
     return restricted_exponential(u, ell, third, src).item, ell, m, True
 
 
