@@ -24,10 +24,8 @@ from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha, top_set
-from .mechanisms import Fail, _GapPlan
+from .mechanisms import FAIL_KEY, Fail
 from .noise import NoiseSource
-
-FAIL_KEY = "fail"
 
 # an audit whose statistical slack exceeds this cannot certify anything useful
 _SLACK_WARN = 0.1
@@ -57,11 +55,12 @@ def hoeffding_slack(trials: int, confidence: float = 0.99) -> float:
 
 
 def outcome_key(result) -> Hashable:
-    """Distribution-table key for a mechanism result: its item, read as index
-    0 of a MechanismOutcome or of a plan's release tuple, or ``FAIL_KEY`` for
-    a Fail, which is a distinguished outcome, not an error. Audit shards key
-    by it only where a Fail can appear (st13's plan, and bindless or wrapped
-    runs); the other plans' release tuples are keyed by index 0 in C."""
+    """Distribution-table key for a mechanism result: its item, index 0 of a
+    MechanismOutcome, or ``FAIL_KEY`` for a Fail, which is a distinguished
+    outcome, not an error. Audit shards key by it only the results of
+    callables without ``bind`` and of replaced (wrapped) mechanism
+    functions; a plan's release tuples already carry this key at index 0
+    (see :mod:`privmax.mechanisms`)."""
     return FAIL_KEY if isinstance(result, Fail) else result[0]
 
 
@@ -80,9 +79,10 @@ def estimate_distribution(
     can be replayed on its own, so the shards run on every usable core (see
     :func:`_estimate_jobs`) and the result is the same for any number of them.
     A bound plan's shard counts its release tuples (``plan.releases(src)``)
-    without building a MechanismOutcome per trial. Outcomes are keyed by
-    :func:`outcome_key` (its item, or ``FAIL_KEY``); ``zero_override``
-    propagates the deterministic noise mode to every shard.
+    without building a MechanismOutcome per trial (see :func:`_count_tasks`).
+    Outcomes are keyed by their item, or ``FAIL_KEY``; ``zero_override``
+    propagates the deterministic noise mode, the source's generator (see
+    :mod:`privmax.mechanisms`), to every shard.
     """
     (freqs,), _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
     return freqs
@@ -169,13 +169,11 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     ``size`` release tuples of ``plan.releases(src)`` when the bound object
     has ``releases`` (a bound plan), else ``size`` calls of it (a bindless
     mechanism, or the run a replaced mechanism function binds to). A plan's
-    loop draws straight from ``src._rng.random()``, uniforms in [0, 1) on
-    the 2^-53 grid, or the constant 0.5 under zero-override (see
-    :mod:`privmax.mechanisms`). Release tuples are keyed by their item,
-    index 0, in C; :func:`outcome_key` keys the runs where a Fail can appear,
-    st13's plan and bindless or wrapped runs. Each shard's counts are a plain
-    dict in first-seen key order, counted in C; not a Counter, which
-    ``marshal`` cannot send from a forked child."""
+    loop draws under the draw contract of :mod:`privmax.mechanisms`. Every
+    plan's release tuples are keyed by index 0 in C, their item or
+    ``FAIL_KEY``; :func:`outcome_key` keys the calls. Each shard's counts
+    are a plain dict in first-seen key order, counted in C; not a Counter,
+    which ``marshal`` cannot send from a forked child."""
     out = []
     for j, shard in tasks:
         run, trials, base = bound[j]
@@ -185,7 +183,7 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
         if releases is None:
             outcomes, key = map(run, repeat(src, size)), outcome_key
         else:
-            outcomes, key = islice(releases(src), size), outcome_key if isinstance(run, _GapPlan) else _item
+            outcomes, key = islice(releases(src), size), _item
         counts = {}
         _count_elements(counts, map(key, outcomes))
         out.append(counts)

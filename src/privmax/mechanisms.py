@@ -26,30 +26,30 @@ one plan for many runs. The LMM plan runs the margin search inline;
 :func:`margin_search` is its readable reference, which the tests pin the
 plan against draw for draw.
 
-Each plan's loop draws from one raw uniform callable, picked once per
-stream: the source generator's ``_rng.random``, whose values lie in [0, 1)
-on the 2^-53 grid (as ``random.Random`` and ``random.SystemRandom`` give
-them), or under zero-override the constant 0.5. Each draw runs in the
-loop's own frame: a 0.0 is rejected, as :meth:`NoiseSource.uniform` rejects
-it, and a Laplace variate is :meth:`NoiseSource.laplace`'s inverse CDF, bit
-for bit, so the constant 0.5 gives the uniform 0.5 and the Laplace +0.0.
-Only mol's fill block, once per run, draws its max and index through
-``uniform()``, which reads the same generator. So a NoiseSource whose
-``_rng`` is any such generator runs every plan. The readable references --
-``NoiseSource.uniform`` and ``laplace``,
-:func:`~privmax.noise.sample_laplace`, :func:`noisy_max_estimate`,
-:func:`margin_search` and :func:`restricted_exponential` -- draw through
-``uniform()`` and ``laplace()``, and the tests pin the plans to them draw
-for draw.
+The draw contract: a plan binds ``src._rng.random``, the source's
+generator, whose values lie in [0, 1) on the 2^-53 grid (as
+``random.Random`` and ``random.SystemRandom`` give them). Each draw runs in
+the loop's own frame: a 0.0 is rejected, as :meth:`NoiseSource.uniform`
+rejects it, and a Laplace variate is
+:func:`~privmax.noise.sample_laplace`'s inverse CDF, bit for bit. Zero-noise
+is the generator, not a branch: a zero-override source's ``random()`` is
+the constant 0.5, which gives the uniform 0.5 and the Laplace +0.0. Only
+mol's fill block, once per run, draws its max and index through
+``uniform()``, and only it reads ``zero_override``, because the median of a
+block maximum is not 0. So a NoiseSource whose ``_rng`` is any such
+generator runs every plan. The readable references --
+``NoiseSource.uniform`` and ``laplace``, ``sample_laplace``,
+:func:`noisy_max_estimate`, :func:`margin_search` and
+:func:`restricted_exponential` -- draw through ``uniform()`` and
+``laplace()``, and the tests pin the plans to them draw for draw.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
-from itertools import repeat
 from math import log1p
 from typing import NamedTuple
 
@@ -72,6 +72,10 @@ class Fail(NamedTuple):
     budget: PrivacyBudget
 
 
+# the item field of a Fail's release tuple, and its audit outcome key
+FAIL_KEY = "fail"
+
+
 class CapExhausted(RuntimeError):
     """Margin search hit its rank cap without certifying any rank."""
 
@@ -85,24 +89,14 @@ class CapExhausted(RuntimeError):
 _outcome = partial(tuple.__new__, MechanismOutcome)
 
 
-def _raw_uniforms(src: NoiseSource) -> Callable[[], float]:
-    """The raw uniform callable a plan's loop draws from on ``src``: its
-    generator's ``random``, or under zero-override the constant 0.5, so the
-    loop needs no per-draw branch."""
-    return repeat(0.5).__next__ if src.zero_override else src._rng.random
-
-
 class _Plan:
     """A mechanism's per-universe work, done once. ``releases(src)`` is the
     plan's one loop: an endless generator of the field tuples (item, budget,
     m, ell, certified, None) of successive runs on one stream, which audit
-    shards count as they come. The loop draws from ``src._rng.random()``
-    (uniforms in [0, 1) on the 2^-53 grid), or the constant 0.5 under
-    zero-override, rejecting 0.0 and applying the Laplace inverse CDF in its
-    own frame (see the module docstring). ``runs(src)`` wraps each tuple as a
-    MechanismOutcome in one C-level map, and calling the plan makes one run,
-    so all three give the same outcomes, draw for draw. Single-owner, like a
-    NoiseSource."""
+    shards count as they come; it draws under the module's draw contract.
+    ``runs(src)`` wraps each tuple as a MechanismOutcome in one C-level map,
+    and calling the plan makes one run, so all three give the same outcomes,
+    draw for draw. Single-owner, like a NoiseSource."""
 
     __slots__ = ()
 
@@ -193,7 +187,7 @@ class _ExponentialPlan(_Plan):
 
     def releases(self, src: NoiseSource) -> Iterator[tuple]:
         k, budget, pick = self._k, self._budget, self._weights.pick
-        random = _raw_uniforms(src)
+        random = src._rng.random
         while True:
             x = random()
             while x <= 0.0:
@@ -291,10 +285,8 @@ class _LargeMarginPlan(_Plan):
     a list of floats that grows, in rank order, the first time a run reaches
     a rank and serves every later run. Each run reads the head and the list
     afresh, so it sees what earlier runs or other readers grew. A run's draws
-    (m, G, one Z_r per rank scanned, the pick's uniform) come
-    straight from ``src._rng.random()``, or the constant 0.5 under
-    zero-override, with each Laplace variate computed in this frame as
-    :meth:`NoiseSource.laplace` computes it, bit for bit.
+    (m, G, one Z_r per rank scanned, the pick's uniform) follow the module's
+    draw contract.
     """
 
     __slots__ = ("_u", "_budget", "_limit", "_vmax", "_m_scale", "_g_scale", "_z_scale", "_T", "_weights")
@@ -320,16 +312,16 @@ class _LargeMarginPlan(_Plan):
         u, budget, limit, vmax = self._u, self._budget, self._limit, self._vmax
         n, k, n_explicit, fill = u.n, u.k, len(u.explicit), u.fill
         m_scale, g_scale, z_scale = self._m_scale, self._g_scale, self._z_scale
-        random, pick = _raw_uniforms(src), self._weights.pick
+        random, pick = src._rng.random, self._weights.pick
         while True:
             # stage 1 is noisy_max_estimate(u, alpha/3, src). Every Laplace
-            # draw here is NoiseSource.laplace on one raw uniform, bit for
-            # bit: reject 0.0, then its three log1p branches
+            # draw here is sample_laplace on one raw uniform, bit for bit:
+            # reject 0.0, then its two log1p branches
             x = random()
             while x <= 0.0:
                 x = random()
             d = x - 0.5
-            z = -m_scale * log1p(-2.0 * d) if d > 0.0 else m_scale * log1p(2.0 * d) if d < 0.0 else 0.0
+            z = -m_scale * log1p(-2.0 * d) if d > 0.0 else m_scale * log1p(2.0 * d)
             m = vmax + z / n
             # stage 2 is margin_search(u, alpha/3, m, T, src, cap)
             head, T = u._sorted, self._T
@@ -337,13 +329,13 @@ class _LargeMarginPlan(_Plan):
             while x <= 0.0:
                 x = random()
             d = x - 0.5
-            G = -g_scale * log1p(-2.0 * d) if d > 0.0 else g_scale * log1p(2.0 * d) if d < 0.0 else 0.0
+            G = -g_scale * log1p(-2.0 * d) if d > 0.0 else g_scale * log1p(2.0 * d)
             for r in range(1, limit):
                 x = random()
                 while x <= 0.0:
                     x = random()
                 d = x - 0.5
-                z_r = -z_scale * log1p(-2.0 * d) if d > 0.0 else z_scale * log1p(2.0 * d) if d < 0.0 else 0.0
+                z_r = -z_scale * log1p(-2.0 * d) if d > 0.0 else z_scale * log1p(2.0 * d)
                 try:
                     f = head[r]
                 except IndexError:  # past the head
@@ -358,19 +350,15 @@ class _LargeMarginPlan(_Plan):
                     t = compute_thresholds(n, budget.alpha, budget.delta, r).T
                     T.append(t)
                 if m - f > (z_r + G) / n + t:
-                    x = random()
-                    while x <= 0.0:
-                        x = random()
-                    yield pick(r, x), budget, m, r, True, None
+                    ell = r
                     break
-            else:
+            else:  # none certified: k after a full scan, None when the cap is exhausted
+                ell = k if limit == k else None
+            # stage 3 picks from the top-ell set, or from all k items uncertified
+            x = random()
+            while x <= 0.0:
                 x = random()
-                while x <= 0.0:
-                    x = random()
-                if limit < k:  # cap exhausted: stage 3 falls back to all k items
-                    yield pick(k, x), budget, m, None, False, None
-                else:
-                    yield pick(k, x), budget, m, k, True, None
+            yield pick(ell or k, x), budget, m, ell, ell is not None, None
 
 
 def large_margin_mechanism(
@@ -427,21 +415,23 @@ class _NoisyMaxPlan(_Plan):
         u, budget, scale = self._u, self._budget, self._scale
         explicit, fill = u.explicit, u.fill
         first_fill, n_fill = len(explicit) + 1, u.k - len(explicit)
-        random, zero = _raw_uniforms(src), src.zero_override
+        random, zero = src._rng.random, src.zero_override
         while True:
             best_id = 0
             best = float("-inf")
             for i, v in enumerate(explicit, start=1):
-                # NoiseSource.laplace on one raw uniform, bit for bit
+                # sample_laplace on one raw uniform, bit for bit
                 x = random()
                 while x <= 0.0:
                     x = random()
                 d = x - 0.5
-                noisy = v + (-scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d) if d < 0.0 else 0.0)
+                noisy = v + (-scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d))
                 if noisy > best:
                     best, best_id = noisy, i
             if n_fill > 0:
-                # the block's two draws, once per run, go through uniform()
+                # the block's two draws, once per run, go through uniform().
+                # The median of a block maximum is not 0, so zero-override
+                # puts the block at the fill value and its lowest id
                 if zero:
                     block, block_id = fill, first_fill
                 else:
@@ -465,35 +455,38 @@ def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> Mecha
 
 
 class _GapPlan(_Plan):
-    """The gap mechanism on one universe at one budget."""
+    """The gap mechanism on one universe at one budget. A run releases the
+    field tuple (top, budget, None, None, True, None), or (FAIL_KEY, budget,
+    None, None, False, None) for a Fail; ``runs`` maps them back to their
+    MechanismOutcome and Fail."""
 
-    __slots__ = ("_budget", "_gap", "_scale", "_threshold", "_top")
+    __slots__ = ("_gap", "_scale", "_threshold", "_release", "_fail", "_outcomes")
 
     def __init__(self, u: QualityUniverse, budget: PrivacyBudget):
         budget.require_approximate()
         na = u.n * budget.alpha
-        self._budget = budget
         self._gap = order_stat(u, 1) - order_stat(u, 2)
         self._scale = 2.0 / na
         self._threshold = 2.0 * math.log(1.0 / budget.delta) / na
-        self._top = top_set(u, 1)[0]
+        # both releases are immutable and the same on every run
+        self._release = (top_set(u, 1)[0], budget, None, None, True, None)
+        self._fail = (FAIL_KEY, budget, None, None, False, None)
+        self._outcomes = {self._release: _outcome(self._release), self._fail: Fail(budget)}
 
-    def releases(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
-        gap, scale, threshold, random = self._gap, self._scale, self._threshold, _raw_uniforms(src)
-        # both outcomes are immutable and the same on every run
-        release = _outcome((self._top, self._budget, None, None, True, None))
-        fail = Fail(self._budget)
+    def releases(self, src: NoiseSource) -> Iterator[tuple]:
+        gap, scale, threshold, random = self._gap, self._scale, self._threshold, src._rng.random
+        release, fail = self._release, self._fail
         while True:
-            # NoiseSource.laplace on one raw uniform, bit for bit
+            # sample_laplace on one raw uniform, bit for bit
             x = random()
             while x <= 0.0:
                 x = random()
             d = x - 0.5
-            noise = -scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d) if d < 0.0 else 0.0
+            noise = -scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d)
             yield release if gap + noise > threshold else fail
 
-    # its releases are already outcomes, and a Fail must stay one
-    runs = releases
+    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
+        return map(self._outcomes.__getitem__, self.releases(src))
 
 
 def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome | Fail:
@@ -546,14 +539,12 @@ class Mechanism:
     does the per-universe work once and returns the plan: ``plan(src)`` makes
     one run, and ``plan.runs(src)`` yields the outcomes of successive runs on
     one stream. ``plan.releases(src)`` is the loop behind ``runs``: it yields
-    each run's plain field tuple (``st13``: its release or ``Fail``), which
-    ``runs`` wraps as a MechanismOutcome, and audit shards count the tuples
-    directly. Each run gives the outcome the function gives on the same
-    stream, draw for draw, and keeps the tables it grew (T(r) values,
-    exponential weights) for the next. A plan reads the source's
-    ``zero_override`` and draws from its generator, ``_rng.random()``
-    (uniforms in [0, 1) on the 2^-53 grid), or the constant 0.5 under
-    zero-override; see the module docstring. A plan is single-owner, like a
+    each run's plain field tuple, with ``FAIL_KEY`` as the item of an st13
+    Fail, which ``runs`` wraps as a MechanismOutcome (or Fail), and audit
+    shards count the tuples directly. Each run gives the outcome the
+    function gives on the same stream, draw for draw, and keeps the tables it
+    grew (T(r) values, exponential weights) for the next. A plan draws under
+    the module docstring's draw contract. A plan is single-owner, like a
     NoiseSource: one caller, never shared across threads mid-use.
 
     ``bind`` looks the function up by its module-level name, so a

@@ -1,13 +1,20 @@
-"""Seedable randomness for the mechanisms: a uniform stream with a
-deterministic zero-noise override, plus inverse-CDF Laplace sampling."""
+"""Seedable randomness for the mechanisms: a uniform stream, whose
+deterministic zero-noise override is a constant generator, plus
+inverse-CDF Laplace sampling."""
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
+from types import SimpleNamespace
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+# the generator of every zero-override source: random() is the stream
+# median 0.5 on every call
+_MEDIAN = SimpleNamespace(random=repeat(0.5).__next__)
 
 
 def _mix64(x: int) -> int:
@@ -24,22 +31,18 @@ class NoiseSource:
     [0, 2^64); any other seed raises ``ValueError``.
 
     Identical seeds yield identical streams (Mersenne Twister, stable across
-    platforms). With ``zero_override`` every draw is replaced by the stream
-    median 0.5, which the Laplace inverse CDF maps to 0 -- deterministic
-    traces for tests and debugging, NOT private.
+    platforms). With ``zero_override`` the generator is the constant 0.5,
+    the stream median, which the Laplace inverse CDF maps to 0 --
+    deterministic traces for tests and debugging, NOT private.
 
     A source is single-owner: one consumer, one pass; never share one
     mid-stream. Independent streams come from :meth:`spawn`, which hashes
     (seed, index) into a child seed, so children of nearby seeds or indices
     do not overlap.
 
-    The mechanisms' plans draw straight from the generator: each reads
-    ``_rng.random()``, whose values lie in [0, 1) on the 2^-53 grid, as
-    ``random.Random`` and ``random.SystemRandom`` give them, or the constant
-    0.5 under zero-override, and applies the transforms below in its own
-    frame (see :mod:`privmax.mechanisms`). So a source whose ``_rng`` is any
-    such generator runs every plan. :meth:`uniform` and :meth:`laplace` are
-    the readable references the plans are pinned to, draw for draw.
+    The mechanisms' plans read the generator ``_rng`` directly, under the
+    draw contract of :mod:`privmax.mechanisms`; :meth:`uniform` and
+    :meth:`laplace` are the readable references they are pinned to.
     """
 
     __slots__ = ("seed", "zero_override", "_rng")
@@ -58,7 +61,7 @@ class NoiseSource:
             raise ValueError(f"seed must be below 2**64, got {seed}")
         self.seed = seed
         self.zero_override = zero_override
-        self._rng = random.Random(seed)
+        self._rng = _MEDIAN if zero_override else random.Random(seed)
 
     @property
     def mode(self) -> str:
@@ -66,31 +69,14 @@ class NoiseSource:
 
     def uniform(self) -> float:
         """Next uniform in the open interval (0, 1); 0.5 under zero-override."""
-        if self.zero_override:
-            return 0.5
         u = self._rng.random()
         while u <= 0.0:  # random() covers [0, 1); exclude the 0 endpoint
             u = self._rng.random()
         return u
 
     def laplace(self, scale: float) -> float:
-        """One Laplace(scale) variate: :func:`sample_laplace` on this stream,
-        bit for bit, with the uniform drawn in the same frame."""
-        if not scale > 0.0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if self.zero_override:
-            return 0.0
-        u = self._rng.random()
-        while u <= 0.0:
-            u = self._rng.random()
-        d = u - 0.5
-        # sample_laplace's -scale * sign(d) * log1p(-2|d|): multiplying by
-        # +-1.0 and negating are exact, so each branch is the same float
-        if d > 0.0:
-            return -scale * math.log1p(-2.0 * d)
-        if d < 0.0:
-            return scale * math.log1p(2.0 * d)
-        return 0.0
+        """One Laplace(scale) variate: :func:`sample_laplace` on this stream."""
+        return sample_laplace(scale, self)
 
     def spawn(self, index: int) -> "NoiseSource":
         """Independent child stream ``index``, seeded with
@@ -106,16 +92,11 @@ def sample_laplace(scale: float, src: NoiseSource) -> float:
     """One Laplace(scale) variate: -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
 
     A single uniform from ``src`` is pushed through the inverse CDF, so a
-    replayed stream reproduces the variate exactly; zero-override yields 0.
-    Works on any source with ``uniform()``; :meth:`NoiseSource.laplace` is
-    this transform on its own stream, in one call, and the mechanisms' plans
-    apply the same branches to the generator's raw ``random()`` in their own
-    frames. This is the reference they are tested against.
+    replayed stream reproduces the variate exactly; zero-override yields +0.0.
+    Works on any source with ``uniform()``. This is the reference the
+    mechanisms' plans are tested against.
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
-    u = src.uniform()
-    d = u - 0.5
-    if d == 0.0:
-        return 0.0
+    d = src.uniform() - 0.5
     return -scale * math.copysign(1.0, d) * math.log1p(-2.0 * abs(d))

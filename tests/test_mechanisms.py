@@ -5,7 +5,7 @@ import math
 import random
 from collections import Counter
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 
 import pytest
 
@@ -34,7 +34,7 @@ from privmax import (
     top_set,
 )
 from privmax import audit, mechanisms
-from privmax.audit import _SHARD_TRIALS
+from privmax.audit import _SHARD_TRIALS, FAIL_KEY
 from oracles import (
     FixedSource,
     RecordingSource,
@@ -644,8 +644,14 @@ class TestBoundPlans:
         # an audit shard counts plan.releases(src), the loop whose plain field
         # tuples runs(src) wraps: field for field they must be the outcomes of
         # runs and of single calls on twin streams, and leave the streams
-        # aligned; st13 yields its release or a Fail as they are. The shard
-        # counts must be plain dicts, which marshal sends from a forked child
+        # aligned; an st13 Fail is released as (FAIL_KEY, budget, None, None,
+        # False, None). The shard counts must be plain dicts, which marshal
+        # sends from a forked child
+        def fields(outcome):
+            if isinstance(outcome, Fail):
+                return FAIL_KEY, outcome.budget, None, None, False, None
+            return tuple(outcome)
+
         runs = 40
         kinds, regrown = set(), 0
         for budget in self.BUDGETS:
@@ -667,15 +673,11 @@ class TestBoundPlans:
                     outcomes = list(islice(mech.bind(fresh()).runs(twin), runs))
                     plan = mech.bind(fresh())
                     calls = [plan(single) for _ in range(runs)]
-                    assert list(map(tuple, got)) == list(map(tuple, outcomes)) == list(map(tuple, calls))
+                    assert got == list(map(fields, outcomes)) == list(map(fields, calls))
                     assert list(map(type, outcomes)) == list(map(type, calls))
                     assert src.uniform() == twin.uniform() == single.uniform()
-                    for release, outcome in zip(got, outcomes):
-                        if name == "st13":
-                            assert type(release) is type(outcome)
-                        else:
-                            assert (type(release), type(outcome)) == (tuple, MechanismOutcome)
-                        kinds.add(type(release))
+                    assert {type(release) for release in got} == {tuple}
+                    kinds.update(map(type, outcomes))
                 bound = [(mech.bind(fresh()), _SHARD_TRIALS + 5, NoiseSource(21))]
                 counts = audit._count_tasks(bound, [(0, 0), (0, 1)])
                 assert [type(c) for c in counts] == [dict, dict]
@@ -683,8 +685,34 @@ class TestBoundPlans:
                 runs_of = [islice(mech.bind(fresh()).runs(NoiseSource(21).spawn(s)), size)
                            for s, size in enumerate((_SHARD_TRIALS, 5))]
                 assert counts == [dict(Counter(map(audit.outcome_key, r))) for r in runs_of]
-        assert kinds == ({MechanismOutcome, Fail} if name == "st13" else {tuple})
+        assert kinds == ({MechanismOutcome, Fail} if name == "st13" else {MechanismOutcome})
         assert regrown or name != "lmm"
+
+    @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
+    def test_zero_override_is_the_generator(self, name):
+        # zero-noise is the source's generator, not a branch in the plans: a
+        # zero-override source and its spawn children draw 0.5 on every call,
+        # and a plan releases on one what it releases on a sampled source
+        # whose generator replays 0.5. The one exception is mol's fill block,
+        # drawn in closed form through uniform(): the median of a block
+        # maximum is not 0, so zero-override puts the block at the fill value
+        # and its lowest id, which the replayed 0.5 does not
+        zero = NoiseSource(4, zero_override=True)
+        for src in (zero, zero.spawn(0), zero.spawn(7).spawn(1)):
+            assert [src._rng.random() for _ in range(20)] == [0.5] * 20
+        differs = 0
+        for budget in self.BUDGETS:
+            for u, cap in _plan_cases():
+                mech = build_mechanism(name, budget, cap=cap)
+                replay = NoiseSource(4)
+                replay._rng = Replay(repeat(0.5))
+                got = list(islice(mech.bind(u).releases(NoiseSource(4, zero_override=True)), 5))
+                want = list(islice(mech.bind(u).releases(replay), 5))
+                if name == "mol" and len(u.explicit) < u.k:
+                    differs += got != want
+                else:
+                    assert got == want, (name, u, cap)
+        assert differs if name == "mol" else not differs
 
     def test_exponential_weights_grow_to_the_sums_of_a_fresh_pass(self):
         # one table drawn at ells that grow it piece by piece must pick what a

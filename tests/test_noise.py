@@ -114,9 +114,8 @@ def test_symmetry_of_sampled_median():
 
 
 def test_one_call_laplace_equals_the_reference_transform():
-    # NoiseSource.laplace draws its uniform in its own frame; it must give
-    # sample_laplace's float, bit for bit, and leave the stream where the
-    # reference leaves it
+    # NoiseSource.laplace must give sample_laplace's float, bit for bit, and
+    # leave the stream where the reference leaves it
     scales = (1e-3, 0.3, 1.0, 6.0, 250.0)
     for seed in (0, 7, 987654321, 2**64 - 1):
         fast, reference = NoiseSource(seed), NoiseSource(seed)

@@ -101,16 +101,17 @@ def main() -> int:
     if args.child:
         print(json.dumps(child(srcs[0], args.k, args.cluster, args.seed)))
         return 0
-    results = {src: [] for src in srcs}
+    trees = list(enumerate(srcs))
+    results = [[] for _ in srcs]  # per tree, by position: a tree may be given twice
     for run in range(args.runs):
         # flip the order each run, so neither tree always goes first
-        for src in srcs if run % 2 == 0 else srcs[::-1]:
+        for tree, src in trees if run % 2 == 0 else trees[::-1]:
             cmd = [sys.executable, os.path.abspath(__file__), "--child", "--src", src,
                    "--k", str(args.k), "--cluster", str(args.cluster), "--seed", str(args.seed + run)]
             line = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.strip()
             print(line, flush=True)
-            results[src].append(json.loads(line))
-    for src, rows in results.items():
+            results[tree].append(json.loads(line))
+    for src, rows in zip(srcs, results):
         summary = {key: statistics.median(r[key] for r in rows)
                    for key in ("build_ms", "lmm_ms", "head_ms", "shells_ms")}
         summary["growths"] = statistics.median(len(r["growth_ms"]) for r in rows)

@@ -96,22 +96,23 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
-    results = {src: [] for src in srcs}
+    trees = list(enumerate(srcs))
+    results = [[] for _ in srcs]  # per tree, by position: a tree may be given twice
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "baskets.txt")
         workloads.write_baskets(path, workloads.fim_baskets(args.seed))
         for run in range(args.runs):
             # flip the order each run, so neither tree always goes first
-            for src in srcs if run % 2 == 0 else srcs[::-1]:
+            for tree, src in trees if run % 2 == 0 else trees[::-1]:
                 cmd = [sys.executable, os.path.abspath(__file__), "--child", path, "--src", src,
                        "--seed", str(args.seed + run)]
                 line = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.strip()
                 print(line, flush=True)
-                results[src].append(json.loads(line))
-    for src, rows in results.items():
+                results[tree].append(json.loads(line))
+    for src, rows in zip(srcs, results):
         summary = {key: statistics.median(r[key] for r in rows) for key in LAYERS}
         print(json.dumps({"src": src, "runs": len(rows), "median": summary}))
-    releases = {json.dumps([(r["item"], r["itemset"]) for r in rows]) for rows in results.values()}
+    releases = {json.dumps([(r["item"], r["itemset"]) for r in rows]) for rows in results}
     print(json.dumps({"releases_identical": len(releases) == 1}))
     return 0
 
