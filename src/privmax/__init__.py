@@ -67,6 +67,7 @@ from .applications import (
     itemset_quality,
     itemset_quality_dense,
     load_baskets,
+    load_itemset_quality,
     pac_selection_constant,
     shell_decomposition,
     t_star,

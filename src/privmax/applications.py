@@ -4,7 +4,9 @@ Frequent itemset selection: a basket dataset yields a sparse universe over all
 size-r itemsets of a vocabulary, with support fractions as quality. The
 universe id space is the full combinatorial family C(V, r) -- only occurring
 itemsets are materialized, everything else sits in the fill block -- and a
-codec records the bijective id <-> itemset mapping for decoding.
+codec records the bijective id <-> itemset mapping for decoding. A basket
+file can be counted in parts on every usable core (:func:`load_itemset_quality`,
+what ``privmax fim`` runs); the result equals the serial count's.
 
 PAC hypothesis selection: a finite hypothesis class with per-hypothesis errors
 yields a dense universe with quality 1 - error, plus the error-radius shell
@@ -14,17 +16,18 @@ tolerate.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import _count_elements
 from collections.abc import Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations, repeat
 from typing import NamedTuple
 
 from .core import QualityUniverse, checked_make, require_alpha
-from .audit import NeighborPair
+from .audit import NeighborPair, _fan_out, _fan_out_width
 
 
 class BasketDataset(
@@ -110,14 +113,21 @@ def load_baskets(path) -> BasketDataset:
     so no line's token copies outlive the line. Tokens are deduplicated per
     basket; blank lines are skipped; a file with no tokens is an error.
     Vocabulary order (and therefore id assignment) is the sorted token order,
-    stable across reloads.
+    stable across reloads. :func:`load_itemset_quality` reads each part of a
+    file through the same step.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = filter(None, map(str.split, fh))
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"no baskets found in {path}")
-        return BasketDataset.from_lists(chain((first,), lines))
+        d = _read_baskets(fh)
+    if d is None:
+        raise ValueError(f"no baskets found in {path}")
+    return d
+
+
+def _read_baskets(lines: Iterable[str]) -> BasketDataset | None:
+    """The dataset of a basket file's lines, or None when no line holds a token."""
+    baskets = filter(None, map(str.split, lines))
+    first = next(baskets, None)
+    return None if first is None else BasketDataset.from_lists(chain((first,), baskets))
 
 
 def _comb_rank(indices: tuple[int, ...], v: int) -> int:
@@ -332,21 +342,107 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     codec orders the itemsets themselves lazily, as far as a decode reads.
 
     r > B is not an error: it returns the all-fill universe with L = 0.
+    :func:`load_itemset_quality` counts a basket file on every usable core
+    and ends in the same step, :func:`_itemset_universe`.
     """
+    return _itemset_universe(_count_itemsets(d.baskets, r), d.vocabulary, d.n, r, vocab_size)
+
+
+# the basket file is counted in one part per usable core, but only while each
+# part holds at least this many bytes: a fork and the merge of its counts cost
+# a few milliseconds, counting 64 KiB of baskets about ten
+_MIN_PART_BYTES = 1 << 16
+
+
+def load_itemset_quality(path, r: int, vocab_size: int | None = None) -> ItemsetQuality:
+    """``itemset_quality(load_baskets(path), r, vocab_size)``, counted on
+    every usable core.
+
+    The file is read and decoded as strict UTF-8 once and cut right after a
+    newline into ``_fan_out_width(bytes, _MIN_PART_BYTES)`` parts. Each part
+    is read as text-mode ``open`` reads lines (a newline, a CR LF pair or a
+    lone CR ends one) and goes through :meth:`BasketDataset.from_lists` and
+    the itemset count in its own process (see :func:`audit._fan_out`). The
+    counts are added in part order, the vocabularies united and the basket
+    counts summed, and :func:`itemset_quality`'s last step builds the
+    universe and codec; it orders them by sorting, so the result equals the
+    serial one for any number of parts. If reading, a part or a worker
+    fails, or the file holds no basket, the serial path runs instead and
+    raises its own error, message and all.
+    """
+    try:
+        results = _fan_out(partial(_count_part, r), _basket_parts(path))
+    except Exception:
+        results = None
+    if not results or not sum(n for _, _, n in results):
+        return itemset_quality(load_baskets(path), r, vocab_size)
+    (counts, vocabulary, n), *rest = results
+    if rest:
+        for part_counts, _, part_n in rest:
+            # one C-level pass: each key of the part, its count added to this one's
+            counts.update(zip(part_counts, map(operator.add, map(counts.get, part_counts, repeat(0)),
+                                               part_counts.values())))
+            n += part_n
+        vocabulary = tuple(sorted(set(chain.from_iterable(v for _, v, _ in results))))
+    return _itemset_universe(counts, vocabulary, n, r, vocab_size)
+
+
+def _basket_parts(path) -> list[str]:
+    """The text of a basket file, cut right after a newline into one part
+    per fan-out worker; a cut that would leave a part empty is dropped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    workers = _fan_out_width(len(data), _MIN_PART_BYTES)
+    text = data.decode("utf-8")
+    del data  # the parts are cut from the text alone
+    size = len(text)
+    cuts = [0]
+    for w in range(1, workers):
+        cut = text.find("\n", max(cuts[-1], size * w // workers)) + 1  # 0: no newline left
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    cuts.append(size)
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _count_part(r: int, text: str) -> tuple[dict, tuple[str, ...], int]:
+    """The itemset counts, vocabulary and basket count of one part of a
+    basket file; a part without baskets counts nothing."""
+    d = _read_baskets(io.StringIO(text, newline=None))
+    if d is None:
+        return {}, (), 0
+    return _count_itemsets(d.baskets, r), d.vocabulary, d.n
+
+
+def _count_itemsets(baskets: Iterable[tuple[str, ...]], r: int) -> dict[tuple[str, ...], int]:
+    """Support count of each size-r itemset of the baskets, counted in C
+    into a plain dict in first-seen order: unlike a Counter, ``marshal``
+    sends it from a forked child. r < 1 counts nothing, and the universe
+    step rejects it."""
+    counts = {}
+    if r >= 1:
+        _count_elements(counts, chain.from_iterable(map(combinations, baskets, repeat(r))))
+    return counts
+
+
+def _itemset_universe(counts: dict[tuple[str, ...], int], vocabulary: tuple[str, ...], n: int, r: int,
+                      vocab_size: int | None) -> ItemsetQuality:
+    """The universe and codec of the support counts of n baskets over a
+    vocabulary: the checks of r and ``vocab_size``, the support sort and the
+    lazy order. Both :func:`itemset_quality` and :func:`load_itemset_quality`
+    end here."""
     if r < 1:
         raise ValueError(f"itemset size must be >= 1, got {r}")
-    v = len(d.vocabulary) if vocab_size is None else vocab_size
-    if v < len(d.vocabulary):
-        raise ValueError(f"vocab_size {v} smaller than the {len(d.vocabulary)} observed tokens")
+    v = len(vocabulary) if vocab_size is None else vocab_size
+    if v < len(vocabulary):
+        raise ValueError(f"vocab_size {v} smaller than the {len(vocabulary)} observed tokens")
     k = math.comb(v, r)
     if k < 1:
         raise ValueError(f"no size-{r} itemsets over a {v}-token vocabulary")
-    counts = Counter(chain.from_iterable(map(combinations, d.baskets, repeat(r))))
     supports = sorted(counts.values(), reverse=True)
-    n = d.n
     universe = QualityUniverse.sparse([c / n for c in supports], k=k, n=n)
     occurring = _SupportOrder(counts, supports)
-    codec = ItemsetCodec(vocabulary=d.vocabulary, vocab_size=v, r=r, occurring=occurring)
+    codec = ItemsetCodec(vocabulary=vocabulary, vocab_size=v, r=r, occurring=occurring)
     return ItemsetQuality(universe=universe, codec=codec)
 
 

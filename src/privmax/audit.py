@@ -19,6 +19,7 @@ import math
 import os
 import time
 from collections import _count_elements
+from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
@@ -101,16 +102,14 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     zero_override)`` and the number of processes that counted them.
 
     Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
-    to max(1, min(usable cores, tasks // _MIN_SHARDS_PER_WORKER)) workers:
-    this process counts the first slice and a forked child each other one
-    (none where ``os.fork`` does not exist). Each job's mechanism is bound to
-    its universe once, here, before any fork (see :func:`_bind`), so a bind
-    error raises in this process. A child inherits the bound runs, so nothing
-    is pickled, but its outcome keys must be marshal-able (ints, strings,
-    tuples of them), and it sends its counts as plain dicts. Shard counts
-    are merged in task order, so each dict equals the serial estimate, key
-    order included, for any worker count. A child that fails raises
-    ``RuntimeError`` here; every child is reaped.
+    to ``_fan_out_width(tasks, _MIN_SHARDS_PER_WORKER)`` workers and counted
+    by :func:`_fan_out`. Each job's mechanism is bound to its universe once,
+    here, before any fork (see :func:`_bind`), so a bind error raises in this
+    process. A child inherits the bound runs, so nothing is pickled, but its
+    outcome keys must be marshal-able (ints, strings, tuples of them), and it
+    sends its counts as plain dicts. Shard counts are merged in task order,
+    so each dict equals the serial estimate, key order included, for any
+    worker count.
     """
     tasks = []
     for j, (_, _, trials, _, _) in enumerate(jobs):
@@ -120,17 +119,45 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     # (bound run, trials, base stream) per job
     bound = [(_bind(mechanism, u), trials, NoiseSource(seed, zero_override=zero_override))
              for mechanism, u, trials, seed, zero_override in jobs]
-    cores = _usable_cores() if hasattr(os, "fork") else 1
-    workers = max(1, min(cores, len(tasks) // _MIN_SHARDS_PER_WORKER))
+    workers = _fan_out_width(len(tasks), _MIN_SHARDS_PER_WORKER)
     slices = [tasks[w::workers] for w in range(workers)]
     shard_counts = {}
+    for part, counts in zip(slices, _fan_out(partial(_count_tasks, bound), slices)):
+        shard_counts.update(zip(part, counts))
+    totals = [{} for _ in jobs]
+    for j, shard in tasks:
+        total = totals[j]
+        for key, c in shard_counts[j, shard].items():
+            total[key] = total.get(key, 0) + c
+    freqs = [{k: c / trials for k, c in total.items()}
+             for (_, _, trials, _, _), total in zip(jobs, totals)]
+    return freqs, workers
+
+
+def _fan_out_width(units: int, min_units: int) -> int:
+    """Workers for ``units`` of work: one per usable core, while each gets at
+    least ``min_units`` of it, and one where ``os.fork`` does not exist."""
+    cores = _usable_cores() if hasattr(os, "fork") else 1
+    return max(1, min(cores, units // min_units))
+
+
+def _fan_out(work: Callable, parts: list) -> list:
+    """``[work(part) for part in parts]``, the library's one fork fan-out.
+
+    This process runs ``work(parts[0])``; each other part runs in a child
+    forked before it, which inherits ``work`` and its part, so nothing is
+    pickled, and sends ``marshal`` of its result back through a pipe. So a
+    result must be marshal-able: ints, floats, strings, and tuples, lists
+    and plain dicts of them. A child that fails raises ``RuntimeError``
+    here. If anything fails, every child still running is killed; every
+    child is reaped either way.
+    """
     children = []  # (pid, read end of its pipe)
     try:
-        for part in slices[1:]:
-            children.append(_fork_counter(bound, part))
-        shard_counts.update(zip(slices[0], _count_tasks(bound, slices[0])))
-        for (pid, source), part in zip(children, slices[1:]):
-            shard_counts.update(zip(part, _receive_counts(pid, source)))
+        for part in parts[1:]:
+            children.append(_fork_worker(work, part))
+        results = [work(parts[0])]
+        results += [_receive(pid, source) for pid, source in children]
     except BaseException:
         if children:
             import signal  # only a failed fan-out needs it
@@ -142,14 +169,7 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
         for pid, source in children:
             source.close()
             os.waitpid(pid, 0)
-    totals = [{} for _ in jobs]
-    for j, shard in tasks:
-        total = totals[j]
-        for key, c in shard_counts[j, shard].items():
-            total[key] = total.get(key, 0) + c
-    freqs = [{k: c / trials for k, c in total.items()}
-             for (_, _, trials, _, _), total in zip(jobs, totals)]
-    return freqs, workers
+    return results
 
 
 def _bind(mechanism: Callable, u: QualityUniverse) -> Callable:
@@ -190,9 +210,9 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     return out
 
 
-def _fork_counter(bound: list[tuple], tasks: list[tuple]):
-    """Fork a child that counts ``tasks`` and writes ``marshal`` of
-    (True, counts), or of (False, its error), to a pipe; returns the child's
+def _fork_worker(work: Callable, part):
+    """Fork a child that runs ``work(part)`` and writes ``marshal`` of
+    (True, result), or of (False, its error), to a pipe; returns the child's
     pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
@@ -207,7 +227,7 @@ def _fork_counter(bound: list[tuple], tasks: list[tuple]):
         try:
             os.close(read_fd)
             try:
-                data = marshal.dumps((True, _count_tasks(bound, tasks)))
+                data = marshal.dumps((True, work(part)))
             except Exception as exc:
                 data = marshal.dumps((False, f"{type(exc).__name__}: {exc}"))
             with open(write_fd, "wb") as sink:
@@ -219,17 +239,17 @@ def _fork_counter(bound: list[tuple], tasks: list[tuple]):
     return pid, open(read_fd, "rb")
 
 
-def _receive_counts(pid: int, source) -> list[dict]:
-    """The task counts a forked child sent; RuntimeError if it sent an error
-    or nothing readable."""
+def _receive(pid: int, source):
+    """The result a forked child sent; RuntimeError if it sent an error or
+    nothing readable."""
     with source:
         data = source.read()
     try:
         ok, payload = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
-        raise RuntimeError(f"audit worker {pid} exited without sending its counts") from None
+        raise RuntimeError(f"worker {pid} exited without sending its counts") from None
     if not ok:
-        raise RuntimeError(f"audit worker {pid} failed: {payload}")
+        raise RuntimeError(f"worker {pid} failed: {payload}")
     return payload
 
 

@@ -356,13 +356,14 @@ def json_int(doc: dict, field: str) -> int:
     return value
 
 
-def json_numbers(doc: dict, field: str) -> list:
-    """``doc[field]``, which must be a JSON array of numbers.
+def json_numbers(doc: dict, field: str) -> list[float]:
+    """``doc[field]``, which must be a JSON array of numbers, as floats.
 
     A string or bool element raises ValueError: ``float()`` would parse "0.5"
     and read true as 1.0. So does an integer beyond the float range, on which
     ``float()`` would raise OverflowError. The type check is one C-level
-    pass; only an array that holds integers takes a second one over them.
+    pass. An array of floats is returned as it is; only an array that holds
+    integers takes a second pass over them and is returned as a float copy.
     """
     if field not in doc:
         raise ValueError(f"missing field {field!r}")
@@ -373,12 +374,13 @@ def json_numbers(doc: dict, field: str) -> list:
     if not types <= {int, float}:
         bad = next(x for x in value if type(x) not in (int, float))
         raise ValueError(f"field {field!r} must hold only numbers, got {bad!r}")
-    if int in types:
-        # integers only: NaN compares false, so a max over the mixed array
-        # could skip an integer that float() rejects
-        ints = compress(value, map(operator.is_, map(type, value), repeat(int)))
-        _require_float_range(field, max(map(abs, ints)))
-    return value
+    if int not in types:
+        return value
+    # integers only: NaN compares false, so a max over the mixed array
+    # could skip an integer that float() rejects
+    ints = compress(value, map(operator.is_, map(type, value), repeat(int)))
+    _require_float_range(field, max(map(abs, ints)))
+    return list(map(float, value))
 
 
 def _require_float_range(field: str, number) -> None:

@@ -1,8 +1,10 @@
 """Itemset and hypothesis-selection drivers."""
 
 import math
+import os
 import random
 import re
+import warnings
 from collections import Counter
 from itertools import chain, combinations
 
@@ -23,11 +25,13 @@ from privmax import (
     itemset_quality_dense,
     lmm_required_margin,
     load_baskets,
+    load_itemset_quality,
     order_stat,
     pac_selection_constant,
     shell_decomposition,
     t_star,
 )
+from privmax import applications, audit
 from privmax.applications import (
     ItemsetCodec,
     ShellDecomposition,
@@ -105,6 +109,196 @@ class TestLoadBaskets:
         crlf.write_bytes(b"apple pear\r\nfig apple\r\nplum")
         assert load_baskets(crlf) == load_baskets(plain)
         assert load_baskets(crlf).vocabulary == ("apple", "fig", "pear", "plum")
+
+
+def _split_on(monkeypatch, cores, part_bytes=1, serial=True):
+    """Count basket files on ``cores`` workers, cutting parts from ``part_bytes``
+    bytes up, and fail the serial fallback unless ``serial``; returns the
+    list that records the part count of each fan-out."""
+    monkeypatch.setattr(audit, "_usable_cores", lambda: cores)
+    if not serial:
+        def no_serial(path):
+            raise AssertionError("the split path fell back to the serial one")
+
+        monkeypatch.setattr(applications, "load_baskets", no_serial)
+    monkeypatch.setattr(applications, "_MIN_PART_BYTES", part_bytes)
+    fan_outs = []
+    real = applications._fan_out
+
+    def recorded(work, parts):
+        fan_outs.append(len(parts))
+        return real(work, parts)
+
+    monkeypatch.setattr(applications, "_fan_out", recorded)
+    return fan_outs
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_quality(got, want):
+    """Equal universes and codecs, read through the codec before its order is built."""
+    k, L = want.universe.k, len(want.codec.occurring)
+    for item_id in sorted(i for i in {1, L, L + 1, k} if 1 <= i <= k):
+        assert got.codec.decode(item_id) == want.codec.decode(item_id)
+    itemsets = list(want.codec.occurring)[:3] + [want.codec.decode(k)]
+    assert [got.codec.encode(c) for c in itemsets] == [want.codec.encode(c) for c in itemsets]
+    gu, wu = got.universe, want.universe
+    assert (gu.explicit, gu.k, gu.n, gu.fill) == (wu.explicit, wu.k, wu.n, wu.fill)
+    assert got.codec == want.codec
+
+
+def _basket_lines(seed, lines=60, tokens=12):
+    rng = random.Random(seed)
+    return [" ".join(rng.choices([f"t{i}" for i in range(tokens)], k=rng.randint(1, 5)))
+            for _ in range(lines)]
+
+
+_FILE_SHAPES = {
+    "lf": "\n".join(_basket_lines(1)).encode() + b"\n",
+    "crlf": "\r\n".join(_basket_lines(2)).encode() + b"\r\n",
+    "lone-cr": "\r".join(_basket_lines(3)).encode() + b"\r",
+    "mixed-endings": b"a b\r\nb c\rc d\n\r\n" * 20 + b"a d\r",
+    # part 1 and part 2 of three hold only blank lines, or part 0
+    "blank-tail": "\n".join(_basket_lines(4, lines=5)).encode() + b"\n" + b" \t\n\n\r\n" * 80,
+    "blank-head": b" \t\n\n\r\n" * 80 + "\n".join(_basket_lines(4, lines=5)).encode(),
+    "blank-lines": b"\n\n" + b"\n  \n".join(x.encode() for x in _basket_lines(5)) + b"\n\n",
+    "no-trailing-newline": "\n".join(_basket_lines(6)).encode(),
+    "single-line": b"a b c d",
+    # no newline after a third of the file: fewer cuts than workers
+    "long-last-line": b"a b\n" * 30 + b"e f " * 50,
+    "multibyte": "\n".join(f"\u00e9{i % 7} \u20ac{i % 5} \U0001d11e{i % 3}" for i in range(40)).encode(),
+    # form feed, file separator and line separator split tokens, not lines
+    "inline-separators": b"a\x0cb c\n" * 10 + "b\u2028c\x1cd\n".encode() * 10,
+    "repeated-tokens": b"a a b b\nb b c c c\na\n" * 15,
+}
+
+
+class TestLoadItemsetQuality:
+    """load_itemset_quality counts the basket file in parts, one per worker, and
+    must equal itemset_quality(load_baskets(path), ...) for any number of them."""
+
+    @pytest.mark.parametrize("shape", sorted(_FILE_SHAPES))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_serial_path(self, tmp_path, monkeypatch, shape, workers):
+        path = tmp_path / "baskets.txt"
+        path.write_bytes(_FILE_SHAPES[shape])
+        want = itemset_quality(load_baskets(path), 2)
+        fan_outs = _split_on(monkeypatch, workers, serial=False)
+        _assert_same_quality(load_itemset_quality(path, 2), want)
+        assert fan_outs and fan_outs[0] <= workers
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("r, vocab_size", [(1, None), (2, None), (3, None), (2, 1000), (3, 10**6),
+                                               (6, None), (6, 50)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_serial_path_for_r_and_vocab_size(self, tmp_path, monkeypatch, r, vocab_size, workers):
+        # the longest basket holds 5 tokens, so r = 6 gives the all-fill universe
+        path = tmp_path / "baskets.txt"
+        path.write_text("\n".join(_basket_lines(7, lines=200, tokens=30)) + "\n")
+        want = itemset_quality(load_baskets(path), r, vocab_size)
+        fan_outs = _split_on(monkeypatch, workers, serial=False)
+        _assert_same_quality(load_itemset_quality(path, r, vocab_size), want)
+        assert fan_outs == [workers]
+        _assert_no_child_left()
+
+    def test_parts_hold_different_tokens(self, tmp_path, monkeypatch):
+        # each third of the file has tokens of its own, so the vocabularies must be united
+        lines = [f"x{i} y{i} shared" for i in range(30)] + [f"a{i} b{i} shared" for i in range(30)]
+        lines += [f"x{i} b{i}" for i in range(30)]
+        path = tmp_path / "baskets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        want = itemset_quality(load_baskets(path), 2, 500)
+        fan_outs = _split_on(monkeypatch, 3, serial=False)
+        got = load_itemset_quality(path, 2, 500)
+        assert fan_outs == [3]
+        _assert_same_quality(got, want)
+
+    @pytest.mark.parametrize("content, r, vocab_size", [
+        (b"", 2, None),
+        (b"\n \t\n\r\n   \n\n", 2, None),
+        (b"a b\nc d\n\xff\xfe e\nf g\n", 2, None),
+        (b"a b\nc d\nb \xe2\x82\n", 2, None),
+        (b"a b\nc d\ne f\n", 2, 5),
+        (b"a b\nc d\ne f\n", 0, None),
+        (b"a b\nc d\ne f\n", -1, None),
+        (b"a\nb\n", 3, 2),
+    ], ids=["empty", "blank", "invalid-utf8", "truncated-utf8", "small-vocab-size", "r-zero",
+            "r-negative", "no-itemsets"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_errors_are_the_serial_paths(self, tmp_path, monkeypatch, content, r, vocab_size, workers):
+        path = tmp_path / "baskets.txt"
+        path.write_bytes(content)
+        with pytest.raises(Exception) as serial:
+            itemset_quality(load_baskets(path), r, vocab_size)
+        _split_on(monkeypatch, workers)
+        with pytest.raises(type(serial.value)) as split:
+            load_itemset_quality(path, r, vocab_size)
+        assert str(split.value) == str(serial.value)
+        _assert_no_child_left()
+
+    def test_missing_file_is_the_serial_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "absent.txt"
+        _split_on(monkeypatch, 2)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            load_itemset_quality(path, 2)
+
+    def test_failed_worker_falls_back_to_the_serial_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "baskets.txt"
+        path.write_text("\n".join(_basket_lines(8, lines=100)) + "\n")
+        want = itemset_quality(load_baskets(path), 2)
+        fan_outs = _split_on(monkeypatch, 3)
+        parent, real = os.getpid(), applications._count_part
+
+        def count_part(r, text):
+            if os.getpid() != parent:
+                raise ArithmeticError("only in a worker")
+            return real(r, text)
+
+        monkeypatch.setattr(applications, "_count_part", count_part)
+        serial_loads = []
+        monkeypatch.setattr(applications, "load_baskets", lambda p: serial_loads.append(p) or load_baskets(p))
+        _assert_same_quality(load_itemset_quality(path, 2), want)
+        assert fan_outs == [3] and serial_loads == [path]
+        _assert_no_child_left()
+
+    def test_forked_path_raises_no_warning(self, tmp_path, monkeypatch):
+        path = tmp_path / "baskets.txt"
+        path.write_text("\n".join(_basket_lines(9, lines=100)) + "\n")
+        fan_outs = _split_on(monkeypatch, 2, serial=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_itemset_quality(path, 2)
+        assert fan_outs == [2]
+        _assert_no_child_left()
+
+    def test_small_file_never_forks(self, tmp_path, monkeypatch):
+        # the default part size: a file under two parts' worth is counted here
+        path = tmp_path / "baskets.txt"
+        path.write_text("\n".join(_basket_lines(10, lines=400)) + "\n")
+        assert path.stat().st_size < 2 * applications._MIN_PART_BYTES
+        monkeypatch.setattr(audit, "_usable_cores", lambda: 2)
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise AssertionError("forked for a small file")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        want = itemset_quality(load_baskets(path), 2)
+        _assert_same_quality(load_itemset_quality(path, 2), want)
+        assert not forks
+
+    def test_no_fork_counts_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "baskets.txt"
+        path.write_text("\n".join(_basket_lines(11, lines=100)) + "\n")
+        want = itemset_quality(load_baskets(path), 2)
+        fan_outs = _split_on(monkeypatch, 3, serial=False)
+        monkeypatch.delattr(os, "fork")
+        _assert_same_quality(load_itemset_quality(path, 2), want)
+        assert fan_outs == [1]
 
 
 class TestCombinatorics:

@@ -404,6 +404,18 @@ class TestPac:
                    "--zero-noise", "--out", str(tmp_path / "pac.json"))
         assert code == EXIT_OK
 
+    def test_integer_errors_print_as_floats(self, tmp_path):
+        # an all-float profile is read as it is, and one holding integers as a float copy
+        out = tmp_path / "pac.json"
+        code = run("pac", "--spec", self._spec(tmp_path, error_profile=[1, 0, 0.5, 1, 1]),
+                   "--zero-noise", "--out", str(out))
+        assert code == EXIT_OK
+        text = out.read_text()
+        assert '"error": 0.0,' in text and '"min_error": 0.0,' in text
+        payload = json.loads(text)
+        assert payload["hypothesis"] == 1
+        assert type(payload["error"]) is float and type(payload["regret"]) is float
+
     def test_missing_spec_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "class.json"
         path.write_text(json.dumps({"num_hypotheses": 1, "n": 400, "error_profile": [0.1]}))

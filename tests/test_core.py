@@ -30,6 +30,7 @@ from privmax import (
     universe_from_dict,
     universe_to_dict,
 )
+from privmax.core import json_numbers
 from oracles import thresholds_highprec
 
 NEG_INF = float("-inf")
@@ -202,6 +203,14 @@ class TestQualityUniverse:
         # float() would parse "0.5" and read true as 1.0
         with pytest.raises(ValueError, match=message):
             universe_from_dict({"k": 2, "n": 10, **doc})
+
+    def test_json_numbers_copies_only_an_array_holding_integers(self):
+        floats = {"x": [0.5, -0.0, 1e-300]}
+        assert json_numbers(floats, "x") is floats["x"]
+        mixed = json_numbers({"x": [1, 0.5, 0, -3]}, "x")
+        assert mixed == [1.0, 0.5, 0.0, -3.0]
+        assert set(map(type, mixed)) == {float}
+        assert json_numbers({"x": []}, "x") == []
 
     def test_from_dict_accepts_json_integers_as_values(self):
         dense = universe_from_dict({"k": 2, "n": 10, "values": [1, 0]})

@@ -2,15 +2,21 @@
 
 The parent writes the ``fim-sparse`` benchmark's baskets for ``--seed``
 (``perfbench/workloads.py``: 20k Zipf baskets over 400 tokens, one planted
-pair) to a temporary file. Each run then starts a new interpreter and times,
-on first use in that process, what ``privmax fim --r 2 --vocab-size 1000000``
-does:
+pair) to a temporary file. Each run then starts two new interpreters. The
+first times, on first use in that process, the serial layers of
+``privmax fim --r 2 --vocab-size 1000000``:
 
 - ``load_baskets`` of the file,
-- the itemset count, the ``Counter`` that ``itemset_quality`` builds,
+- the itemset count, ``applications._count_itemsets`` in ``itemset_quality``
+  (the ``Counter`` it builds, in a tree older than the parts path),
 - the rest of ``itemset_quality``: the order and the universe build,
 - the LMM call (alpha=1, delta=0.05),
 - the first ``decode`` of the released id.
+
+The second times what the CLI runs in place of the first three,
+``load_itemset_quality``, which counts the file in parts on every usable
+core (``parts_ms``), and then makes the same release. A tree without
+``load_itemset_quality`` reports ``parts_ms`` as null.
 
 Usage, from the repository root:
 
@@ -20,7 +26,7 @@ Each ``--src`` is a ``src`` directory holding a ``privmax`` package (default:
 this checkout's). With several, runs alternate between them, flipping the
 order each run, so two trees are compared under the same host conditions.
 Prints one JSON line per run, a median summary per tree, and whether every
-run of the same mechanism seed released the same itemset.
+run of the same mechanism seed released the same itemset, on both paths.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = ("load_ms", "count_ms", "order_ms", "lmm_ms", "decode_ms", "total_ms")
+LAYERS = ("load_ms", "count_ms", "order_ms", "lmm_ms", "decode_ms", "total_ms", "parts_ms")
 
 
 def child(src: str, path: str, seed: int) -> dict:
@@ -48,15 +54,17 @@ def child(src: str, path: str, seed: int) -> dict:
     from privmax.noise import NoiseSource
 
     counted = []
-    real_counter = applications.Counter
+    # a tree older than the parts path counts with the Counter it imports
+    count_name = "_count_itemsets" if hasattr(applications, "_count_itemsets") else "Counter"
+    real_count = getattr(applications, count_name)
 
-    def timed_counter(*args):
+    def timed_count(*args):
         t0 = time.perf_counter()
-        out = real_counter(*args)
+        out = real_count(*args)
         counted.append(time.perf_counter() - t0)
         return out
 
-    applications.Counter = timed_counter
+    setattr(applications, count_name, timed_count)
     t0 = time.perf_counter()
     d = applications.load_baskets(path)
     t1 = time.perf_counter()
@@ -82,16 +90,39 @@ def child(src: str, path: str, seed: int) -> dict:
     }
 
 
+def parts_child(src: str, path: str, seed: int) -> dict:
+    sys.path.insert(0, src)
+    sys.path.insert(1, os.path.join(ROOT, "perfbench"))
+    import workloads
+    from privmax import applications
+    from privmax.core import PrivacyBudget
+    from privmax.mechanisms import large_margin_mechanism
+    from privmax.noise import NoiseSource
+
+    load = getattr(applications, "load_itemset_quality", None)
+    if load is None:
+        return {"parts_ms": None, "parts_release": None}
+    t0 = time.perf_counter()
+    universe, codec = load(path, workloads.FIM_R, vocab_size=workloads.FIM_VOCAB)
+    t1 = time.perf_counter()
+    out = large_margin_mechanism(universe, PrivacyBudget(workloads.ALPHA, workloads.DELTA), NoiseSource(seed))
+    return {"parts_ms": round((t1 - t0) * 1e3, 2), "parts_release": [out.item, list(codec.decode(out.item))]}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=5, help="fresh processes per tree")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", action="append", help="src directory of a tree (repeatable)")
     parser.add_argument("--child", metavar="BASKETS", help=argparse.SUPPRESS)
+    parser.add_argument("--parts-child", metavar="BASKETS", help=argparse.SUPPRESS)
     args = parser.parse_args()
     srcs = [os.path.abspath(s) for s in (args.src or [os.path.join(ROOT, "src")])]
     if args.child:
         print(json.dumps(child(srcs[0], args.child, args.seed)))
+        return 0
+    if args.parts_child:
+        print(json.dumps(parts_child(srcs[0], args.parts_child, args.seed)))
         return 0
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
@@ -104,15 +135,24 @@ def main() -> int:
         for run in range(args.runs):
             # flip the order each run, so neither tree always goes first
             for tree, src in trees if run % 2 == 0 else trees[::-1]:
-                cmd = [sys.executable, os.path.abspath(__file__), "--child", path, "--src", src,
-                       "--seed", str(args.seed + run)]
-                line = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.strip()
-                print(line, flush=True)
-                results[tree].append(json.loads(line))
+                row = {}
+                for mode in ("--child", "--parts-child"):
+                    cmd = [sys.executable, os.path.abspath(__file__), mode, path, "--src", src,
+                           "--seed", str(args.seed + run)]
+                    row.update(json.loads(subprocess.run(cmd, check=True, capture_output=True,
+                                                         text=True).stdout))
+                print(json.dumps(row), flush=True)
+                results[tree].append(row)
     for src, rows in zip(srcs, results):
-        summary = {key: statistics.median(r[key] for r in rows) for key in LAYERS}
+        summary = {}
+        for key in LAYERS:
+            values = [r[key] for r in rows if r[key] is not None]
+            summary[key] = statistics.median(values) if values else None
         print(json.dumps({"src": src, "runs": len(rows), "median": summary}))
-    releases = {json.dumps([(r["item"], r["itemset"]) for r in rows]) for rows in results}
+    # one release sequence per tree and path; a tree without the parts path adds none
+    releases = {json.dumps([[r["item"], r["itemset"]] for r in rows]) for rows in results}
+    releases |= {json.dumps([r["parts_release"] for r in rows]) for rows in results
+                 if rows[0]["parts_release"] is not None}
     print(json.dumps({"releases_identical": len(releases) == 1}))
     return 0
 
