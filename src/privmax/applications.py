@@ -462,11 +462,9 @@ def itemset_quality_dense(d: BasketDataset, r: int) -> QualityUniverse:
         raise ValueError(f"dense itemset universe with K = {k} is too large; use itemset_quality")
     index = {tok: i for i, tok in enumerate(d.vocabulary)}
     values = [0.0] * k
-    for basket in d.baskets:
-        for combo in combinations(map(index.__getitem__, basket), r):
-            values[_comb_rank(combo, v)] += 1.0
-    n = d.n
-    return QualityUniverse.dense([c / n for c in values], n=n)
+    for itemset, c in _count_itemsets(d.baskets, r).items():
+        values[_comb_rank(tuple(map(index.__getitem__, itemset)), v)] = c / d.n
+    return QualityUniverse.dense(values, n=d.n)
 
 
 def basket_neighbor(d: BasketDataset, index: int, replacement: Sequence[str]) -> BasketDataset:

@@ -4,7 +4,6 @@ import marshal
 import math
 import random
 from collections import Counter
-from functools import partial
 from itertools import islice, repeat
 
 import pytest
@@ -46,20 +45,6 @@ from oracles import (
 )
 
 
-def sample_counts(mechanism, u, trials, seed):
-    """Outcome frequencies of ``trials`` runs on ``base.spawn(t)``, t = 0, 1, ...
-
-    A registered mechanism is bound to ``u`` once, and its plan makes every
-    run; any other ``mechanism(u, src)`` function is called per run."""
-    run = mechanism.bind(u) if hasattr(mechanism, "bind") else partial(mechanism, u)
-    base = NoiseSource(seed)
-    counts = Counter()
-    for t in range(trials):
-        res = run(base.spawn(t))
-        counts["fail" if isinstance(res, Fail) else res.item] += 1
-    return {k: c / trials for k, c in counts.items()}
-
-
 class TestExponentialMechanism:
     def test_single_item(self):
         u = QualityUniverse.dense([0.4], n=10)
@@ -68,7 +53,7 @@ class TestExponentialMechanism:
 
     def test_equal_values_uniform(self):
         u = QualityUniverse.dense([0.5] * 4, n=10)
-        freqs = sample_counts(build_mechanism("em", PrivacyBudget(1.0)), u, 100_000, 17)
+        freqs = audit.estimate_distribution(build_mechanism("em", PrivacyBudget(1.0)), u, 100_000, 17)
         for i in range(1, 5):
             assert freqs[i] == pytest.approx(0.25, abs=0.01)
 
@@ -77,14 +62,14 @@ class TestExponentialMechanism:
         n, alpha, k = 20, 0.5, 100
         u = QualityUniverse.sparse([1.0], k=k, n=n)
         expected = math.exp(n * alpha / 2) / (k - 1 + math.exp(n * alpha / 2))
-        freqs = sample_counts(build_mechanism("em", PrivacyBudget(alpha)), u, 100_000, 29)
+        freqs = audit.estimate_distribution(build_mechanism("em", PrivacyBudget(alpha)), u, 100_000, 29)
         assert freqs[1] == pytest.approx(expected, abs=0.01)
 
     def test_matches_direct_normalization_oracle(self):
         values = [0.9, 0.7, 0.5, 0.5, 0.2]
         u = QualityUniverse.dense(values, n=10)
         oracle = exact_selection_weights(values, n=10, alpha=1.0)
-        freqs = sample_counts(build_mechanism("em", PrivacyBudget(1.0)), u, 100_000, 41)
+        freqs = audit.estimate_distribution(build_mechanism("em", PrivacyBudget(1.0)), u, 100_000, 41)
         assert tv_distance(freqs, oracle) < 0.01
 
     def test_shift_invariance_exact(self):
@@ -155,7 +140,9 @@ class TestRestrictedExponential:
         # values [1.0, 0.5, 0.0], ell=2, n*alpha/2 = 2: P(top) = e/(1+e)
         u = QualityUniverse.dense([1.0, 0.5, 0.0], n=4)
         expected = math.e / (1 + math.e)
-        freqs = sample_counts(lambda uu, s: restricted_exponential(uu, 2, 1.0, s), u, 100_000, 53)
+        freqs = audit.estimate_distribution(
+            lambda uu, s: restricted_exponential(uu, 2, 1.0, s), u, 100_000, 53
+        )
         assert freqs[1] == pytest.approx(expected, abs=0.01)
         assert freqs.get(3, 0.0) == 0.0
 
@@ -170,7 +157,7 @@ class TestRestrictedExponential:
         values = [0.9, 0.8, 0.6, 0.1, 0.0]
         u = QualityUniverse.dense(values, n=12)
         oracle = exact_selection_weights(values, n=12, alpha=0.8, support=(1, 2, 3))
-        freqs = sample_counts(
+        freqs = audit.estimate_distribution(
             lambda uu, s: restricted_exponential(uu, 3, 0.8, s), u, 100_000, 61
         )
         assert tv_distance(freqs, oracle) < 0.01
@@ -388,7 +375,7 @@ class TestMaxOfLaplaces:
 
     def test_equal_values_uniform(self):
         u = QualityUniverse.dense([0.5] * 5, n=10)
-        freqs = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), u, 50_000, 91)
+        freqs = audit.estimate_distribution(build_mechanism("mol", PrivacyBudget(1.0)), u, 50_000, 91)
         for i in range(1, 6):
             assert freqs[i] == pytest.approx(0.2, abs=0.01)
 
@@ -398,19 +385,19 @@ class TestMaxOfLaplaces:
         u = QualityUniverse.dense([1 / n, 0.0], n=n)
         scale = 2.0 / (n * alpha)
         expected = 1.0 - laplace_diff_tail(1 / n, scale)
-        freqs = sample_counts(build_mechanism("mol", PrivacyBudget(alpha)), u, 100_000, 97)
+        freqs = audit.estimate_distribution(build_mechanism("mol", PrivacyBudget(alpha)), u, 100_000, 97)
         assert freqs[1] == pytest.approx(expected, abs=0.01)
 
     def test_sparse_block_matches_dense(self):
         dense = QualityUniverse.dense([0.5, 0.0, 0.0, 0.0], n=10)
         sparse = QualityUniverse.sparse([0.5], k=4, n=10)
-        fd = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), dense, 50_000, 101)
-        fs = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), sparse, 50_000, 103)
+        fd = audit.estimate_distribution(build_mechanism("mol", PrivacyBudget(1.0)), dense, 50_000, 101)
+        fs = audit.estimate_distribution(build_mechanism("mol", PrivacyBudget(1.0)), sparse, 50_000, 103)
         assert tv_distance(fd, fs) < 0.02
 
     def test_sparse_all_fill_uniform(self):
         u = QualityUniverse.sparse([], k=5, n=10)
-        freqs = sample_counts(build_mechanism("mol", PrivacyBudget(1.0)), u, 50_000, 107)
+        freqs = audit.estimate_distribution(build_mechanism("mol", PrivacyBudget(1.0)), u, 50_000, 107)
         for i in range(1, 6):
             assert freqs[i] == pytest.approx(0.2, abs=0.01)
 
@@ -435,7 +422,7 @@ class TestGapMechanism:
         u = QualityUniverse.dense([1.0, 1.0] + [0.0] * 3, n=20)
         delta = 0.2
         trials = 50_000
-        freqs = sample_counts(
+        freqs = audit.estimate_distribution(
             build_mechanism("st13", PrivacyBudget(1.0, delta)), u, trials, 113
         )
         assert freqs["fail"] >= 0.5

@@ -1,0 +1,298 @@
+"""Time the layers of one privmax task, each sample in a fresh process.
+
+    python3 tools/layers.py LAYER [--runs 10] [--seed 1] [--src DIR ...]
+                                  [--shards 10] [--k 1000000] [--cluster 7500]
+
+LAYER names what each child process times:
+
+- ``audit``: the CPU (``time.process_time``) of one bound trial of the
+  ``audit-lmm`` benchmark's LMM on its pair (``perfbench/workloads.py``),
+  over PASSES ``audit._count_tasks`` passes of ``--shards`` 1,024-trial shards
+  per side, after one untimed pass grows every table: ``us_per_trial`` is
+  the median pass, and ``loop_us_per_trial`` the median of each pass divided
+  by a fixed loop timed around it, at a host speed where the loop takes LOOP_S.
+- ``dense``: one cold LMM call on ``--k`` shuffled pac-shaped qualities, a
+  cluster of ``--cluster`` a wide margin above the rest: the dense build
+  (``build_ms``), the call (``lmm_ms``), its ``growths`` head growths
+  (``head_ms`` in all) and ``shell_decomposition`` (``shells_ms``).
+- ``fim``: one cold ``privmax fim --r 2 --vocab-size 1000000`` on the
+  ``fim-sparse`` benchmark's baskets for ``--seed``. One child times
+  ``load_baskets`` (``load_ms``), ``_count_itemsets`` (``count_ms``), the
+  rest of ``itemset_quality`` (``order_ms``), the LMM (``lmm_ms``), the first
+  ``decode`` (``decode_ms``) and all of them (``total_ms``); a second times
+  what the CLI runs in their place, ``load_itemset_quality`` (``parts_ms``).
+
+Each ``--src`` is a ``src`` directory holding a ``privmax`` package (default:
+this checkout's); one given twice shows the spread between identical trees.
+Every child is seeded with ``--seed``, and each run flips the trees' order.
+As in ``perfbench/run.py``, an empty interpreter start is timed before the
+first child and after each, and every time figure X is also reported as
+``norm_X``: over the mean of the probes around its child, times REFERENCE_S.
+Prints a JSON line per run and tree; per tree, the median and quartiles of
+every figure; with two trees, those of each figure's per-run ratio
+second/first and in how many runs the second read lower; and last, whether
+every child of every run released the same on every tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+REFERENCE_S = 0.060  # empty-interpreter start that normalised figures assume, as in perfbench
+LOOP_S = 0.030  # CPU seconds of reference_loop that loop-normalised figures assume
+PASSES = 5  # timed _count_tasks passes per audit child, reported by their median
+DENSE_N = 20_000
+CLUSTER_WIDTH = 60  # error counts
+GAP = 500  # error counts between the dense cluster and the rest
+
+
+def reference_loop() -> float:
+    """CPU seconds of a fixed pure-Python loop in this process."""
+    t0 = time.process_time()
+    x = 0
+    for i in range(300_000):
+        x += i * i % 7
+    return time.process_time() - t0
+
+
+def timed(fn, spent: list):
+    """``fn``, appending the milliseconds of each call to ``spent``."""
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        spent.append((time.perf_counter() - t0) * 1e3)
+        return out
+    return wrapper
+
+
+def audit_child(seed: int, shards: int) -> dict:
+    import workloads
+    from privmax import audit
+    from privmax.noise import NoiseSource
+
+    pair = workloads.audit_pair(seed)
+    mech, _ = workloads.audit_mechanism()
+    right_seed = (seed + audit._RIGHT_SEED_OFFSET) % (1 << 64)
+    trials = shards * audit._SHARD_TRIALS
+    bound = [(audit._bind(mech, pair.left), trials, NoiseSource(seed)),
+             (audit._bind(mech, pair.right), trials, NoiseSource(right_seed))]
+    tasks = [(side, shard) for side in range(2) for shard in range(shards)]
+    audit._count_tasks(bound, tasks)  # grow every table first
+    per_trial = []
+    loops = [reference_loop()]
+    for _ in range(PASSES):
+        t0 = time.process_time()
+        counts = audit._count_tasks(bound, tasks)
+        per_trial.append((time.process_time() - t0) * 1e6 / (2 * trials))
+        loops.append(reference_loop())
+    loop_scaled = [cpu * 2 * LOOP_S / (before + after)
+                   for cpu, before, after in zip(per_trial, loops, loops[1:])]
+    return {
+        "loop_ms": round(statistics.median(loops) * 1e3, 2),
+        "release": [sorted(shard_counts.items()) for shard_counts in counts],
+        "times": {"us_per_trial": statistics.median(per_trial)},
+        "figures": {"loop_us_per_trial": statistics.median(loop_scaled)},
+    }
+
+
+def dense_child(seed: int, k: int, cluster: int) -> dict:
+    import random
+
+    from privmax.applications import shell_decomposition
+    from privmax.core import PrivacyBudget, QualityUniverse
+    from privmax.mechanisms import large_margin_mechanism
+    from privmax.noise import NoiseSource
+
+    rng = random.Random(f"dense-layers/{seed}")
+    best = rng.randint(DENSE_N // 20, DENSE_N // 8)
+    counts = [best] + [best + rng.randint(0, CLUSTER_WIDTH) for _ in range(cluster - 1)]
+    lo = best + CLUSTER_WIDTH + GAP
+    counts += [rng.randint(lo, lo + DENSE_N // 3) for _ in range(k - cluster)]
+    rng.shuffle(counts)
+    errors = [c / DENSE_N for c in counts]
+    qualities = [1.0 - e for e in errors]
+
+    growths = []
+    QualityUniverse._descending = timed(QualityUniverse._descending, growths)
+    t0 = time.perf_counter()
+    u = QualityUniverse.dense(qualities, n=DENSE_N)
+    t1 = time.perf_counter()
+    out = large_margin_mechanism(u, PrivacyBudget(1.0, 0.05), NoiseSource(seed))
+    t2 = time.perf_counter()
+    shells = shell_decomposition(errors, d=10, n=DENSE_N, delta0=0.05)
+    t3 = time.perf_counter()
+    return {
+        "head": len(u._sorted),
+        "shell_sizes": list(shells.shell_sizes),
+        "growth_ms": [round(ms, 2) for ms in growths],
+        "release": [out.item, out.ell],
+        "times": {"build_ms": (t1 - t0) * 1e3, "lmm_ms": (t2 - t1) * 1e3,
+                  "head_ms": sum(growths), "shells_ms": (t3 - t2) * 1e3},
+        "figures": {"growths": len(growths)},
+    }
+
+
+def fim_child(seed: int, baskets: str) -> dict:
+    import workloads
+    from privmax import applications
+    from privmax.core import PrivacyBudget
+    from privmax.mechanisms import large_margin_mechanism
+    from privmax.noise import NoiseSource
+
+    counted = []
+    applications._count_itemsets = timed(applications._count_itemsets, counted)
+    t0 = time.perf_counter()
+    d = applications.load_baskets(baskets)
+    t1 = time.perf_counter()
+    universe, codec = applications.itemset_quality(d, workloads.FIM_R, vocab_size=workloads.FIM_VOCAB)
+    t2 = time.perf_counter()
+    out = large_margin_mechanism(universe, PrivacyBudget(workloads.ALPHA, workloads.DELTA), NoiseSource(seed))
+    t3 = time.perf_counter()
+    itemset = codec.decode(out.item)
+    t4 = time.perf_counter()
+    return {
+        "occurring": universe.explicit_count,
+        "release": [out.item, list(itemset)],
+        "times": {"load_ms": (t1 - t0) * 1e3, "count_ms": sum(counted),
+                  "order_ms": (t2 - t1) * 1e3 - sum(counted), "lmm_ms": (t3 - t2) * 1e3,
+                  "decode_ms": (t4 - t3) * 1e3, "total_ms": (t4 - t0) * 1e3},
+    }
+
+
+def parts_child(seed: int, baskets: str) -> dict:
+    import workloads
+    from privmax import applications
+    from privmax.core import PrivacyBudget
+    from privmax.mechanisms import large_margin_mechanism
+    from privmax.noise import NoiseSource
+
+    t0 = time.perf_counter()
+    universe, codec = applications.load_itemset_quality(baskets, workloads.FIM_R, vocab_size=workloads.FIM_VOCAB)
+    t1 = time.perf_counter()
+    out = large_margin_mechanism(universe, PrivacyBudget(workloads.ALPHA, workloads.DELTA), NoiseSource(seed))
+    return {
+        "release": [out.item, list(codec.decode(out.item))],
+        "times": {"parts_ms": (t1 - t0) * 1e3},
+    }
+
+
+# each child returns its "release", its "times" (also reported probe-normalised),
+# any other "figures", and whatever else it reports, printed as it is
+LAYERS = {"audit": (audit_child,), "dense": (dense_child,), "fim": (fim_child, parts_child)}
+
+
+def layer_params(args, tmp: str) -> dict:
+    """The keyword arguments of every child of the layer."""
+    if args.layer == "audit":
+        return {"seed": args.seed, "shards": args.shards}
+    if args.layer == "dense":
+        return {"seed": args.seed, "k": args.k, "cluster": args.cluster}
+    sys.path.insert(0, PERFBENCH)
+    import workloads
+
+    path = os.path.join(tmp, "baskets.txt")
+    workloads.write_baskets(path, workloads.fim_baskets(args.seed))
+    return {"seed": args.seed, "baskets": path}
+
+
+def reference_probe() -> float:
+    """Wall seconds of one empty interpreter start."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, os.path.join(PERFBENCH, "child.py"), "reference"], check=True)
+    return time.perf_counter() - t0
+
+
+def drive(args, srcs: list[str], params: dict) -> list[list[dict]]:
+    """Per tree, by position (a tree may be given twice), a row per run."""
+    trees = list(enumerate(srcs))
+    rows = [[] for _ in srcs]
+    before = reference_probe()
+    for run in range(args.runs):
+        order = trees[::-1] if run % 2 else trees  # neither tree always goes first
+        for tree, src in order:
+            row = {"src": src, "figures": {}, "releases": []}
+            for child in range(len(LAYERS[args.layer])):
+                spec = json.dumps({"child": child, "src": src, **params})
+                cmd = [sys.executable, os.path.abspath(__file__), args.layer, "--child", spec]
+                out = json.loads(subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout)
+                after = reference_probe()
+                scale = 2 * REFERENCE_S / (before + after)
+                before = after
+                row["releases"].append(out.pop("release"))
+                for key, value in out.pop("times").items():
+                    row["figures"][key] = round(value, 4)
+                    row["figures"]["norm_" + key] = round(value * scale, 4)
+                for key, value in out.pop("figures", {}).items():
+                    row["figures"][key] = round(value, 4)
+                row.update(out)
+            print(json.dumps(row), flush=True)
+            rows[tree].append(row)
+    return rows
+
+
+def quartiles(xs: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarise(srcs: list[str], rows: list[list[dict]]) -> None:
+    names = list(rows[0][0]["figures"])
+    for src, tree_rows in zip(srcs, rows):
+        summary = {"src": src, "runs": len(tree_rows)}
+        for name in names:
+            summary[name] = quartiles([row["figures"][name] for row in tree_rows])
+        print(json.dumps(summary))
+    if len(srcs) == 2:
+        # each run times both trees back to back: the second tree's figure over the first's
+        ratio = {}
+        for name in names:
+            ratios = [b["figures"][name] / a["figures"][name]
+                      for a, b in zip(*rows) if a["figures"][name]]
+            if ratios:
+                ratio[name] = quartiles(ratios)
+                ratio[name]["second_faster"] = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
+        print(json.dumps({"ratio": ratio}))
+    released = set()
+    for tree_rows in rows:
+        for row in tree_rows:
+            released.update(map(json.dumps, row["releases"]))
+    print(json.dumps({"releases_identical": len(released) == 1}))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("--runs", type=int, default=10, help="fresh processes per tree and child")
+    parser.add_argument("--seed", type=int, default=1, help="workload and mechanism seed")
+    parser.add_argument("--src", action="append", help="src directory of a tree (repeatable)")
+    parser.add_argument("--shards", type=int, default=10, help="audit: 1,024-trial shards per side")
+    parser.add_argument("--k", type=int, default=1_000_000, help="dense: qualities")
+    parser.add_argument("--cluster", type=int, default=7_500, help="dense: near-best qualities")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    if args.child:
+        spec = json.loads(args.child)
+        sys.path[:0] = [spec.pop("src"), PERFBENCH]
+        child = LAYERS[args.layer][spec.pop("child")]
+        print(json.dumps(child(**spec)))
+        return 0
+    srcs = [os.path.abspath(s) for s in (args.src or [os.path.join(ROOT, "src")])]
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = drive(args, srcs, layer_params(args, tmp))
+    summarise(srcs, rows)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
