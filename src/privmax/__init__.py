@@ -22,7 +22,7 @@ from .core import (
     universe_from_dict,
     universe_to_dict,
 )
-from .noise import NoiseSource, sample_laplace
+from .noise import NoiseSource
 from .mechanisms import (
     CapExhausted,
     Fail,
@@ -35,8 +35,6 @@ from .mechanisms import (
     lmm_required_margin,
     margin_search,
     max_of_laplaces,
-    noisy_max_estimate,
-    restricted_exponential,
 )
 from .audit import (
     AuditReport,
@@ -49,7 +47,6 @@ from .audit import (
     dp_outcome_checks,
     em_expected_gap,
     estimate_distribution,
-    exact_em_distribution,
     group_outcome_checks,
     hoeffding_slack,
     lb2_delta_bound,

@@ -304,8 +304,11 @@ class ItemsetCodec(
         if i < len(vocab) and vocab[i] == token:
             return i
         if token.startswith("_unused"):
-            idx = int(token[len("_unused"):])
-            if len(self.vocabulary) <= idx < self.vocab_size:
+            # only decode's own spelling names an index: int() also reads
+            # "05", "+5", "0_5", " 5" and non-ASCII digits
+            tail = token[len("_unused"):]
+            idx = int(tail) if tail.isascii() and tail.isdigit() else -1
+            if len(vocab) <= idx < self.vocab_size and tail == str(idx):
                 return idx
         raise ValueError(f"unknown token {token!r}")
 

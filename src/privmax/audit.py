@@ -7,8 +7,8 @@ A failing audit is a bug signal; a passing audit is evidence, not proof --
 singleton checks over finitely many sampled outcomes cannot certify privacy.
 
 Also here: the adversarial instance families used as audit fixtures and
-utility benchmarks, and exact (no-sampling) distribution oracles for the
-exponential-mechanism family.
+utility benchmarks, and the exact (no-sampling) expected quality gap of the
+exponential mechanism.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
-from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha, top_set
+from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha
 from .mechanisms import FAIL_KEY, Fail
 from .noise import NoiseSource
 
@@ -550,28 +550,6 @@ def build_lb2_family(
         values[i - 1] = 0.5 + m / n
         family.append(QualityUniverse.dense(values, n=n))
     return family, m
-
-
-def exact_em_distribution(
-    u: QualityUniverse, alpha: float, ell: int | None = None
-) -> dict[int, float]:
-    """Brute-force normalized weights of the (restricted) exponential mechanism.
-
-    Direct normalization of exp(n*alpha*f(i)/2) over the support -- the
-    sampling-free oracle the Monte Carlo estimates are checked against.
-    Enumerates the support id by id, fill ids past L included, so k (or ell,
-    when given) must be at most 10**6.
-    """
-    require_alpha(alpha)
-    count = u.k if ell is None else ell
-    if count > 10**6:
-        raise ValueError("support too large to enumerate exactly")
-    support = range(1, u.k + 1) if ell is None else top_set(u, ell)
-    rate = 0.5 * u.n * alpha
-    vmax = order_stat(u, 1)
-    weights = {i: math.exp(rate * (u.value(i) - vmax)) for i in support}
-    total = math.fsum(weights.values())
-    return {i: w / total for i, w in weights.items()}
 
 
 def em_expected_gap(u: QualityUniverse, alpha: float) -> float:

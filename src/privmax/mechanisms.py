@@ -1,16 +1,18 @@
 """Randomized selection mechanisms.
 
-Five mechanisms over a :class:`~privmax.core.QualityUniverse`:
+Four mechanisms over a :class:`~privmax.core.QualityUniverse`, each
+registered with :func:`build_mechanism`:
 
 * ``exponential_mechanism`` -- classic selection with weight exp(n*alpha*f/2);
-* ``restricted_exponential`` -- the same, restricted to the top-ell items;
 * ``max_of_laplaces`` -- report-noisy-max with per-item Lap(2/(n*alpha));
 * ``gap_max_st13`` -- release the maximizer only if the noisy top-two gap
   clears a threshold, else Fail;
 * ``large_margin_mechanism`` -- the three-stage adaptive mechanism: noisy max
   estimate, threshold search certifying a margin rank ell, then the
   exponential mechanism restricted to the top ell items. Each stage runs at
-  a third of the caller's alpha.
+  a third of the caller's alpha. Its stages are private only together:
+  stage 3 draws from a data-dependent top-ell set, and only stage 2's
+  certified margin makes that private.
 
 All mechanisms are pure given a NoiseSource. Noise stream order is fixed and
 documented per mechanism so zero-override and replay traces are exact.
@@ -30,18 +32,16 @@ The draw contract: a plan binds ``src._rng.random``, the source's
 generator, whose values lie in [0, 1) on the 2^-53 grid (as
 ``random.Random`` and ``random.SystemRandom`` give them). Each draw runs in
 the loop's own frame: a 0.0 is rejected, as :meth:`NoiseSource.uniform`
-rejects it, and a Laplace variate is
-:func:`~privmax.noise.sample_laplace`'s inverse CDF, bit for bit. Zero-noise
-is the generator, not a branch: a zero-override source's ``random()`` is
-the constant 0.5, which gives the uniform 0.5 and the Laplace +0.0. Only
-mol's fill block, once per run, draws its max and index through
-``uniform()``, and only it reads ``zero_override``, because the median of a
-block maximum is not 0. So a NoiseSource whose ``_rng`` is any such
-generator runs every plan. The readable references --
-``NoiseSource.uniform`` and ``laplace``, ``sample_laplace``,
-:func:`noisy_max_estimate`, :func:`margin_search` and
-:func:`restricted_exponential` -- draw through ``uniform()`` and
-``laplace()``, and the tests pin the plans to them draw for draw.
+rejects it, and a Laplace variate is :meth:`NoiseSource.laplace`'s inverse
+CDF, bit for bit. Zero-noise is the generator, not a branch: a
+zero-override source's ``random()`` is the constant 0.5, which gives the
+uniform 0.5 and the Laplace +0.0. Only mol's fill block, once per run,
+draws its max and index through ``uniform()``, and only it reads
+``zero_override``, because the median of a block maximum is not 0. So a
+NoiseSource whose ``_rng`` is any such generator runs every plan. The
+readable references -- ``NoiseSource.uniform`` and ``laplace``, and
+:func:`margin_search` -- draw through ``uniform()`` and ``laplace()``, and
+the tests pin the plans to them draw for draw.
 """
 
 from __future__ import annotations
@@ -200,25 +200,6 @@ def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) ->
     return _ExponentialPlan(u, alpha)(src)
 
 
-def restricted_exponential(u: QualityUniverse, ell: int, alpha: float, src: NoiseSource) -> MechanismOutcome:
-    """Exponential mechanism restricted to the ell highest-quality items.
-
-    Items outside the top set receive probability exactly 0; at ell = k the
-    distribution coincides with the unrestricted mechanism.
-    """
-    if not 1 <= ell <= u.k:
-        raise ValueError(f"ell {ell} outside [1, {u.k}]")
-    budget = PrivacyBudget(alpha)
-    item = _ExponentialWeights(u, alpha).pick(ell, src.uniform())
-    return MechanismOutcome(item=item, budget=budget, ell=ell)
-
-
-def noisy_max_estimate(u: QualityUniverse, alpha: float, src: NoiseSource) -> float:
-    """Top value plus Lap(1/alpha)/n: a private estimate of the maximum."""
-    require_alpha(alpha)
-    return order_stat(u, 1) + src.laplace(1.0 / alpha) / u.n
-
-
 def margin_search(
     u: QualityUniverse,
     alpha: float,
@@ -314,9 +295,9 @@ class _LargeMarginPlan(_Plan):
         m_scale, g_scale, z_scale = self._m_scale, self._g_scale, self._z_scale
         random, pick = src._rng.random, self._weights.pick
         while True:
-            # stage 1 is noisy_max_estimate(u, alpha/3, src). Every Laplace
-            # draw here is sample_laplace on one raw uniform, bit for bit:
-            # reject 0.0, then its two log1p branches
+            # stage 1 is m = f(1) + Lap(3/alpha)/n. Every Laplace draw here
+            # is NoiseSource.laplace on one raw uniform, bit for bit: reject
+            # 0.0, then its two log1p branches
             x = random()
             while x <= 0.0:
                 x = random()
@@ -420,7 +401,7 @@ class _NoisyMaxPlan(_Plan):
             best_id = 0
             best = float("-inf")
             for i, v in enumerate(explicit, start=1):
-                # sample_laplace on one raw uniform, bit for bit
+                # NoiseSource.laplace on one raw uniform, bit for bit
                 x = random()
                 while x <= 0.0:
                     x = random()
@@ -477,7 +458,7 @@ class _GapPlan(_Plan):
         gap, scale, threshold, random = self._gap, self._scale, self._threshold, src._rng.random
         release, fail = self._release, self._fail
         while True:
-            # sample_laplace on one raw uniform, bit for bit
+            # NoiseSource.laplace on one raw uniform, bit for bit
             x = random()
             while x <= 0.0:
                 x = random()

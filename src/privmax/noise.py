@@ -1,6 +1,6 @@
 """Seedable randomness for the mechanisms: a uniform stream, whose
-deterministic zero-noise override is a constant generator, plus
-inverse-CDF Laplace sampling."""
+deterministic zero-noise override is a constant generator, and its
+inverse-CDF Laplace draw."""
 
 from __future__ import annotations
 
@@ -75,8 +75,16 @@ class NoiseSource:
         return u
 
     def laplace(self, scale: float) -> float:
-        """One Laplace(scale) variate: :func:`sample_laplace` on this stream."""
-        return sample_laplace(scale, self)
+        """One Laplace(scale) variate: -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
+
+        A single uniform of this stream is pushed through the inverse CDF, so
+        a replayed stream reproduces the variate exactly; zero-override
+        yields +0.0.
+        """
+        if not scale > 0.0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        d = self.uniform() - 0.5
+        return -scale * math.copysign(1.0, d) * math.log1p(-2.0 * abs(d))
 
     def spawn(self, index: int) -> "NoiseSource":
         """Independent child stream ``index``, seeded with
@@ -87,16 +95,3 @@ class NoiseSource:
     def __repr__(self) -> str:
         return f"NoiseSource(seed={self.seed}, mode={self.mode})"
 
-
-def sample_laplace(scale: float, src: NoiseSource) -> float:
-    """One Laplace(scale) variate: -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
-
-    A single uniform from ``src`` is pushed through the inverse CDF, so a
-    replayed stream reproduces the variate exactly; zero-override yields +0.0.
-    Works on any source with ``uniform()``. This is the reference the
-    mechanisms' plans are tested against.
-    """
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    d = src.uniform() - 0.5
-    return -scale * math.copysign(1.0, d) * math.log1p(-2.0 * abs(d))

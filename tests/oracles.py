@@ -1,12 +1,17 @@
 """Independent oracles the tests check the library against.
 
-Everything here is computed from first principles (direct normalization,
-closed-form CDFs, grid quadrature, high-precision arithmetic) without
-touching the library's sampling or weighting code paths.
+Everything here but the stage references at the end is computed from first
+principles (direct normalization, closed-form CDFs and quantiles, grid
+quadrature, high-precision arithmetic) without touching the library's
+sampling or weighting code paths.
 """
 
 import math
 from decimal import Decimal, getcontext
+
+from privmax import MechanismOutcome, PrivacyBudget, order_stat
+from privmax.core import require_alpha
+from privmax.mechanisms import _ExponentialWeights
 
 
 def exact_selection_weights(values, n, alpha, support=None):
@@ -34,6 +39,15 @@ def laplace_cdf(x, scale):
 
 def laplace_pdf(x, scale):
     return math.exp(-abs(x) / scale) / (2.0 * scale)
+
+
+def laplace_quantile(u, scale):
+    """The Laplace(scale) inverse CDF at u in (0, 1):
+    -scale * sign(d) * ln(1 - 2|d|) with d = u - 1/2, so u = 1/2 gives +0.0.
+    The log is taken as log1p(-2|d|), the accurate form of ln(1 - 2|d|)
+    for small |d|."""
+    d = u - 0.5
+    return -scale * math.copysign(1.0, d) * math.log1p(-2.0 * abs(d))
 
 
 def laplace_diff_tail(t, scale, grid=200001, span=60.0):
@@ -89,9 +103,7 @@ class FixedSource:
     random = uniform
 
     def laplace(self, scale):
-        from privmax.noise import sample_laplace
-
-        return sample_laplace(scale, self)
+        return laplace_quantile(self.uniform(), scale)
 
 
 class Replay:
@@ -125,9 +137,7 @@ class RecordingSource:
 
     def laplace(self, scale):
         self.laplace_scales.append(scale)
-        from privmax.noise import sample_laplace
-
-        return sample_laplace(scale, self._inner)
+        return laplace_quantile(self._inner.uniform(), scale)
 
 
 def shell_sizes_bruteforce(errors, min_err, width, R):
@@ -173,3 +183,32 @@ def itemset_quality_reference(d, r, vocab_size=None):
         "occurring": tuple(tuple(d.vocabulary[i] for i in combo) for combo, _ in ordered),
         "occurring_ranks": tuple(sorted(_comb_rank(combo, v) for combo, _ in ordered)),
     }
+
+
+# Stage references. Unlike everything above, these run the library's own
+# code: they are the readable forms of the LMM's stage 1 and stage 3, which
+# ``_eager_lmm`` in test_mechanisms composes with ``margin_search`` and pins
+# the LMM plan to, draw for draw. Neither is private on its own: stage 3
+# draws from a data-dependent top-ell set, and only stage 2's certified
+# margin makes that private.
+
+
+def noisy_max_estimate(u, alpha, src):
+    """Stage 1: the top value plus Lap(1/alpha)/n, one ``src.laplace`` draw."""
+    require_alpha(alpha)
+    return order_stat(u, 1) + src.laplace(1.0 / alpha) / u.n
+
+
+def restricted_exponential(u, ell, alpha, src):
+    """Stage 3: the exponential mechanism restricted to the ell
+    highest-quality items, drawn with one ``src.uniform()`` through the
+    plans' own sampler.
+
+    Items outside the top set receive probability exactly 0; at ell = k the
+    distribution coincides with the unrestricted mechanism.
+    """
+    if not 1 <= ell <= u.k:
+        raise ValueError(f"ell {ell} outside [1, {u.k}]")
+    budget = PrivacyBudget(alpha)
+    item = _ExponentialWeights(u, alpha).pick(ell, src.uniform())
+    return MechanismOutcome(item=item, budget=budget, ell=ell)

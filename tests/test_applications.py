@@ -381,7 +381,9 @@ class TestItemsetQuality:
         # inflated tokens are valid exactly at indices len(vocabulary)..vocab_size-1
         for token in ("_unused3", "_unused5"):
             assert codec.decode(codec.encode(("a", token))) == ("a", token)
-        for token in ("0", "bb", "d", "_unused2", "_unused6"):
+        # only decode's own spelling names an index, not every tail int() reads
+        for token in ("0", "bb", "d", "_unused2", "_unused6",
+                      "_unused03", "_unused+3", "_unused0_3", "_unusedx"):
             with pytest.raises(ValueError, match="unknown token"):
                 codec.encode(("a", token))
 

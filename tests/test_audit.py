@@ -24,7 +24,6 @@ from privmax import (
     dp_outcome_checks,
     em_expected_gap,
     estimate_distribution,
-    exact_em_distribution,
     group_outcome_checks,
     hoeffding_slack,
     lb2_delta_bound,
@@ -603,23 +602,6 @@ class TestLb2Family:
 
 
 class TestExactOracles:
-    def test_exact_em_distribution_agrees_with_independent_oracle(self):
-        values = [0.9, 0.6, 0.4, 0.1]
-        u = QualityUniverse.dense(values, n=10)
-        lib = exact_em_distribution(u, 1.0)
-        ref = exact_selection_weights(values, 10, 1.0)
-        for i in range(1, 5):
-            assert lib[i] == pytest.approx(ref[i], rel=1e-12)
-
-    def test_exact_restricted_distribution(self):
-        values = [0.9, 0.6, 0.4, 0.1]
-        u = QualityUniverse.dense(values, n=10)
-        lib = exact_em_distribution(u, 1.0, ell=2)
-        ref = exact_selection_weights(values, 10, 1.0, support=(1, 2))
-        assert set(lib) == {1, 2}
-        for i in (1, 2):
-            assert lib[i] == pytest.approx(ref[i], rel=1e-12)
-
     def test_em_expected_gap_hand_case(self):
         # two items, gap g: expected shortfall is g * P(bottom)
         n, alpha, g = 10, 1.0, 0.2
@@ -651,26 +633,12 @@ class TestExactOracles:
                 if n >= 3000:
                     assert weights[-1] == 0.0 or not n_fill  # the cut is taken
 
-    def test_exact_em_distribution_refuses_huge_support(self):
-        u = QualityUniverse.sparse([0.5], k=10**9, n=10)
-        with pytest.raises(ValueError):
-            exact_em_distribution(u, 1.0)
-
-    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
-    def test_exact_em_distribution_rejects_nonpositive_alpha(self, alpha):
-        # -1 would invert the distribution and 0 flatten it, where the
-        # mechanism itself and em_expected_gap both raise
-        u = QualityUniverse.dense([0.9, 0.1], n=10)
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            exact_em_distribution(u, alpha)
-
     def test_exact_em_oracles_reject_infinite_alpha(self):
-        # inf * 0.0 is NaN in the top item's exponent: {1: nan, 2: nan} and a
-        # nan gap, where the mechanism's own PrivacyBudget refuses inf
+        # inf * 0.0 is NaN in the top item's exponent: a nan gap, where the
+        # mechanism's own PrivacyBudget refuses inf
         u = QualityUniverse.dense([0.9, 0.1], n=10)
-        for oracle in (exact_em_distribution, em_expected_gap):
-            with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
-                oracle(u, math.inf)
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+            em_expected_gap(u, math.inf)
 
 
 class TestAuditReport:

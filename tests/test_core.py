@@ -6,13 +6,16 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
 
+import privmax
 from privmax import (
     Fail,
     MechanismOutcome,
@@ -23,7 +26,6 @@ from privmax import (
     compute_thresholds,
     load_universe,
     order_stat,
-    restricted_exponential,
     satisfies_margin,
     save_universe,
     top_set,
@@ -31,7 +33,7 @@ from privmax import (
     universe_to_dict,
 )
 from privmax.core import json_numbers
-from oracles import thresholds_highprec
+from oracles import restricted_exponential, thresholds_highprec
 
 NEG_INF = float("-inf")
 
@@ -115,6 +117,39 @@ def test_layer_trace_targets_resolve():
         if cls is not None:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), (module, cls, attr, traced)
+
+
+def test_public_names_are_pinned():
+    # the exported API, pinned so that any change to it is made on purpose
+    public = sorted(
+        name for name, value in vars(privmax).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "AuditReport", "BasketDataset", "CapExhausted", "Fail", "HypothesisClass", "ItemsetCodec",
+        "ItemsetQuality", "MechanismOutcome", "NeighborPair", "NoiseSource", "OutcomeCheck",
+        "PrivacyBudget", "QualityUniverse", "ShellDecomposition", "TStarResult", "ThresholdPair",
+        "basket_neighbor", "basket_neighbor_pair", "build_lb2_family", "build_mechanism",
+        "build_threshold_example", "check_approx_dp", "check_group_privacy", "compute_thresholds",
+        "default_cap", "dp_outcome_checks", "em_expected_gap", "empirical_quality",
+        "estimate_distribution", "exponential_mechanism", "gap_max_st13", "group_outcome_checks",
+        "hoeffding_slack", "itemset_quality", "itemset_quality_dense", "large_margin_mechanism",
+        "lb2_delta_bound", "lmm_quality_radius", "lmm_required_margin", "load_baskets",
+        "load_itemset_quality", "load_universe", "margin_search", "max_of_laplaces", "order_stat",
+        "pac_selection_constant", "satisfies_margin", "save_universe", "shell_decomposition", "t_star",
+        "top_set", "universe_from_dict", "universe_to_dict",
+    ]
+
+
+def test_readme_python_blocks_run():
+    # README's four examples run in order in one namespace, as a reader runs
+    # them, so a name they use cannot drift out of the library unnoticed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 class TestQualityUniverse:

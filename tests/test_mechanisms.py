@@ -26,10 +26,7 @@ from privmax import (
     lmm_required_margin,
     margin_search,
     max_of_laplaces,
-    noisy_max_estimate,
     order_stat,
-    restricted_exponential,
-    sample_laplace,
     top_set,
 )
 from privmax import audit, mechanisms
@@ -41,6 +38,9 @@ from oracles import (
     exact_selection_weights,
     hoeffding,
     laplace_diff_tail,
+    laplace_quantile,
+    noisy_max_estimate,
+    restricted_exponential,
     tv_distance,
 )
 
@@ -275,7 +275,7 @@ class TestLargeMarginMechanism:
         src._rng = Replay(values)
         out = large_margin_mechanism(u, self.BUDGET, src)
         assert (out.ell, src._rng.draws) == (1, 4)
-        assert out.m.hex() == (1.0 + sample_laplace(3.0, FixedSource(values[:1])) / 500).hex()
+        assert out.m.hex() == (1.0 + laplace_quantile(values[0], 3.0) / 500).hex()
         rec = RecordingSource(NoiseSource(0))
         rec._inner._rng = Replay(values)
         assert _eager_lmm(u, self.BUDGET, rec) == (out.item, out.ell, out.m, out.certified)
@@ -730,7 +730,7 @@ class TestBoundPlans:
         got = [run(src) for _ in range(2)]
         assert ([out.ell for out in got], src._rng.draws) == ([1, 1], 8)
         for out, first in zip(got, values[::4]):
-            assert out.m.hex() == (1.0 + sample_laplace(3.0, FixedSource([first])) / 500).hex()
+            assert out.m.hex() == (1.0 + laplace_quantile(first, 3.0) / 500).hex()
         rec = RecordingSource(NoiseSource(0))
         rec._inner._rng = Replay(values)
         assert [_eager_lmm(u, self.BUDGETS[0], rec) for _ in range(2)] == [

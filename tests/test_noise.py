@@ -4,30 +4,36 @@ import math
 
 import pytest
 
-from privmax import NoiseSource, sample_laplace
+from privmax import NoiseSource
 from privmax.noise import _mix64
-from oracles import FixedSource, Replay as _Replay
+from oracles import Replay as _Replay, laplace_quantile
+
+
+def replayed_laplace(scale, u):
+    """NoiseSource.laplace on a stream whose next uniform is u."""
+    src = NoiseSource(0)
+    src._rng = _Replay([u])
+    return src.laplace(scale)
 
 
 def test_median_uniform_maps_to_zero():
-    assert sample_laplace(1.0, FixedSource([0.5])) == 0.0
-    assert sample_laplace(123.0, NoiseSource(0, zero_override=True)) == 0.0
+    assert replayed_laplace(1.0, 0.5).hex() == laplace_quantile(0.5, 1.0).hex() == (0.0).hex()
+    assert NoiseSource(0, zero_override=True).laplace(123.0).hex() == (0.0).hex()
 
 
 def test_quantile_hand_values():
-    # u = 0.75 -> scale * ln 2; u = 0.25 -> -scale * ln 2
+    # u = 0.75 -> scale * ln 2; u = 0.25 -> -scale * ln 2; u = 0.9 -> -b * ln(0.2)
     b = 2.5
-    assert sample_laplace(b, FixedSource([0.75])) == pytest.approx(b * math.log(2), rel=1e-12)
-    assert sample_laplace(b, FixedSource([0.25])) == pytest.approx(-b * math.log(2), rel=1e-12)
-    # u = 0.9 -> -b * ln(0.2)
-    assert sample_laplace(b, FixedSource([0.9])) == pytest.approx(-b * math.log(0.2), rel=1e-12)
+    for u, want in ((0.75, b * math.log(2)), (0.25, -b * math.log(2)), (0.9, -b * math.log(0.2))):
+        assert replayed_laplace(b, u).hex() == laplace_quantile(u, b).hex()
+        assert replayed_laplace(b, u) == pytest.approx(want, rel=1e-12)
 
 
 def test_scale_must_be_positive():
     with pytest.raises(ValueError):
-        sample_laplace(0.0, FixedSource([0.5]))
+        replayed_laplace(0.0, 0.5)
     with pytest.raises(ValueError):
-        sample_laplace(-1.0, FixedSource([0.5]))
+        replayed_laplace(-1.0, 0.5)
 
 
 def test_identical_seeds_identical_streams():
@@ -114,13 +120,13 @@ def test_symmetry_of_sampled_median():
 
 
 def test_one_call_laplace_equals_the_reference_transform():
-    # NoiseSource.laplace must give sample_laplace's float, bit for bit, and
-    # leave the stream where the reference leaves it
+    # NoiseSource.laplace must give the oracle's inverse CDF of one uniform
+    # of its stream, bit for bit, and leave the stream one uniform on
     scales = (1e-3, 0.3, 1.0, 6.0, 250.0)
     for seed in (0, 7, 987654321, 2**64 - 1):
         fast, reference = NoiseSource(seed), NoiseSource(seed)
         got = [fast.laplace(scales[i % 5]) for i in range(25_000)]
-        want = [sample_laplace(scales[i % 5], reference) for i in range(25_000)]
+        want = [laplace_quantile(reference.uniform(), scales[i % 5]) for i in range(25_000)]
         assert list(map(float.hex, got)) == list(map(float.hex, want))
         assert fast.uniform() == reference.uniform()
 
@@ -133,15 +139,13 @@ def test_one_call_laplace_edge_cases():
         fast, reference = NoiseSource(1), NoiseSource(1)
         fast._rng, reference._rng = _Replay(values), _Replay(values)
         got = [fast.laplace(2.0), fast.laplace(2.0)]
-        want = [sample_laplace(2.0, reference), sample_laplace(2.0, reference)]
+        want = [laplace_quantile(reference.uniform(), 2.0), laplace_quantile(reference.uniform(), 2.0)]
         assert list(map(float.hex, got)) == list(map(float.hex, want))
-        assert got[0] == sample_laplace(2.0, FixedSource([values[-2]])) and got[1] == 0.0
-    # a bad scale raises the reference's error, before any draw
+        assert got[0] == laplace_quantile(values[-2], 2.0) and got[1] == 0.0
+    # a bad scale raises before any draw
     for scale in (0.0, -1.0, float("nan")):
         fast, reference = NoiseSource(5), NoiseSource(5)
         with pytest.raises(ValueError) as got:
             fast.laplace(scale)
-        with pytest.raises(ValueError) as want:
-            sample_laplace(scale, reference)
-        assert str(got.value) == str(want.value) == f"scale must be positive, got {scale}"
+        assert str(got.value) == f"scale must be positive, got {scale}"
         assert fast.uniform() == reference.uniform()
