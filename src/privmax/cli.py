@@ -43,6 +43,8 @@ from .mechanisms import (
 from .audit import (
     FAIL_KEY,
     NeighborPair,
+    _fan_out,
+    _fan_out_width,
     build_lb2_family,
     build_threshold_example,
     check_approx_dp,
@@ -52,6 +54,7 @@ from .audit import (
     lb2_delta_bound,
 )
 from .applications import (
+    ShellDecomposition,
     itemset_quality,  # noqa: F401  (perfbench's layer trace wraps this name here)
     load_baskets,
     load_itemset_quality,
@@ -94,7 +97,7 @@ def _add_zero_noise(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags _run_and_emit reads, for the commands that run one mechanism once."""
+    """Flags _noise and _emit read, for the commands that run one mechanism once."""
     _add_zero_noise(parser)
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="output format")
 
@@ -148,15 +151,19 @@ def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> 
             out.close()
 
 
-def _run_and_emit(args, mech, universe, details=None) -> int:
-    """Run ``mech`` on ``universe`` with the seeded source and emit the outcome.
+def _noise(args) -> NoiseSource:
+    """The seeded source of a command that runs one mechanism once."""
+    return NoiseSource(_seed_of(args), zero_override=args.zero_noise)
+
+
+def _emit_outcome(args, result, details=None) -> int:
+    """Emit ``result``, the outcome of one mechanism run on ``_noise(args)``.
 
     A Fail is emitted as its own record with exit code EXIT_FAIL. A released
     outcome is emitted with ``details(outcome)`` merged in, if given, and
     exits EXIT_OK when certified, else EXIT_UNCERTIFIED.
     """
     seed = _seed_of(args)
-    result = mech(universe, NoiseSource(seed, zero_override=args.zero_noise))
     if isinstance(result, Fail):
         budget = result.budget
         _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": seed})
@@ -173,7 +180,7 @@ def cmd_select(args) -> int:
         raise ValueError("select needs --in with a universe JSON file")
     budget = PrivacyBudget(args.alpha, args.delta)
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
-    return _run_and_emit(args, mech, load_universe(args.input))
+    return _emit_outcome(args, mech(load_universe(args.input), _noise(args)))
 
 
 def cmd_bench_range(args) -> int:
@@ -291,10 +298,29 @@ def cmd_fim(args) -> int:
             "universe_provenance": "a-priori" if args.vocab_size else "data-derived",
         }
 
-    return _run_and_emit(args, mech, universe, details)
+    return _emit_outcome(args, mech(universe, _noise(args)), details)
+
+
+# the shells are counted in a forked child while this process selects only
+# from this many hypotheses up: the fork and the round trip of its result cost
+# about 3 ms, and in a cold call the split breaks even near 20k hypotheses
+_MIN_SPLIT_HYPOTHESES = 30_000
 
 
 def cmd_pac(args) -> int:
+    """Select a hypothesis of the spec's class privately and report its
+    regret and the class's error shells.
+
+    The selection runs on the dense universe of qualities 1 - error. The
+    shells, ``t_star`` and ``pac_selection_constant`` feed only the report.
+    On two usable cores or more, from ``_MIN_SPLIT_HYPOTHESES`` hypotheses
+    up, they are counted in a child forked through :func:`audit._fan_out`
+    while this process builds the universe and selects; the child sends the
+    shell fields and the selection diagnostics back as plain values, and
+    the record is rebuilt here. The output is the same either way. If a
+    part or the worker fails, the serial path runs instead and raises its
+    own error, in its order: the universe's, the shells', then the plan's.
+    """
     if args.spec is None:
         raise ValueError("pac needs --spec with a class spec JSON file")
     budget = PrivacyBudget(args.alpha, args.delta)
@@ -307,16 +333,36 @@ def cmd_pac(args) -> int:
     errors = json_numbers(spec, "error_profile")
     if len(errors) != num_hypotheses:
         raise ValueError("error_profile length must equal num_hypotheses")
-    universe = QualityUniverse.dense([1.0 - e for e in errors], n=n)
-    shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
-    # the selection constant and t* exist only for delta > 0; em and mol also
-    # run at delta = 0, where all three diagnostics are null
-    selection = dict.fromkeys(("t_star", "t_star_exhausted", "selection_constant"))
-    if budget.delta > 0.0:
-        ell_ref = shells.shell_sizes[min(1, shells.R)]
-        constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
-        ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
-        selection.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
+
+    def universe():
+        return QualityUniverse.dense([1.0 - e for e in errors], n=n)
+
+    def diagnostics():
+        """The shell fields as a plain tuple and the selection diagnostics,
+        which marshal sends from a forked child."""
+        shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
+        # the selection constant and t* exist only for delta > 0; em and mol
+        # also run at delta = 0, where all three diagnostics are null
+        selection = dict.fromkeys(("t_star", "t_star_exhausted", "selection_constant"))
+        if budget.delta > 0.0:
+            ell_ref = shells.shell_sizes[min(1, shells.R)]
+            constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
+            ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
+            selection.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
+        return tuple(shells), selection
+
+    parts = None
+    if len(errors) >= _MIN_SPLIT_HYPOTHESES and _fan_out_width(2, 1) > 1:
+        try:
+            parts = _fan_out(lambda part: part(), [lambda: mech(universe(), _noise(args)), diagnostics])
+        except Exception:
+            pass  # the serial path below raises the error in its own words
+    if parts is None:
+        u = universe()
+        diagnosed = diagnostics()
+        parts = [mech(u, _noise(args)), diagnosed]
+    result, (fields, selection) = parts
+    shells = ShellDecomposition(*fields)
 
     def details(result):
         best = shells.min_err
@@ -332,7 +378,7 @@ def cmd_pac(args) -> int:
             **selection,
         }
 
-    return _run_and_emit(args, mech, universe, details)
+    return _emit_outcome(args, result, details)
 
 
 def build_parser() -> argparse.ArgumentParser:

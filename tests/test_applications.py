@@ -122,14 +122,20 @@ def _split_on(monkeypatch, cores, part_bytes=1, serial=True):
 
         monkeypatch.setattr(applications, "load_baskets", no_serial)
     monkeypatch.setattr(applications, "_MIN_PART_BYTES", part_bytes)
+    return _record_fan_outs(monkeypatch, applications)
+
+
+def _record_fan_outs(monkeypatch, module):
+    """Record the part count of each fan-out that ``module`` runs through its
+    ``_fan_out`` name; returns the list of counts."""
     fan_outs = []
-    real = applications._fan_out
+    real = module._fan_out
 
     def recorded(work, parts):
         fan_outs.append(len(parts))
         return real(work, parts)
 
-    monkeypatch.setattr(applications, "_fan_out", recorded)
+    monkeypatch.setattr(module, "_fan_out", recorded)
     return fan_outs
 
 

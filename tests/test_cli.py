@@ -16,7 +16,8 @@ from privmax.cli import (
     build_parser,
     main,
 )
-from privmax import QualityUniverse, save_universe
+from privmax import QualityUniverse, audit, cli, save_universe
+from test_applications import _assert_no_child_left, _record_fan_outs
 
 
 @pytest.fixture
@@ -427,6 +428,62 @@ class TestPac:
         path.write_text(json.dumps({"num_hypotheses": 1, "n": 400, "d": 2}))
         assert run("pac", "--spec", str(path)) == EXIT_ERROR
         assert "missing field 'error_profile'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flags, profile, code", [
+        (["--mechanism", "lmm", "--seed", "4"], None, EXIT_OK),
+        (["--mechanism", "em", "--delta", "0", "--seed", "4"], None, EXIT_OK),
+        (["--mechanism", "mol", "--delta", "0", "--seed", "4"], None, EXIT_OK),
+        (["--zero-noise"], None, EXIT_OK),
+        # a tied top pair: st13's zero-noise gap is 0, so it returns Fail
+        (["--mechanism", "st13", "--zero-noise"], [0.05, 0.05, 0.35, 0.4, 0.5], EXIT_FAIL),
+    ], ids=["lmm", "em", "mol", "zero-noise", "st13-fail"])
+    def test_split_output_is_the_serial_one(self, tmp_path, monkeypatch, fmt, flags, profile, code):
+        spec = self._spec(tmp_path, **({"error_profile": profile} if profile else {}))
+        outputs = []
+        for cores in (1, 2):
+            fan_outs = _split_pac_on(monkeypatch, cores)
+            out = tmp_path / f"pac-{cores}.{fmt}"
+            assert run("pac", "--spec", spec, *flags, "--format", fmt, "--out", str(out)) == code
+            assert fan_outs == ([2] if cores == 2 else [])
+            _assert_no_child_left()
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fields, flags, message", [
+        ({"error_profile": [0.05, math.nan, 0.35, 0.4, 0.5]}, [],
+         "explicit values and the fill value must all be finite"),
+        ({"d": 0}, [], "need d >= 1 and n > 1, got d=0, n=400"),
+        ({"n": 1}, [], "need d >= 1 and n > 1, got d=2, n=1"),
+        ({}, ["--c0", "0"], "C0 must be positive, got 0.0"),
+        ({}, ["--delta0", "0"], "delta0 must lie in (0, 1), got 0.0"),
+        ({}, ["--cap", "9"], "cap 9 outside [1, 5]"),
+        # the serial order checks the shells' arguments before the plan's cap
+        ({}, ["--c0", "0", "--cap", "9"], "C0 must be positive, got 0.0"),
+    ], ids=["nan", "d0", "n1", "c0", "delta0", "cap", "c0-and-cap"])
+    def test_split_errors_are_the_serial_ones(self, tmp_path, monkeypatch, capsys, fields, flags, message):
+        fan_outs = _split_pac_on(monkeypatch, 2)
+        assert run("pac", "--spec", self._spec(tmp_path, **fields), *flags) == EXIT_ERROR
+        assert fan_outs == [2]
+        _assert_no_child_left()
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_small_class_stays_serial(self, tmp_path, monkeypatch):
+        fan_outs = _split_pac_on(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_MIN_SPLIT_HYPOTHESES", 6)
+        out = tmp_path / "pac.json"
+        assert run("pac", "--spec", self._spec(tmp_path), "--zero-noise", "--out", str(out)) == EXIT_OK
+        assert fan_outs == []
+
+
+def _split_pac_on(monkeypatch, cores):
+    """Run pac on ``cores`` usable cores, splitting every class from one
+    hypothesis up; returns the list that records the part count of each
+    fan-out."""
+    monkeypatch.setattr(audit, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, "_MIN_SPLIT_HYPOTHESES", 1)
+    return _record_fan_outs(monkeypatch, cli)
 
 
 @pytest.mark.parametrize("command", ["select", "bench-range"])

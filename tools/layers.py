@@ -11,10 +11,13 @@ LAYER names what each child process times:
   per side, after one untimed pass grows every table: ``us_per_trial`` is
   the median pass, and ``loop_us_per_trial`` the median of each pass divided
   by a fixed loop timed around it, at a host speed where the loop takes LOOP_S.
-- ``dense``: one cold LMM call on ``--k`` shuffled pac-shaped qualities, a
-  cluster of ``--cluster`` a wide margin above the rest: the dense build
+- ``dense``: a class of ``--k`` shuffled pac-shaped errors, a cluster of
+  ``--cluster`` a wide margin below the rest, written as a ``pac`` class
+  spec. One child times a cold LMM call on its qualities: the dense build
   (``build_ms``), the call (``lmm_ms``), its ``growths`` head growths
-  (``head_ms`` in all) and ``shell_decomposition`` (``shells_ms``).
+  (``head_ms`` in all) and ``shell_decomposition`` (``shells_ms``); a
+  second times one whole ``privmax pac --spec`` call on the spec
+  (``pac_ms``): the parse, the selection and the shells.
 - ``fim``: one cold ``privmax fim --r 2 --vocab-size 1000000`` on the
   ``fim-sparse`` benchmark's baskets for ``--seed``. One child times
   ``load_baskets`` (``load_ms``), ``_count_itemsets`` (``count_ms``), the
@@ -51,6 +54,7 @@ REFERENCE_S = 0.060  # empty-interpreter start that normalised figures assume, a
 LOOP_S = 0.030  # CPU seconds of reference_loop that loop-normalised figures assume
 PASSES = 5  # timed _count_tasks passes per audit child, reported by their median
 DENSE_N = 20_000
+DENSE_D = 10
 CLUSTER_WIDTH = 60  # error counts
 GAP = 500  # error counts between the dense cluster and the rest
 
@@ -104,13 +108,10 @@ def audit_child(seed: int, shards: int) -> dict:
     }
 
 
-def dense_child(seed: int, k: int, cluster: int) -> dict:
+def dense_errors(seed: int, k: int, cluster: int) -> list[float]:
+    """``k`` shuffled pac-shaped errors on the 1/DENSE_N lattice: a cluster of
+    ``cluster`` near the best one, the rest a wide margin above it."""
     import random
-
-    from privmax.applications import shell_decomposition
-    from privmax.core import PrivacyBudget, QualityUniverse
-    from privmax.mechanisms import large_margin_mechanism
-    from privmax.noise import NoiseSource
 
     rng = random.Random(f"dense-layers/{seed}")
     best = rng.randint(DENSE_N // 20, DENSE_N // 8)
@@ -118,7 +119,17 @@ def dense_child(seed: int, k: int, cluster: int) -> dict:
     lo = best + CLUSTER_WIDTH + GAP
     counts += [rng.randint(lo, lo + DENSE_N // 3) for _ in range(k - cluster)]
     rng.shuffle(counts)
-    errors = [c / DENSE_N for c in counts]
+    return [c / DENSE_N for c in counts]
+
+
+def dense_child(seed: int, spec: str) -> dict:
+    from privmax.applications import shell_decomposition
+    from privmax.core import PrivacyBudget, QualityUniverse
+    from privmax.mechanisms import large_margin_mechanism
+    from privmax.noise import NoiseSource
+
+    with open(spec, encoding="utf-8") as fh:
+        errors = json.load(fh)["error_profile"]
     qualities = [1.0 - e for e in errors]
 
     growths = []
@@ -128,7 +139,7 @@ def dense_child(seed: int, k: int, cluster: int) -> dict:
     t1 = time.perf_counter()
     out = large_margin_mechanism(u, PrivacyBudget(1.0, 0.05), NoiseSource(seed))
     t2 = time.perf_counter()
-    shells = shell_decomposition(errors, d=10, n=DENSE_N, delta0=0.05)
+    shells = shell_decomposition(errors, d=DENSE_D, n=DENSE_N, delta0=0.05)
     t3 = time.perf_counter()
     return {
         "head": len(u._sorted),
@@ -139,6 +150,23 @@ def dense_child(seed: int, k: int, cluster: int) -> dict:
                   "head_ms": sum(growths), "shells_ms": (t3 - t2) * 1e3},
         "figures": {"growths": len(growths)},
     }
+
+
+def pac_child(seed: int, spec: str) -> dict:
+    import contextlib
+    import io
+
+    import privmax.cli
+
+    text = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(text):
+        code = privmax.cli.main(["pac", "--spec", spec, "--seed", str(seed)])
+    t1 = time.perf_counter()
+    if code not in (0, 4):
+        raise SystemExit(f"privmax pac exited {code}")
+    out = json.loads(text.getvalue())
+    return {"release": [out["item"], out["ell"]], "times": {"pac_ms": (t1 - t0) * 1e3}}
 
 
 def fim_child(seed: int, baskets: str) -> dict:
@@ -187,7 +215,7 @@ def parts_child(seed: int, baskets: str) -> dict:
 
 # each child returns its "release", its "times" (also reported probe-normalised),
 # any other "figures", and whatever else it reports, printed as it is
-LAYERS = {"audit": (audit_child,), "dense": (dense_child,), "fim": (fim_child, parts_child)}
+LAYERS = {"audit": (audit_child,), "dense": (dense_child, pac_child), "fim": (fim_child, parts_child)}
 
 
 def layer_params(args, tmp: str) -> dict:
@@ -195,7 +223,12 @@ def layer_params(args, tmp: str) -> dict:
     if args.layer == "audit":
         return {"seed": args.seed, "shards": args.shards}
     if args.layer == "dense":
-        return {"seed": args.seed, "k": args.k, "cluster": args.cluster}
+        path = os.path.join(tmp, "class.json")
+        spec = {"num_hypotheses": args.k, "n": DENSE_N, "d": DENSE_D,
+                "error_profile": dense_errors(args.seed, args.k, args.cluster)}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        return {"seed": args.seed, "spec": path}
     sys.path.insert(0, PERFBENCH)
     import workloads
 
