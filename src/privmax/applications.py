@@ -5,8 +5,10 @@ size-r itemsets of a vocabulary, with support fractions as quality. The
 universe id space is the full combinatorial family C(V, r) -- only occurring
 itemsets are materialized, everything else sits in the fill block -- and a
 codec records the bijective id <-> itemset mapping for decoding. A basket
-file can be counted in parts on every usable core (:func:`load_itemset_quality`,
-what ``privmax fim`` runs); the result equals the serial count's.
+file is read in one place and parsed by one function, whole
+(:func:`load_baskets`) or in parts counted on every usable core
+(:func:`load_itemset_quality`, what ``privmax fim`` runs); the result and
+every error equal the serial count's.
 
 PAC hypothesis selection: a finite hypothesis class with per-hypothesis errors
 yields a dense universe with quality 1 - error, plus the error-radius shell
@@ -109,23 +111,34 @@ class _Canonical(dict):
 def load_baskets(path) -> BasketDataset:
     """Read a basket file: one basket per line, whitespace-separated tokens.
 
-    The file is streamed line by line into :meth:`BasketDataset.from_lists`,
-    so no line's token copies outlive the line. Tokens are deduplicated per
-    basket; blank lines are skipped; a file with no tokens is an error.
-    Vocabulary order (and therefore id assignment) is the sorted token order,
-    stable across reloads. :func:`load_itemset_quality` reads each part of a
-    file through the same step.
+    The file is read and decoded as strict UTF-8 whole (:func:`_read_text`),
+    so a decode error names the byte's offset in the file, and its lines go
+    through :func:`_read_baskets` into :meth:`BasketDataset.from_lists`.
+    Tokens are deduplicated per basket; blank lines are skipped; a file with
+    no tokens is an error. Vocabulary order (and therefore id assignment) is
+    the sorted token order, stable across reloads. :func:`load_itemset_quality`
+    reads the file and each of its parts through the same two steps.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        d = _read_baskets(fh)
+    d = _read_baskets(_read_text(path))
     if d is None:
         raise ValueError(f"no baskets found in {path}")
     return d
 
 
-def _read_baskets(lines: Iterable[str]) -> BasketDataset | None:
-    """The dataset of a basket file's lines, or None when no line holds a token."""
-    baskets = filter(None, map(str.split, lines))
+def _read_text(path) -> str:
+    """The whole text of a basket file, decoded as strict UTF-8: the one
+    place this module opens a basket file."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+def _read_baskets(text: str) -> BasketDataset | None:
+    """The dataset of a basket file's text, or None when no line holds a token.
+
+    Lines end as text-mode ``open`` ends them: a newline, a CR LF pair or a
+    lone CR. Each line's tokens go straight into :meth:`BasketDataset.from_lists`.
+    """
+    baskets = filter(None, map(str.split, io.StringIO(text, newline=None)))
     first = next(baskets, None)
     return None if first is None else BasketDataset.from_lists(chain((first,), baskets))
 
@@ -352,8 +365,9 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
 
 
 # the basket file is counted in one part per usable core, but only while each
-# part holds at least this many bytes: a fork and the merge of its counts cost
-# a few milliseconds, counting 64 KiB of baskets about ten
+# part holds at least this many characters (its bytes, in an ASCII file): a
+# fork and the merge of its counts cost a few milliseconds, counting 64 KiB of
+# baskets about ten
 _MIN_PART_BYTES = 1 << 16
 
 
@@ -361,24 +375,24 @@ def load_itemset_quality(path, r: int, vocab_size: int | None = None) -> Itemset
     """``itemset_quality(load_baskets(path), r, vocab_size)``, counted on
     every usable core.
 
-    The file is read and decoded as strict UTF-8 once and cut right after a
-    newline into ``_fan_out_width(bytes, _MIN_PART_BYTES)`` parts. Each part
-    is read as text-mode ``open`` reads lines (a newline, a CR LF pair or a
-    lone CR ends one) and goes through :meth:`BasketDataset.from_lists` and
-    the itemset count in its own process (see :func:`audit._fan_out`). The
+    The file is read and decoded once (:func:`_read_text`) and cut right
+    after a newline into ``_fan_out_width(characters, _MIN_PART_BYTES)``
+    parts. Each part goes through :func:`_read_baskets` and the itemset
+    count in its own process (see :func:`audit._fan_out`); if a fork or a
+    worker fails, this process counts the same parts the same way. The
     counts are added in part order, the vocabularies united and the basket
     counts summed, and :func:`itemset_quality`'s last step builds the
     universe and codec; it orders them by sorting, so the result equals the
-    serial one for any number of parts. If reading, a part or a worker
-    fails, or the file holds no basket, the serial path runs instead and
-    raises its own error, message and all.
+    serial one for any number of parts. Both paths run the same decode, the
+    same empty-file check and the same universe checks, so they raise the
+    same errors, message and all.
     """
+    parts = _basket_parts(_read_text(path))
+    count = partial(_count_part, r)
     try:
-        results = _fan_out(partial(_count_part, r), _basket_parts(path))
+        results = _fan_out(count, parts)
     except Exception:
-        results = None
-    if not results or not sum(n for _, _, n in results):
-        return itemset_quality(load_baskets(path), r, vocab_size)
+        results = list(map(count, parts))
     (counts, vocabulary, n), *rest = results
     if rest:
         for part_counts, _, part_n in rest:
@@ -387,18 +401,16 @@ def load_itemset_quality(path, r: int, vocab_size: int | None = None) -> Itemset
                                                part_counts.values())))
             n += part_n
         vocabulary = tuple(sorted(set(chain.from_iterable(v for _, v, _ in results))))
+    if not n:
+        raise ValueError(f"no baskets found in {path}")
     return _itemset_universe(counts, vocabulary, n, r, vocab_size)
 
 
-def _basket_parts(path) -> list[str]:
-    """The text of a basket file, cut right after a newline into one part
-    per fan-out worker; a cut that would leave a part empty is dropped."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    workers = _fan_out_width(len(data), _MIN_PART_BYTES)
-    text = data.decode("utf-8")
-    del data  # the parts are cut from the text alone
+def _basket_parts(text: str) -> list[str]:
+    """A basket file's text, cut right after a newline into one part per
+    fan-out worker; a cut that would leave a part empty is dropped."""
     size = len(text)
+    workers = _fan_out_width(size, _MIN_PART_BYTES)
     cuts = [0]
     for w in range(1, workers):
         cut = text.find("\n", max(cuts[-1], size * w // workers)) + 1  # 0: no newline left
@@ -411,7 +423,7 @@ def _basket_parts(path) -> list[str]:
 def _count_part(r: int, text: str) -> tuple[dict, tuple[str, ...], int]:
     """The itemset counts, vocabulary and basket count of one part of a
     basket file; a part without baskets counts nothing."""
-    d = _read_baskets(io.StringIO(text, newline=None))
+    d = _read_baskets(text)
     if d is None:
         return {}, (), 0
     return _count_itemsets(d.baskets, r), d.vocabulary, d.n

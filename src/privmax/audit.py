@@ -42,7 +42,10 @@ _SHARD_TRIALS = 1024
 _item = itemgetter(0)
 
 # an audit forks one worker per usable core, but only while each worker gets
-# at least this many shards: a fork costs milliseconds, a shard tens of them
+# at least this many shards: a two-part fan-out round trip costs about one
+# shard (2.5-2.8 ms against 2.0-2.9 ms for a 1,024-trial shard of the
+# benchmark's audit-lmm pair, 2-core host, Python 3.11), so the fork stays
+# near an eighth of a worker's work
 _MIN_SHARDS_PER_WORKER = 8
 
 

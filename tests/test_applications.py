@@ -1,5 +1,6 @@
 """Itemset and hypothesis-selection drivers."""
 
+import errno
 import math
 import os
 import random
@@ -31,7 +32,7 @@ from privmax import (
     shell_decomposition,
     t_star,
 )
-from privmax import applications, audit
+from privmax import applications, audit, cli
 from privmax.applications import (
     ItemsetCodec,
     ShellDecomposition,
@@ -111,16 +112,11 @@ class TestLoadBaskets:
         assert load_baskets(crlf).vocabulary == ("apple", "fig", "pear", "plum")
 
 
-def _split_on(monkeypatch, cores, part_bytes=1, serial=True):
+def _split_on(monkeypatch, cores, part_bytes=1):
     """Count basket files on ``cores`` workers, cutting parts from ``part_bytes``
-    bytes up, and fail the serial fallback unless ``serial``; returns the
-    list that records the part count of each fan-out."""
+    characters up; returns the list that records the part count of each
+    fan-out."""
     monkeypatch.setattr(audit, "_usable_cores", lambda: cores)
-    if not serial:
-        def no_serial(path):
-            raise AssertionError("the split path fell back to the serial one")
-
-        monkeypatch.setattr(applications, "load_baskets", no_serial)
     monkeypatch.setattr(applications, "_MIN_PART_BYTES", part_bytes)
     return _record_fan_outs(monkeypatch, applications)
 
@@ -192,7 +188,7 @@ class TestLoadItemsetQuality:
         path = tmp_path / "baskets.txt"
         path.write_bytes(_FILE_SHAPES[shape])
         want = itemset_quality(load_baskets(path), 2)
-        fan_outs = _split_on(monkeypatch, workers, serial=False)
+        fan_outs = _split_on(monkeypatch, workers)
         _assert_same_quality(load_itemset_quality(path, 2), want)
         assert fan_outs and fan_outs[0] <= workers
         _assert_no_child_left()
@@ -205,7 +201,7 @@ class TestLoadItemsetQuality:
         path = tmp_path / "baskets.txt"
         path.write_text("\n".join(_basket_lines(7, lines=200, tokens=30)) + "\n")
         want = itemset_quality(load_baskets(path), r, vocab_size)
-        fan_outs = _split_on(monkeypatch, workers, serial=False)
+        fan_outs = _split_on(monkeypatch, workers)
         _assert_same_quality(load_itemset_quality(path, r, vocab_size), want)
         assert fan_outs == [workers]
         _assert_no_child_left()
@@ -217,7 +213,7 @@ class TestLoadItemsetQuality:
         path = tmp_path / "baskets.txt"
         path.write_text("\n".join(lines) + "\n")
         want = itemset_quality(load_baskets(path), 2, 500)
-        fan_outs = _split_on(monkeypatch, 3, serial=False)
+        fan_outs = _split_on(monkeypatch, 3)
         got = load_itemset_quality(path, 2, 500)
         assert fan_outs == [3]
         _assert_same_quality(got, want)
@@ -251,29 +247,58 @@ class TestLoadItemsetQuality:
         with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
             load_itemset_quality(path, 2)
 
-    def test_failed_worker_falls_back_to_the_serial_path(self, tmp_path, monkeypatch):
+    def test_invalid_byte_is_named_by_its_file_offset(self, tmp_path, monkeypatch, capsys):
+        # the byte sits past the first 8 KiB, where a streamed decode would
+        # name its position within the decode chunk instead
+        path = tmp_path / "baskets.txt"
+        path.write_bytes(b"a b\n" * 5000 + b"c \xff d\n" + b"e f\n" * 10)
+        with pytest.raises(UnicodeDecodeError, match="position 20002:"):
+            load_baskets(path)
+        for workers in (1, 3):
+            _split_on(monkeypatch, workers)
+            with pytest.raises(UnicodeDecodeError, match="position 20002:"):
+                load_itemset_quality(path, 2)
+        capsys.readouterr()
+        assert cli.main(["fim", "--baskets", str(path), "--r", "2", "--seed", "1"]) == cli.EXIT_ERROR
+        assert "position 20002:" in capsys.readouterr().err
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["worker-raises", "fork-raises"])
+    def test_failed_fan_out_counts_the_parts_here(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "baskets.txt"
         path.write_text("\n".join(_basket_lines(8, lines=100)) + "\n")
         want = itemset_quality(load_baskets(path), 2)
         fan_outs = _split_on(monkeypatch, 3)
-        parent, real = os.getpid(), applications._count_part
+        if failure == "worker-raises":
+            parent, real_count = os.getpid(), applications._count_part
 
-        def count_part(r, text):
-            if os.getpid() != parent:
-                raise ArithmeticError("only in a worker")
-            return real(r, text)
+            def count_part(r, text):
+                if os.getpid() != parent:
+                    raise ArithmeticError("only in a worker")
+                return real_count(r, text)
 
-        monkeypatch.setattr(applications, "_count_part", count_part)
-        serial_loads = []
-        monkeypatch.setattr(applications, "load_baskets", lambda p: serial_loads.append(p) or load_baskets(p))
+            monkeypatch.setattr(applications, "_count_part", count_part)
+        else:
+            # the first fork succeeds, so the failed fan-out has a child to kill and reap
+            forks, real_fork = [], os.fork
+
+            def fork():
+                forks.append(1)
+                if len(forks) > 1:
+                    raise OSError(errno.EAGAIN, "no process left")
+                return real_fork()
+
+            monkeypatch.setattr(os, "fork", fork)
+        reads, real_read = [], applications._read_text
+        monkeypatch.setattr(applications, "_read_text", lambda p: reads.append(p) or real_read(p))
         _assert_same_quality(load_itemset_quality(path, 2), want)
-        assert fan_outs == [3] and serial_loads == [path]
+        assert fan_outs == [3] and reads == [path]
         _assert_no_child_left()
 
     def test_forked_path_raises_no_warning(self, tmp_path, monkeypatch):
         path = tmp_path / "baskets.txt"
         path.write_text("\n".join(_basket_lines(9, lines=100)) + "\n")
-        fan_outs = _split_on(monkeypatch, 2, serial=False)
+        fan_outs = _split_on(monkeypatch, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             load_itemset_quality(path, 2)
@@ -301,7 +326,7 @@ class TestLoadItemsetQuality:
         path = tmp_path / "baskets.txt"
         path.write_text("\n".join(_basket_lines(11, lines=100)) + "\n")
         want = itemset_quality(load_baskets(path), 2)
-        fan_outs = _split_on(monkeypatch, 3, serial=False)
+        fan_outs = _split_on(monkeypatch, 3)
         monkeypatch.delattr(os, "fork")
         _assert_same_quality(load_itemset_quality(path, 2), want)
         assert fan_outs == [1]
