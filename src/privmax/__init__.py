@@ -16,7 +16,6 @@ from .core import (
     compute_thresholds,
     load_universe,
     order_stat,
-    satisfies_margin,
     save_universe,
     top_set,
     universe_from_dict,

@@ -1,8 +1,10 @@
 """Command-line front end: run mechanisms, benchmarks, audits, and the two
-application drivers with seeded reproducibility.
+application drivers.
 
-Every command is a deterministic function of (inputs, flags, seed); the seed
-defaults to the PRIVMAX_SEED environment variable, then 0. Exit codes:
+select, fim and pac without --seed draw secret noise and print no seed. A
+seeded run replays as a function of (inputs, flags, seed), so it stays
+private only while its seed stays secret. audit and bench-range default to
+seed 0. Exit codes:
 
     0  success
     1  runtime error (bad input file, invalid configuration)
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .core import (
@@ -70,19 +71,10 @@ EXIT_UNCERTIFIED = 4
 EXIT_VIOLATION = 5
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("PRIVMAX_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"PRIVMAX_SEED must be an integer, got {raw!r}") from None
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """Flags every command reads."""
     parser.add_argument("--alpha", type=float, default=1.0, help="privacy loss alpha")
     parser.add_argument("--delta", type=float, default=0.05, help="failure probability delta")
-    parser.add_argument("--seed", type=int, default=None, help="base seed (default: $PRIVMAX_SEED or 0)")
     parser.add_argument(
         "--mechanism", default="lmm", help="mechanism name: em, mol, st13, lmm (comma list where supported)"
     )
@@ -98,20 +90,16 @@ def _add_zero_noise(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """Flags _noise and _emit read, for the commands that run one mechanism once."""
+    parser.add_argument("--seed", type=int, default=None,
+                        help="replayable seed, private only while secret (default: secret noise, no seed)")
     _add_zero_noise(parser)
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="output format")
 
 
-def _seed_of(args) -> int:
-    return _default_seed() if args.seed is None else args.seed
-
-
 def _config_dict(args) -> dict:
     """The bench-range flags, recorded in its CSV header."""
-    keys = ("alpha", "delta", "trials", "mechanism", "cap", "zero_noise", "ks", "n")
-    cfg = {k: getattr(args, k) for k in keys}
-    cfg["seed"] = _seed_of(args)
-    return cfg
+    keys = ("alpha", "delta", "trials", "mechanism", "cap", "zero_noise", "ks", "n", "seed")
+    return {k: getattr(args, k) for k in keys}
 
 
 def _emit(args, payload: dict) -> None:
@@ -152,8 +140,8 @@ def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> 
 
 
 def _noise(args) -> NoiseSource:
-    """The seeded source of a command that runs one mechanism once."""
-    return NoiseSource(_seed_of(args), zero_override=args.zero_noise)
+    """The source of a command that runs one mechanism once: --seed's, else secret."""
+    return NoiseSource(args.seed, zero_override=args.zero_noise)
 
 
 def _emit_outcome(args, result, details=None) -> int:
@@ -163,12 +151,11 @@ def _emit_outcome(args, result, details=None) -> int:
     outcome is emitted with ``details(outcome)`` merged in, if given, and
     exits EXIT_OK when certified, else EXIT_UNCERTIFIED.
     """
-    seed = _seed_of(args)
     if isinstance(result, Fail):
         budget = result.budget
-        _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": seed})
+        _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": args.seed})
         return EXIT_FAIL
-    payload = result._replace(seed=seed).to_json_dict()
+    payload = result._replace(seed=args.seed).to_json_dict()
     if details is not None:
         payload.update(details(result))
     _emit(args, payload)
@@ -190,7 +177,7 @@ def cmd_bench_range(args) -> int:
     names = [m for m in args.mechanism.split(",") if m]
     budget = PrivacyBudget(args.alpha, args.delta)
     mechs = [build_mechanism(name, budget, cap=args.cap) for name in names]
-    base = NoiseSource(_seed_of(args))
+    base = NoiseSource(args.seed)
     rows = []
     for row_index, k in enumerate(ks):
         u = build_threshold_example(k, [1] * args.n)
@@ -243,13 +230,12 @@ def cmd_audit(args) -> int:
         args.claim_delta if args.claim_delta is not None else args.delta,
     )
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
-    seed = _seed_of(args)
     pair, group = _build_audit_pair(args)
     if group is not None:
         far, near, m = group
         report = check_group_privacy(
             far, near, m, mech, claim, args.trials,
-            confidence=args.confidence, seed=seed,
+            confidence=args.confidence, seed=args.seed,
             provenance=f"hard-family members 1 and 2, differing in m={m} records",
         )
         report.metadata["delta_bound"] = lb2_delta_bound(args.ell, claim.alpha)
@@ -258,7 +244,7 @@ def cmd_audit(args) -> int:
         )
     else:
         report = check_approx_dp(
-            pair, mech, claim, args.trials, confidence=args.confidence, seed=seed
+            pair, mech, claim, args.trials, confidence=args.confidence, seed=args.seed
         )
     prefix = args.out or "audit_report"
     report.write_json(f"{prefix}.json")
@@ -396,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-range", help="success-rate sweep over universe sizes")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="base seed of the sampled trials (default: 0)")
     _add_zero_noise(p)
     p.add_argument("--trials", type=int, default=20000, help="Monte Carlo trials per table cell")
     p.add_argument("--ks", required=True, help="comma-separated universe sizes")
@@ -404,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="statistical approximate-DP audit on a neighbor pair")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="base seed of the sampled trials (default: 0)")
     p.add_argument("--trials", type=int, default=100000, help="Monte Carlo trials per side")
     p.add_argument("--pair", nargs=2, metavar=("LEFT", "RIGHT"), help="two universe JSON files")
     p.add_argument("--note", default=None, help="provenance note for a user-supplied pair")

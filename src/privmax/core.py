@@ -254,19 +254,6 @@ def order_stat(u: QualityUniverse, r: int) -> float:
         return u._descending(r)[0][r - 1]
 
 
-def satisfies_margin(u: QualityUniverse, ell: int, gamma: float) -> bool:
-    """True iff at most ell items lie within gamma of the top value.
-
-    Formally: order_stat(ell+1) < order_stat(1) - gamma. At ell = k this is
-    always true via the -inf sentinel.
-    """
-    if not 1 <= ell <= u.k:
-        raise ValueError(f"ell {ell} outside [1, {u.k}]")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return order_stat(u, ell + 1) < order_stat(u, 1) - gamma
-
-
 def top_set(u: QualityUniverse, ell: int) -> tuple[int, ...]:
     """Ids of the ell highest-quality items, ties broken by lowest id.
 

@@ -28,12 +28,14 @@ def _mix64(x: int) -> int:
 
 class NoiseSource:
     """Stream of uniform variates in (0, 1) derived from an integer seed in
-    [0, 2^64); any other seed raises ``ValueError``.
+    [0, 2^64); any other seed but ``None`` raises ``ValueError``.
 
     Identical seeds yield identical streams (Mersenne Twister, stable across
-    platforms). With ``zero_override`` the generator is the constant 0.5,
-    the stream median, which the Laplace inverse CDF maps to 0 --
-    deterministic traces for tests and debugging, NOT private.
+    platforms), which anyone who knows the seed can replay. Seed ``None``
+    draws secret noise from ``random.SystemRandom``. With ``zero_override``
+    the generator is the constant 0.5, the stream median, which the Laplace
+    inverse CDF maps to 0 -- deterministic traces for tests and debugging,
+    NOT private.
 
     A source is single-owner: one consumer, one pass; never share one
     mid-stream. Independent streams come from :meth:`spawn`, which hashes
@@ -47,21 +49,23 @@ class NoiseSource:
 
     __slots__ = ("seed", "zero_override", "_rng")
 
-    def __init__(self, seed: int, zero_override: bool = False):
-        # spawn hashes the seed as a 64-bit integer, so any other seed that
-        # random.Random accepts (a float, a bool, 2**64 + s) would fail there
-        # or alias another seed's children
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        # Random(-s) seeds like Random(s): a negative seed would silently
-        # alias its absolute value
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        if seed > _MASK64:
-            raise ValueError(f"seed must be below 2**64, got {seed}")
+    def __init__(self, seed: int | None, zero_override: bool = False):
+        if seed is not None:
+            # spawn hashes the seed as a 64-bit integer, so any other seed
+            # that random.Random accepts (a float, a bool, 2**64 + s) would
+            # fail there or alias another seed's children
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise ValueError(f"seed must be an integer, got {seed!r}")
+            # Random(-s) seeds like Random(s): a negative seed would silently
+            # alias its absolute value
+            if seed < 0:
+                raise ValueError(f"seed must be nonnegative, got {seed}")
+            if seed > _MASK64:
+                raise ValueError(f"seed must be below 2**64, got {seed}")
         self.seed = seed
         self.zero_override = zero_override
-        self._rng = _MEDIAN if zero_override else random.Random(seed)
+        self._rng = (_MEDIAN if zero_override
+                     else random.SystemRandom() if seed is None else random.Random(seed))
 
     @property
     def mode(self) -> str:
@@ -89,7 +93,10 @@ class NoiseSource:
     def spawn(self, index: int) -> "NoiseSource":
         """Independent child stream ``index``, seeded with
         mix64(mix64(seed) + index), where mix64 is a SplitMix64 step; keeps
-        ``zero_override``."""
+        ``zero_override``. The audits and bench-range, which spawn, always
+        pass a seed."""
+        if self.seed is None:
+            raise ValueError("a secret NoiseSource (seed None) has no seed to hash into child streams")
         return NoiseSource(_mix64(_mix64(self.seed) + index), self.zero_override)
 
     def __repr__(self) -> str:

@@ -185,6 +185,19 @@ def itemset_quality_reference(d, r, vocab_size=None):
     }
 
 
+def satisfies_margin(u, ell, gamma):
+    """True iff at most ell items lie within gamma of the top value.
+
+    Formally: order_stat(ell+1) < order_stat(1) - gamma. At ell = k this is
+    always true via the -inf sentinel.
+    """
+    if not 1 <= ell <= u.k:
+        raise ValueError(f"ell {ell} outside [1, {u.k}]")
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    return order_stat(u, ell + 1) < order_stat(u, 1) - gamma
+
+
 # Stage references. Unlike everything above, these run the library's own
 # code: they are the readable forms of the LMM's stage 1 and stage 3, which
 # ``_eager_lmm`` in test_mechanisms composes with ``margin_search`` and pins

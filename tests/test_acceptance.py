@@ -29,10 +29,15 @@ from privmax import (
     lmm_required_margin,
     margin_search,
     order_stat,
-    satisfies_margin,
     top_set,
 )
-from oracles import exact_selection_weights, noisy_max_estimate, restricted_exponential, tv_distance
+from oracles import (
+    exact_selection_weights,
+    noisy_max_estimate,
+    restricted_exponential,
+    satisfies_margin,
+    tv_distance,
+)
 
 
 def conclude(num: int, description: str, ok: bool, detail: str) -> None:

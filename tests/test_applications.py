@@ -40,7 +40,12 @@ from privmax.applications import (
     _comb_unrank,
     _SupportOrder,
 )
-from oracles import itemset_quality_reference, shell_decomposition_sorted, shell_sizes_bruteforce
+from oracles import (
+    itemset_quality_reference,
+    satisfies_margin,
+    shell_decomposition_sorted,
+    shell_sizes_bruteforce,
+)
 
 
 class TestLoadBaskets:
@@ -922,8 +927,6 @@ def test_pac_selection_recovers_perfect_hypothesis():
     h = HypothesisClass(predictions=(perfect, weak, worse), labels=labels, d=1)
     u = empirical_quality(h)
     gamma = lmm_required_margin(n, alpha, delta, eta, 1)
-    from privmax import satisfies_margin
-
     assert satisfies_margin(u, 1, gamma)
     trials = 1000
     base = NoiseSource(77)

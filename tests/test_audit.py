@@ -29,12 +29,11 @@ from privmax import (
     lb2_delta_bound,
     max_of_laplaces,
     order_stat,
-    satisfies_margin,
     top_set,
 )
 from privmax import audit
 from privmax.audit import _SHARD_TRIALS, outcome_key
-from oracles import exact_selection_weights, tv_distance
+from oracles import exact_selection_weights, satisfies_margin, tv_distance
 
 
 def argmax_mechanism(u, src):

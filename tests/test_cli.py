@@ -16,7 +16,7 @@ from privmax.cli import (
     build_parser,
     main,
 )
-from privmax import QualityUniverse, audit, cli, save_universe
+from privmax import NoiseSource, QualityUniverse, audit, cli, save_universe
 from test_applications import _assert_no_child_left, _record_fan_outs
 
 
@@ -144,19 +144,6 @@ class TestSelect:
         assert run("select", "--in", str(path), "--seed", "1", "--out", str(out)) == EXIT_OK
         assert json.loads(out.read_text())["item"] == 1
 
-    def test_env_var_seed(self, clear_universe, tmp_path, monkeypatch):
-        monkeypatch.setenv("PRIVMAX_SEED", "41")
-        out = tmp_path / "o.json"
-        run("select", "--in", clear_universe, "--mechanism", "em",
-            "--alpha", "1", "--out", str(out))
-        assert json.loads(out.read_text())["seed"] == 41
-
-    @pytest.mark.parametrize("raw", ["1.5", "abc", ""], ids=["float", "word", "empty"])
-    def test_non_integer_env_var_seed_named(self, raw, clear_universe, monkeypatch, capsys):
-        monkeypatch.setenv("PRIVMAX_SEED", raw)
-        assert run("select", "--in", clear_universe) == EXIT_ERROR
-        assert f"error: PRIVMAX_SEED must be an integer, got {raw!r}" in capsys.readouterr().err
-
     def test_csv_format(self, clear_universe, tmp_path):
         out = tmp_path / "o.csv"
         code = run("select", "--in", clear_universe, "--mechanism", "lmm",
@@ -166,6 +153,45 @@ class TestSelect:
         lines = out.read_text().splitlines()
         assert lines[0] == "key,value"
         assert "item,1" in lines
+
+
+class TestSecretNoise:
+    """Without --seed a private run draws secret noise: no seed is printed,
+    and no seed replays its draws back to the data."""
+
+    F1, N = 0.7342, 200
+
+    @pytest.fixture
+    def universe(self, tmp_path):
+        path = tmp_path / "universe.json"
+        path.write_text(json.dumps({"k": 4, "n": self.N, "values": [self.F1, 0.2, 0.1, 0.05]}))
+        return str(path)
+
+    @staticmethod
+    def select(universe, out, *extra):
+        code = run("select", "--in", universe, "--mechanism", "lmm", "--out", str(out), *extra)
+        assert code in (EXIT_OK, EXIT_UNCERTIFIED)
+        return json.loads(out.read_text())
+
+    def replayed_f1(self, doc):
+        # LMM's stage 1 releases m = f(1) + Lap(3/alpha)/n, its first draw;
+        # the seed-0 stream gives that draw back
+        return doc["m"] - NoiseSource(0).laplace(3.0) / self.N
+
+    def test_seed_zero_run_replays_to_the_top_quality(self, universe, tmp_path):
+        doc = self.select(universe, tmp_path / "o.json", "--seed", "0")
+        assert doc["seed"] == 0 and self.replayed_f1(doc) == self.F1
+
+    def test_unseeded_run_prints_no_seed_and_resists_the_replay(self, universe, tmp_path):
+        docs = [self.select(universe, tmp_path / f"{i}.json") for i in range(2)]
+        assert [doc["seed"] for doc in docs] == [None, None]
+        assert all(self.replayed_f1(doc) != self.F1 for doc in docs)
+        assert docs[0]["m"] != docs[1]["m"]
+
+    def test_zero_noise_without_seed_is_deterministic(self, universe, tmp_path):
+        first, second = (self.select(universe, tmp_path / f"{i}.json", "--zero-noise") for i in range(2))
+        assert first == second
+        assert first["m"] == self.F1 and first["seed"] is None
 
 
 class TestBenchRange:

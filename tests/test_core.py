@@ -26,14 +26,13 @@ from privmax import (
     compute_thresholds,
     load_universe,
     order_stat,
-    satisfies_margin,
     save_universe,
     top_set,
     universe_from_dict,
     universe_to_dict,
 )
 from privmax.core import json_numbers
-from oracles import restricted_exponential, thresholds_highprec
+from oracles import restricted_exponential, satisfies_margin, thresholds_highprec
 
 NEG_INF = float("-inf")
 
@@ -136,7 +135,7 @@ def test_public_names_are_pinned():
         "hoeffding_slack", "itemset_quality", "itemset_quality_dense", "large_margin_mechanism",
         "lb2_delta_bound", "lmm_quality_radius", "lmm_required_margin", "load_baskets",
         "load_itemset_quality", "load_universe", "margin_search", "max_of_laplaces", "order_stat",
-        "pac_selection_constant", "satisfies_margin", "save_universe", "shell_decomposition", "t_star",
+        "pac_selection_constant", "save_universe", "shell_decomposition", "t_star",
         "top_set", "universe_from_dict", "universe_to_dict",
     ]
 

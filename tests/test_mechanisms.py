@@ -41,6 +41,7 @@ from oracles import (
     laplace_quantile,
     noisy_max_estimate,
     restricted_exponential,
+    satisfies_margin,
     tv_distance,
 )
 
@@ -323,8 +324,6 @@ class TestLargeMarginMechanism:
         assert gamma < 0.7
         values = [1.0, 0.98, 0.96] + [0.3] * 7
         u = QualityUniverse.dense(values, n=n)
-        from privmax import satisfies_margin
-
         assert satisfies_margin(u, ell_star, gamma)
         radius = lmm_quality_radius(n, alpha, eta, ell_star)
         cutoff = order_stat(u, 1) - radius
@@ -777,12 +776,11 @@ class TestBoundPlans:
     @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
     def test_plans_run_on_a_system_random_generator(self, name):
         # a plan reads only its source's zero_override and _rng.random(), so
-        # the operating system's generator (ROADMAP item 7's secure source)
+        # a secret source, which draws from the operating system's generator,
         # runs every plan to valid outcomes
         for budget in self.BUDGETS:
             for u, cap in _plan_cases():
-                src = NoiseSource(0)
-                src._rng = random.SystemRandom()
+                src = NoiseSource(None)
                 for out in islice(build_mechanism(name, budget, cap=cap).bind(u).runs(src), 50):
                     if isinstance(out, Fail):
                         assert name == "st13" and out.budget == budget

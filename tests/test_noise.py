@@ -1,6 +1,7 @@
 """Noise source determinism and the Laplace inverse-CDF transform."""
 
 import math
+import random
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_zero_override_stream_is_constant():
     src = NoiseSource(7, zero_override=True)
     assert {src.uniform() for _ in range(50)} == {0.5}
     assert all(src.laplace(s) == 0.0 for s in (0.1, 1.0, 250.0))
+
+
+def test_secret_source_draws_from_the_operating_system():
+    src = NoiseSource(None)
+    assert src.seed is None and isinstance(src._rng, random.SystemRandom)
+    assert 0.0 < src.uniform() < 1.0
+    assert NoiseSource(None, zero_override=True).laplace(3.0) == 0.0
+
+
+def test_secret_source_cannot_spawn():
+    # spawn hashes the seed into a child's; a secret source has none, and the
+    # audits and bench-range, which spawn, always pass one
+    for src in (NoiseSource(None), NoiseSource(None, zero_override=True)):
+        with pytest.raises(ValueError, match="no seed to hash"):
+            src.spawn(0)
 
 
 def test_monte_carlo_mean_absolute_value():
