@@ -8,7 +8,8 @@ codec records the bijective id <-> itemset mapping for decoding. A basket
 file is read in one place and parsed by one function, whole
 (:func:`load_baskets`) or in parts counted on every usable core
 (:func:`load_itemset_quality`, what ``privmax fim`` runs); the result and
-every error equal the serial count's.
+every error equal the serial count's, also when a part's fork or worker
+fails and its part is counted in this process.
 
 PAC hypothesis selection: a finite hypothesis class with per-hypothesis errors
 yields a dense universe with quality 1 - error, plus the error-radius shell
@@ -378,21 +379,17 @@ def load_itemset_quality(path, r: int, vocab_size: int | None = None) -> Itemset
     The file is read and decoded once (:func:`_read_text`) and cut right
     after a newline into ``_fan_out_width(characters, _MIN_PART_BYTES)``
     parts. Each part goes through :func:`_read_baskets` and the itemset
-    count in its own process (see :func:`audit._fan_out`); if a fork or a
-    worker fails, this process counts the same parts the same way. The
-    counts are added in part order, the vocabularies united and the basket
-    counts summed, and :func:`itemset_quality`'s last step builds the
-    universe and codec; it orders them by sorting, so the result equals the
-    serial one for any number of parts. Both paths run the same decode, the
+    count in its own process (see :func:`audit._fan_out`, which counts here
+    a part whose fork or worker fails). The counts are added in part order,
+    the vocabularies united and the basket counts summed, and
+    :func:`itemset_quality`'s last step builds the universe and codec; it
+    orders them by sorting, so the result equals the serial one for any
+    number of parts. Both paths run the same decode, the
     same empty-file check and the same universe checks, so they raise the
     same errors, message and all.
     """
     parts = _basket_parts(_read_text(path))
-    count = partial(_count_part, r)
-    try:
-        results = _fan_out(count, parts)
-    except Exception:
-        results = list(map(count, parts))
+    results = _fan_out(partial(_count_part, r), parts)
     (counts, vocabulary, n), *rest = results
     if rest:
         for part_counts, _, part_n in rest:

@@ -20,7 +20,7 @@ import os
 import time
 from collections import _count_elements
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -102,17 +102,18 @@ def _usable_cores() -> int:
 
 def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     """Outcome frequencies of each job ``(mechanism, universe, trials, seed,
-    zero_override)`` and the number of processes that counted them.
+    zero_override)`` and the number of processes the tasks were dealt to.
 
     Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
     to ``_fan_out_width(tasks, _MIN_SHARDS_PER_WORKER)`` workers and counted
-    by :func:`_fan_out`. Each job's mechanism is bound to its universe once,
+    by :func:`_fan_out`, which counts here the slice of a worker whose fork
+    or child fails. Each job's mechanism is bound to its universe once,
     here, before any fork (see :func:`_bind`), so a bind error raises in this
     process. A child inherits the bound runs, so nothing is pickled, but its
     outcome keys must be marshal-able (ints, strings, tuples of them), and it
     sends its counts as plain dicts. Shard counts are merged in task order,
     so each dict equals the serial estimate, key order included, for any
-    worker count.
+    worker count and any failed worker.
     """
     tasks = []
     for j, (_, _, trials, _, _) in enumerate(jobs):
@@ -145,22 +146,30 @@ def _fan_out_width(units: int, min_units: int) -> int:
 
 
 def _fan_out(work: Callable, parts: list) -> list:
-    """``[work(part) for part in parts]``, the library's one fork fan-out.
+    """``[work(part) for part in parts]``, the library's one fork fan-out,
+    and the one place that handles a failed fork or worker.
 
     This process runs ``work(parts[0])``; each other part runs in a child
     forked before it, which inherits ``work`` and its part, so nothing is
     pickled, and sends ``marshal`` of its result back through a pipe. So a
     result must be marshal-able: ints, floats, strings, and tuples, lists
-    and plain dicts of them. A child that fails raises ``RuntimeError``
-    here. If anything fails, every child still running is killed; every
-    child is reaped either way.
+    and plain dicts of them. A part runs here instead, in part order, when
+    its child sends nothing readable (its ``work`` raised, say) or when its
+    fork, or an earlier part's, raises ``OSError``; so the first error
+    raised is the list's first error. If anything raises, every child still
+    running is killed; every child is reaped either way.
     """
-    children = []  # (pid, read end of its pipe)
+    children = []  # (pid, read end of its pipe) of each forked part, in part order
     try:
-        for part in parts[1:]:
-            children.append(_fork_worker(work, part))
+        try:
+            for part in parts[1:]:
+                children.append(_fork_worker(work, part))
+        except OSError:
+            pass  # this part and every later one run here
         results = [work(parts[0])]
-        results += [_receive(pid, source) for pid, source in children]
+        for part, child in zip_longest(parts[1:], children):
+            sent = _receive(child[1]) if child else []
+            results += sent or [work(part)]
     except BaseException:
         if children:
             import signal  # only a failed fan-out needs it
@@ -214,9 +223,9 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
 
 
 def _fork_worker(work: Callable, part):
-    """Fork a child that runs ``work(part)`` and writes ``marshal`` of
-    (True, result), or of (False, its error), to a pipe; returns the child's
-    pid and the pipe's read end."""
+    """Fork a child that runs ``work(part)`` and writes ``marshal`` of its
+    result to a pipe, or nothing if ``work`` raises; returns the child's pid
+    and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -225,35 +234,27 @@ def _fork_worker(work: Callable, part):
         os.close(write_fd)
         raise
     if pid == 0:
-        # the child leaves by os._exit and never returns into its caller
-        status = 1
+        # the child leaves by os._exit, error or not, and never returns into its caller
         try:
             os.close(read_fd)
-            try:
-                data = marshal.dumps((True, work(part)))
-            except Exception as exc:
-                data = marshal.dumps((False, f"{type(exc).__name__}: {exc}"))
+            data = marshal.dumps(work(part))
             with open(write_fd, "wb") as sink:
                 sink.write(data)
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
 
-def _receive(pid: int, source):
-    """The result a forked child sent; RuntimeError if it sent an error or
-    nothing readable."""
+def _receive(source) -> list:
+    """A one-item list of the result a forked child sent, or ``[]`` if it
+    sent nothing readable."""
     with source:
         data = source.read()
     try:
-        ok, payload = marshal.loads(data)
+        return [marshal.loads(data)]
     except (EOFError, ValueError, TypeError):
-        raise RuntimeError(f"worker {pid} exited without sending its counts") from None
-    if not ok:
-        raise RuntimeError(f"worker {pid} failed: {payload}")
-    return payload
+        return []
 
 
 class NeighborPair(

@@ -175,6 +175,8 @@ def cmd_bench_range(args) -> int:
     if not ks:
         raise ValueError("bench-range needs --ks, e.g. --ks 100,10000")
     names = [m for m in args.mechanism.split(",") if m]
+    if not names:
+        raise ValueError("bench-range needs --mechanism, e.g. --mechanism em,lmm")
     budget = PrivacyBudget(args.alpha, args.delta)
     mechs = [build_mechanism(name, budget, cap=args.cap) for name in names]
     base = NoiseSource(args.seed)
@@ -299,13 +301,13 @@ def cmd_pac(args) -> int:
 
     The selection runs on the dense universe of qualities 1 - error. The
     shells, ``t_star`` and ``pac_selection_constant`` feed only the report.
+    The selection and these diagnostics are two parts, run in that order.
     On two usable cores or more, from ``_MIN_SPLIT_HYPOTHESES`` hypotheses
-    up, they are counted in a child forked through :func:`audit._fan_out`
-    while this process builds the universe and selects; the child sends the
-    shell fields and the selection diagnostics back as plain values, and
-    the record is rebuilt here. The output is the same either way. If a
-    part or the worker fails, the serial path runs instead and raises its
-    own error, in its order: the universe's, the shells', then the plan's.
+    up, they run through :func:`audit._fan_out`, whose forked child sends
+    the shell fields and the diagnostics back as plain values, and the
+    record is rebuilt here. Either way the selection runs once, in this
+    process, the output is the same, and the first error raised is the
+    selection's (a non-finite error, --seed, --cap), then the shells'.
     """
     if args.spec is None:
         raise ValueError("pac needs --spec with a class spec JSON file")
@@ -320,8 +322,8 @@ def cmd_pac(args) -> int:
     if len(errors) != num_hypotheses:
         raise ValueError("error_profile length must equal num_hypotheses")
 
-    def universe():
-        return QualityUniverse.dense([1.0 - e for e in errors], n=n)
+    def select():
+        return mech(QualityUniverse.dense([1.0 - e for e in errors], n=n), _noise(args))
 
     def diagnostics():
         """The shell fields as a plain tuple and the selection diagnostics,
@@ -337,17 +339,11 @@ def cmd_pac(args) -> int:
             selection.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
         return tuple(shells), selection
 
-    parts = None
+    parts = [select, diagnostics]
     if len(errors) >= _MIN_SPLIT_HYPOTHESES and _fan_out_width(2, 1) > 1:
-        try:
-            parts = _fan_out(lambda part: part(), [lambda: mech(universe(), _noise(args)), diagnostics])
-        except Exception:
-            pass  # the serial path below raises the error in its own words
-    if parts is None:
-        u = universe()
-        diagnosed = diagnostics()
-        parts = [mech(u, _noise(args)), diagnosed]
-    result, (fields, selection) = parts
+        result, (fields, selection) = _fan_out(lambda part: part(), parts)
+    else:
+        result, (fields, selection) = [part() for part in parts]
     shells = ShellDecomposition(*fields)
 
     def details(result):

@@ -1,6 +1,7 @@
 """Audit harness: distribution estimation, DP checks, adversarial families."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -129,6 +130,21 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fork_fails_from_second_call(monkeypatch):
+    """Make ``os.fork`` raise EAGAIN from its second call on; returns the
+    list that records each call, which a clear() resets."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, "no process left")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 class TestFanOut:
     """Shards run on max(1, min(cores, shards // 8)) processes; the counts
     must not depend on how many."""
@@ -163,30 +179,63 @@ class TestFanOut:
             assert (serial.metadata["workers"], forked.metadata["workers"]) == (1, 3)
         _assert_no_child_left()
 
-    def test_worker_only_failure_raises_in_parent(self, monkeypatch):
-        _on_cores(monkeypatch, 3)
-        parent = os.getpid()
+    def _failing_in_workers(self, failure):
+        """An em run that fails in any process but this one, by raising or by
+        exiting without a word, and the list of the runs made here."""
+        parent, mech, here = os.getpid(), build_mechanism("em", PrivacyBudget(1.0)), []
 
-        def mech(u, src):
+        def run(u, src):
             if os.getpid() != parent:
-                raise ArithmeticError("only in a worker")
-            return argmax_mechanism(u, src)
+                if failure == "raises":
+                    raise ArithmeticError("only in a worker")
+                os._exit(0)
+            here.append(1)
+            return mech(u, src)
 
-        with pytest.raises(RuntimeError, match="ArithmeticError: only in a worker"):
-            estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 0)
+        return run, here
+
+    def test_worker_only_failure_is_counted_in_parent(self, monkeypatch):
+        # both workers' children raise, so their shards are counted here
+        mech, here = self._failing_in_workers("raises")
+        _on_cores(monkeypatch, 1)
+        serial = estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 5)
+        _on_cores(monkeypatch, 3)
+        here.clear()
+        forked = estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 5)
+        assert len(here) == 24 * _SHARD_TRIALS
+        assert forked == serial and list(forked) == list(serial)
         _assert_no_child_left()
 
-    def test_worker_that_sends_nothing_raises_in_parent(self, monkeypatch):
+    def test_worker_that_sends_nothing_is_counted_in_parent(self, monkeypatch):
+        mech, here = self._failing_in_workers("exits")
+        _on_cores(monkeypatch, 1)
+        serial = estimate_distribution(mech, self.LEFT, 16 * _SHARD_TRIALS, 6)
         _on_cores(monkeypatch, 2)
-        parent = os.getpid()
+        here.clear()
+        forked = estimate_distribution(mech, self.LEFT, 16 * _SHARD_TRIALS, 6)
+        assert len(here) == 16 * _SHARD_TRIALS
+        assert forked == serial and list(forked) == list(serial)
+        _assert_no_child_left()
 
-        def mech(u, src):
-            if os.getpid() != parent:
-                os._exit(0)
-            return argmax_mechanism(u, src)
-
-        with pytest.raises(RuntimeError, match="without sending its counts"):
-            estimate_distribution(mech, self.LEFT, 16 * _SHARD_TRIALS, 0)
+    def test_fork_failure_is_counted_in_parent(self, monkeypatch):
+        # the first fork succeeds and the second raises, so of three parts
+        # one runs in a child and two run here
+        mech = build_mechanism("lmm", PrivacyBudget(1.0, 0.05))
+        pair = NeighborPair(self.LEFT, self.RIGHT)
+        _on_cores(monkeypatch, 1)
+        serial = estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 7)
+        serial_report = check_approx_dp(pair, mech, PrivacyBudget(1.0, 0.05), 12 * _SHARD_TRIALS, seed=7)
+        _on_cores(monkeypatch, 3)
+        forks = _fork_fails_from_second_call(monkeypatch)
+        forked = estimate_distribution(mech, self.LEFT, 24 * _SHARD_TRIALS, 7)
+        assert len(forks) == 2
+        assert forked == serial and list(forked) == list(serial)
+        _assert_no_child_left()
+        forks.clear()
+        report = check_approx_dp(pair, mech, PrivacyBudget(1.0, 0.05), 12 * _SHARD_TRIALS, seed=7)
+        assert len(forks) == 2
+        assert report.checks == serial_report.checks
+        assert report.metadata["workers"] == 3
         _assert_no_child_left()
 
     def test_parent_failure_keeps_its_type_and_reaps_workers(self, monkeypatch):

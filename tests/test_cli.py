@@ -2,8 +2,10 @@
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 
 import pytest
 
@@ -228,6 +230,20 @@ class TestBenchRange:
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
         for row in rows[1:]:
             assert float(row[5]) >= 0.97
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mechanism", "", "bench-range needs --mechanism, e.g. --mechanism em,lmm"),
+        ("--mechanism", ",", "bench-range needs --mechanism, e.g. --mechanism em,lmm"),
+        ("--ks", ",", "bench-range needs --ks, e.g. --ks 100,10000"),
+    ], ids=["no-mechanism", "comma-mechanism", "comma-ks"])
+    def test_empty_list_exits_one_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        # a sweep with no mechanism or no size would write a header-only table
+        out = tmp_path / "bench.csv"
+        argv = {"--ks": "10", "--mechanism": "em"} | {flag: value}
+        assert run("bench-range", *(x for kv in argv.items() for x in kv), "--trials", "10",
+                   "--out", str(out)) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestAudit:
@@ -484,8 +500,9 @@ class TestPac:
         ({}, ["--c0", "0"], "C0 must be positive, got 0.0"),
         ({}, ["--delta0", "0"], "delta0 must lie in (0, 1), got 0.0"),
         ({}, ["--cap", "9"], "cap 9 outside [1, 5]"),
-        # the serial order checks the shells' arguments before the plan's cap
-        ({}, ["--c0", "0", "--cap", "9"], "C0 must be positive, got 0.0"),
+        # both paths raise the selection's errors (a non-finite error,
+        # --seed, --cap) before the shells' arguments
+        ({}, ["--c0", "0", "--cap", "9"], "cap 9 outside [1, 5]"),
     ], ids=["nan", "d0", "n1", "c0", "delta0", "cap", "c0-and-cap"])
     def test_split_errors_are_the_serial_ones(self, tmp_path, monkeypatch, capsys, fields, flags, message):
         fan_outs = _split_pac_on(monkeypatch, 2)
@@ -494,6 +511,48 @@ class TestPac:
         _assert_no_child_left()
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("failure", ["worker-raises", "worker-sends-nothing", "fork-raises"])
+    def test_failed_split_output_is_the_serial_one(self, tmp_path, monkeypatch, failure):
+        # the shells part's fork or child fails, so that part runs here; the
+        # selection runs once, in this process, on either path
+        spec, parent = self._spec(tmp_path), os.getpid()
+        selections, real_build, real_shells = [], cli.build_mechanism, cli.shell_decomposition
+
+        def build(*args, **kwargs):
+            mech = real_build(*args, **kwargs)
+
+            def counted(u, src):
+                selections.append(os.getpid())
+                return mech(u, src)
+
+            return counted
+
+        def shells(*args, **kwargs):
+            if os.getpid() != parent:
+                if failure == "worker-raises":
+                    raise ArithmeticError("only in a worker")
+                os._exit(0)
+            return real_shells(*args, **kwargs)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "no process left")
+
+        monkeypatch.setattr(cli, "build_mechanism", build)
+        monkeypatch.setattr(cli, "shell_decomposition", shells)
+        outputs = []
+        for cores in (1, 2):
+            fan_outs = _split_pac_on(monkeypatch, cores)
+            if failure == "fork-raises":
+                monkeypatch.setattr(os, "fork", fork)
+            selections.clear()
+            out = tmp_path / f"pac-{cores}.json"
+            assert run("pac", "--spec", spec, "--seed", "4", "--out", str(out)) == EXIT_OK
+            assert fan_outs == ([2] if cores == 2 else [])
+            assert selections == [parent]
+            _assert_no_child_left()
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_small_class_stays_serial(self, tmp_path, monkeypatch):
         fan_outs = _split_pac_on(monkeypatch, 2)
