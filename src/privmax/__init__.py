@@ -24,7 +24,7 @@ from .core import (
 from .noise import NoiseSource
 from .mechanisms import (
     CapExhausted,
-    Fail,
+    FAIL_KEY,
     build_mechanism,
     default_cap,
     exponential_mechanism,

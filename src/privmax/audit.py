@@ -25,7 +25,6 @@ from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .core import PrivacyBudget, QualityUniverse, checked_make, order_stat, require_alpha
-from .mechanisms import FAIL_KEY, Fail
 from .noise import NoiseSource
 
 # an audit whose statistical slack exceeds this cannot certify anything useful
@@ -38,7 +37,8 @@ _RIGHT_SEED_OFFSET = 1 << 32
 # costs far more than a trial's few draws, so a stream serves a whole shard
 _SHARD_TRIALS = 1024
 
-# the item of a plan's release tuple, read in C
+# the item of a run, read in C: index 0 of a plan's release tuple and of a
+# MechanismOutcome alike
 _item = itemgetter(0)
 
 # an audit forks one worker per usable core, but only while each worker gets
@@ -58,16 +58,6 @@ def hoeffding_slack(trials: int, confidence: float = 0.99) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
 
 
-def outcome_key(result) -> Hashable:
-    """Distribution-table key for a mechanism result: its item, index 0 of a
-    MechanismOutcome, or ``FAIL_KEY`` for a Fail, which is a distinguished
-    outcome, not an error. Audit shards key by it only the results of
-    callables without ``bind`` and of replaced (wrapped) mechanism
-    functions; a plan's release tuples already carry this key at index 0
-    (see :mod:`privmax.mechanisms`)."""
-    return FAIL_KEY if isinstance(result, Fail) else result[0]
-
-
 def estimate_distribution(
     mechanism: Callable,
     u: QualityUniverse,
@@ -84,9 +74,9 @@ def estimate_distribution(
     :func:`_estimate_jobs`) and the result is the same for any number of them.
     A bound plan's shard counts its release tuples (``plan.releases(src)``)
     without building a MechanismOutcome per trial (see :func:`_count_tasks`).
-    Outcomes are keyed by their item, or ``FAIL_KEY``; ``zero_override``
-    propagates the deterministic noise mode, the source's generator (see
-    :mod:`privmax.mechanisms`), to every shard.
+    Outcomes are keyed by their item (``FAIL_KEY`` for a declined st13
+    run); ``zero_override`` propagates the deterministic noise mode, the
+    source's generator (see :mod:`privmax.mechanisms`), to every shard.
     """
     (freqs,), _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
     return freqs
@@ -109,11 +99,14 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     by :func:`_fan_out`, which counts here the slice of a worker whose fork
     or child fails. Each job's mechanism is bound to its universe once,
     here, before any fork (see :func:`_bind`), so a bind error raises in this
-    process. A child inherits the bound runs, so nothing is pickled, but its
-    outcome keys must be marshal-able (ints, strings, tuples of them), and it
-    sends its counts as plain dicts. Shard counts are merged in task order,
-    so each dict equals the serial estimate, key order included, for any
-    worker count and any failed worker.
+    process. A child inherits the bound runs, so nothing is pickled, and it
+    sends its counts as plain dicts through ``marshal``. An outcome key that
+    marshal cannot send (not an int, string or tuple of them) is not an
+    error: each child sends nothing, so its shards are counted again here,
+    and the count of processes returned is still the fork width. Shard
+    counts are merged in task order, so each dict equals the serial
+    estimate, key order included, for any worker count and any failed
+    worker.
     """
     tasks = []
     for j, (_, _, trials, _, _) in enumerate(jobs):
@@ -201,23 +194,20 @@ def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     ``size`` release tuples of ``plan.releases(src)`` when the bound object
     has ``releases`` (a bound plan), else ``size`` calls of it (a bindless
     mechanism, or the run a replaced mechanism function binds to). A plan's
-    loop draws under the draw contract of :mod:`privmax.mechanisms`. Every
-    plan's release tuples are keyed by index 0 in C, their item or
-    ``FAIL_KEY``; :func:`outcome_key` keys the calls. Each shard's counts
-    are a plain dict in first-seen key order, counted in C; not a Counter,
-    which ``marshal`` cannot send from a forked child."""
+    loop draws under the draw contract of :mod:`privmax.mechanisms`. A
+    release tuple and a call's MechanismOutcome alike are keyed by index 0,
+    their item. Each shard's counts are a plain dict in first-seen key
+    order, counted in C; not a Counter, which ``marshal`` cannot send from
+    a forked child."""
     out = []
     for j, shard in tasks:
         run, trials, base = bound[j]
         src = base.spawn(shard)
         size = min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)
         releases = getattr(run, "releases", None)
-        if releases is None:
-            outcomes, key = map(run, repeat(src, size)), outcome_key
-        else:
-            outcomes, key = islice(releases(src), size), _item
+        outcomes = map(run, repeat(src, size)) if releases is None else islice(releases(src), size)
         counts = {}
-        _count_elements(counts, map(key, outcomes))
+        _count_elements(counts, map(_item, outcomes))
         out.append(counts)
     return out
 

@@ -9,7 +9,7 @@ seed 0. Exit codes:
     0  success
     1  runtime error (bad input file, invalid configuration)
     2  usage error (argparse)
-    3  the gap mechanism returned Fail
+    3  the gap mechanism declined to release (an outcome whose item is FAIL_KEY)
     4  the adaptive mechanism fell back uncertified (cap exhausted)
     5  an audit reported at least one violation
 
@@ -36,13 +36,12 @@ from .core import (
 )
 from .noise import NoiseSource
 from .mechanisms import (
-    Fail,
+    FAIL_KEY,
     build_mechanism,
     lmm_quality_radius,
     lmm_required_margin,
 )
 from .audit import (
-    FAIL_KEY,
     NeighborPair,
     _fan_out,
     _fan_out_width,
@@ -55,7 +54,6 @@ from .audit import (
     lb2_delta_bound,
 )
 from .applications import (
-    ShellDecomposition,
     itemset_quality,  # noqa: F401  (perfbench's layer trace wraps this name here)
     load_baskets,
     load_itemset_quality,
@@ -131,7 +129,7 @@ def _write_csv_rows(path, header: list[str], rows: list[list], config: dict) -> 
     try:
         for key, value in sorted(config.items()):
             out.write(f"# {key}={value}\n")
-        writer = csv.writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     finally:
@@ -145,17 +143,20 @@ def _noise(args) -> NoiseSource:
 
 
 def _emit_outcome(args, result, details=None) -> int:
-    """Emit ``result``, the outcome of one mechanism run on ``_noise(args)``.
+    """Emit ``result``, the outcome of one mechanism run on ``_noise(args)``,
+    with ``args.seed``, the run's only seed.
 
-    A Fail is emitted as its own record with exit code EXIT_FAIL. A released
-    outcome is emitted with ``details(outcome)`` merged in, if given, and
-    exits EXIT_OK when certified, else EXIT_UNCERTIFIED.
+    A declined st13 run (item ``FAIL_KEY``) is emitted as the fail record
+    with exit code EXIT_FAIL. A released outcome is emitted with
+    ``details(outcome)`` merged in, if given, and exits EXIT_OK when
+    certified, else EXIT_UNCERTIFIED.
     """
-    if isinstance(result, Fail):
-        budget = result.budget
+    budget = result.budget
+    if result.item == FAIL_KEY:
         _emit(args, {"outcome": "fail", "alpha": budget.alpha, "delta": budget.delta, "seed": args.seed})
         return EXIT_FAIL
-    payload = result._replace(seed=args.seed).to_json_dict()
+    payload = {"item": result.item, "m": result.m, "ell": result.ell, "certified": result.certified,
+               "alpha": budget.alpha, "delta": budget.delta, "seed": args.seed}
     if details is not None:
         payload.update(details(result))
     _emit(args, payload)
@@ -188,7 +189,7 @@ def cmd_bench_range(args) -> int:
             cell_seed = base.spawn(row_index * len(names) + mech_index).seed
             freqs = estimate_distribution(mech, u, args.trials, cell_seed,
                                           zero_override=args.zero_noise)
-            # a Fail contributes quality 0 and no success
+            # a declined st13 run contributes quality 0 and no success
             quality = math.fsum(p * u.value(i) for i, p in freqs.items() if i != FAIL_KEY)
             rows.append(
                 [name, k, u.n, budget.alpha, args.trials,
@@ -304,10 +305,10 @@ def cmd_pac(args) -> int:
     The selection and these diagnostics are two parts, run in that order.
     On two usable cores or more, from ``_MIN_SPLIT_HYPOTHESES`` hypotheses
     up, they run through :func:`audit._fan_out`, whose forked child sends
-    the shell fields and the diagnostics back as plain values, and the
-    record is rebuilt here. Either way the selection runs once, in this
-    process, the output is the same, and the first error raised is the
-    selection's (a non-finite error, --seed, --cap), then the shells'.
+    back the payload fields they add as one plain dict. Either way the
+    selection runs once, in this process, the output is the same, and the
+    first error raised is the selection's (a non-finite error, --seed,
+    --cap), then the shells'.
     """
     if args.spec is None:
         raise ValueError("pac needs --spec with a class spec JSON file")
@@ -326,38 +327,38 @@ def cmd_pac(args) -> int:
         return mech(QualityUniverse.dense([1.0 - e for e in errors], n=n), _noise(args))
 
     def diagnostics():
-        """The shell fields as a plain tuple and the selection diagnostics,
-        which marshal sends from a forked child."""
+        """The payload fields the shells add, as one plain dict, which
+        marshal sends from a forked child."""
         shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
         # the selection constant and t* exist only for delta > 0; em and mol
         # also run at delta = 0, where all three diagnostics are null
-        selection = dict.fromkeys(("t_star", "t_star_exhausted", "selection_constant"))
+        fields = {"min_error": shells.min_err, "shell_sizes": list(shells.shell_sizes),
+                  "shell_width": shells.width, "t_star": None, "t_star_exhausted": None,
+                  "selection_constant": None}
         if budget.delta > 0.0:
             ell_ref = shells.shell_sizes[min(1, shells.R)]
             constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
             ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
-            selection.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
-        return tuple(shells), selection
+            fields.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
+        return fields
 
     parts = [select, diagnostics]
     if len(errors) >= _MIN_SPLIT_HYPOTHESES and _fan_out_width(2, 1) > 1:
-        result, (fields, selection) = _fan_out(lambda part: part(), parts)
+        result, fields = _fan_out(lambda part: part(), parts)
     else:
-        result, (fields, selection) = [part() for part in parts]
-    shells = ShellDecomposition(*fields)
+        result, fields = [part() for part in parts]
 
     def details(result):
-        best = shells.min_err
+        best = fields["min_error"]
         chosen = errors[result.item - 1]
+        # min_error keeps its place here; the shell fields follow the regret
         return {
             "hypothesis": result.item - 1,
             "error": chosen,
             "min_error": best,
             "regret": chosen - best,
             "regret_in_noise_units": (chosen - best) * n * budget.alpha,
-            "shell_sizes": list(shells.shell_sizes),
-            "shell_width": shells.width,
-            **selection,
+            **fields,
         }
 
     return _emit_outcome(args, result, details)

@@ -303,30 +303,21 @@ def compute_thresholds(n: int, alpha: float, delta: float, r: int) -> ThresholdP
 
 
 class MechanismOutcome(NamedTuple):
-    """Selected item plus run diagnostics.
+    """Selected item plus run diagnostics: the five fields a mechanism run
+    draws, and the only form of a run.
 
     ``m`` is the noisy max estimate and ``ell`` the certified rank, when the
     mechanism produces them. ``certified`` is False on the cap-exhausted
-    fallback path, where no margin certificate backs the selection.
+    fallback path, where no margin certificate backs the selection. A
+    declined st13 run is an outcome too: its item is
+    ``mechanisms.FAIL_KEY`` and ``certified`` is False.
     """
 
-    item: int
+    item: int | str
     budget: PrivacyBudget
     m: float | None = None
     ell: int | None = None
     certified: bool = True
-    seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "m": self.m,
-            "ell": self.ell,
-            "certified": self.certified,
-            "alpha": self.budget.alpha,
-            "delta": self.budget.delta,
-            "seed": self.seed,
-        }
 
 
 def json_int(doc: dict, field: str) -> int:

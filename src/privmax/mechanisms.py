@@ -6,7 +6,7 @@ registered with :func:`build_mechanism`:
 * ``exponential_mechanism`` -- classic selection with weight exp(n*alpha*f/2);
 * ``max_of_laplaces`` -- report-noisy-max with per-item Lap(2/(n*alpha));
 * ``gap_max_st13`` -- release the maximizer only if the noisy top-two gap
-  clears a threshold, else Fail;
+  clears a threshold, else decline: an outcome whose item is ``FAIL_KEY``;
 * ``large_margin_mechanism`` -- the three-stage adaptive mechanism: noisy max
   estimate, threshold search certifying a margin rank ell, then the
   exponential mechanism restricted to the top ell items. Each stage runs at
@@ -20,13 +20,13 @@ documented per mechanism so zero-override and replay traces are exact.
 Each registered mechanism runs through a plan: the per-universe work (budget
 and cap checks, order statistics, the T(r) schedule, the exponential weights)
 done once, with its tables grown only as far as a run reads them. A plan's
-one loop, ``releases(src)``, yields the plain field tuple of each run on one
-stream; ``runs(src)`` wraps those as outcomes, one run per item, and calling
-the plan makes one run. The direct functions build a fresh plan per call;
-:func:`build_mechanism` returns a :class:`Mechanism` whose ``bind(u)`` keeps
-one plan for many runs. The LMM plan runs the margin search inline;
-:func:`margin_search` is its readable reference, which the tests pin the
-plan against draw for draw.
+one loop, ``releases(src)``, yields the plain field tuple (item, budget, m,
+ell, certified) of each run on one stream; ``runs(src)`` wraps those as
+MechanismOutcomes, one run per item, and calling the plan makes one run.
+The direct functions build a fresh plan per call; :func:`build_mechanism`
+returns a :class:`Mechanism` whose ``bind(u)`` keeps one plan for many
+runs. The LMM plan runs the margin search inline; :func:`margin_search` is
+its readable reference, which the tests pin the plan against draw for draw.
 
 The draw contract: a plan binds ``src._rng.random``, the source's
 generator, whose values lie in [0, 1) on the 2^-53 grid (as
@@ -51,7 +51,6 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from functools import partial
 from math import log1p
-from typing import NamedTuple
 
 from .core import (
     MechanismOutcome,
@@ -66,13 +65,7 @@ from .core import (
 from .noise import NoiseSource
 
 
-class Fail(NamedTuple):
-    """Declined release from the gap mechanism: an outcome, not an error."""
-
-    budget: PrivacyBudget
-
-
-# the item field of a Fail's release tuple, and its audit outcome key
+# the item of a declined st13 run, and so its audit outcome key
 FAIL_KEY = "fail"
 
 
@@ -84,19 +77,19 @@ class CapExhausted(RuntimeError):
         self.cap = cap
 
 
-# MechanismOutcome from a full field tuple (item, budget, m, ell, certified,
-# seed), without the Python-level __new__ a NamedTuple call runs
+# MechanismOutcome from a full field tuple (item, budget, m, ell, certified),
+# without the Python-level __new__ a NamedTuple call runs
 _outcome = partial(tuple.__new__, MechanismOutcome)
 
 
 class _Plan:
     """A mechanism's per-universe work, done once. ``releases(src)`` is the
     plan's one loop: an endless generator of the field tuples (item, budget,
-    m, ell, certified, None) of successive runs on one stream, which audit
-    shards count as they come; it draws under the module's draw contract.
+    m, ell, certified) of successive runs on one stream, which audit shards
+    count as they come; it draws under the module's draw contract.
     ``runs(src)`` wraps each tuple as a MechanismOutcome in one C-level map,
     and calling the plan makes one run, so all three give the same outcomes,
-    draw for draw. Single-owner, like a NoiseSource."""
+    draw for draw, for every plan. Single-owner, like a NoiseSource."""
 
     __slots__ = ()
 
@@ -192,7 +185,7 @@ class _ExponentialPlan(_Plan):
             x = random()
             while x <= 0.0:
                 x = random()
-            yield pick(k, x), budget, None, None, True, None
+            yield pick(k, x), budget, None, None, True
 
 
 def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -339,7 +332,7 @@ class _LargeMarginPlan(_Plan):
             x = random()
             while x <= 0.0:
                 x = random()
-            yield pick(ell or k, x), budget, m, ell, ell is not None, None
+            yield pick(ell or k, x), budget, m, ell, ell is not None
 
 
 def large_margin_mechanism(
@@ -420,7 +413,7 @@ class _NoisyMaxPlan(_Plan):
                     block_id = first_fill + min(int(src.uniform() * n_fill), n_fill - 1)
                 if block > best or best_id == 0:
                     best, best_id = block, block_id
-            yield best_id, budget, None, None, True, None
+            yield best_id, budget, None, None, True
 
 
 def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -437,11 +430,10 @@ def max_of_laplaces(u: QualityUniverse, alpha: float, src: NoiseSource) -> Mecha
 
 class _GapPlan(_Plan):
     """The gap mechanism on one universe at one budget. A run releases the
-    field tuple (top, budget, None, None, True, None), or (FAIL_KEY, budget,
-    None, None, False, None) for a Fail; ``runs`` maps them back to their
-    MechanismOutcome and Fail."""
+    field tuple (top, budget, None, None, True), or (FAIL_KEY, budget, None,
+    None, False) when it declines."""
 
-    __slots__ = ("_gap", "_scale", "_threshold", "_release", "_fail", "_outcomes")
+    __slots__ = ("_gap", "_scale", "_threshold", "_release", "_fail")
 
     def __init__(self, u: QualityUniverse, budget: PrivacyBudget):
         budget.require_approximate()
@@ -450,9 +442,8 @@ class _GapPlan(_Plan):
         self._scale = 2.0 / na
         self._threshold = 2.0 * math.log(1.0 / budget.delta) / na
         # both releases are immutable and the same on every run
-        self._release = (top_set(u, 1)[0], budget, None, None, True, None)
-        self._fail = (FAIL_KEY, budget, None, None, False, None)
-        self._outcomes = {self._release: _outcome(self._release), self._fail: Fail(budget)}
+        self._release = (top_set(u, 1)[0], budget, None, None, True)
+        self._fail = (FAIL_KEY, budget, None, None, False)
 
     def releases(self, src: NoiseSource) -> Iterator[tuple]:
         gap, scale, threshold, random = self._gap, self._scale, self._threshold, src._rng.random
@@ -466,16 +457,13 @@ class _GapPlan(_Plan):
             noise = -scale * log1p(-2.0 * d) if d > 0.0 else scale * log1p(2.0 * d)
             yield release if gap + noise > threshold else fail
 
-    def runs(self, src: NoiseSource) -> Iterator[MechanismOutcome | Fail]:
-        return map(self._outcomes.__getitem__, self.releases(src))
 
-
-def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome | Fail:
+def gap_max_st13(u: QualityUniverse, budget: PrivacyBudget, src: NoiseSource) -> MechanismOutcome:
     """Release the maximizer only when the noisy top-two gap is large.
 
     g = (f(1) - f(2)) + Lap(2/(n*alpha)); the (lowest-id) maximizer is
-    released iff g > 2 ln(1/delta) / (n*alpha), otherwise the distinguished
-    Fail outcome is returned.
+    released iff g > 2 ln(1/delta) / (n*alpha). Otherwise the run declines:
+    its outcome has item ``FAIL_KEY`` and ``certified`` False.
     """
     return _GapPlan(u, budget)(src)
 
@@ -520,13 +508,14 @@ class Mechanism:
     does the per-universe work once and returns the plan: ``plan(src)`` makes
     one run, and ``plan.runs(src)`` yields the outcomes of successive runs on
     one stream. ``plan.releases(src)`` is the loop behind ``runs``: it yields
-    each run's plain field tuple, with ``FAIL_KEY`` as the item of an st13
-    Fail, which ``runs`` wraps as a MechanismOutcome (or Fail), and audit
-    shards count the tuples directly. Each run gives the outcome the
-    function gives on the same stream, draw for draw, and keeps the tables it
-    grew (T(r) values, exponential weights) for the next. A plan draws under
-    the module docstring's draw contract. A plan is single-owner, like a
-    NoiseSource: one caller, never shared across threads mid-use.
+    each run's plain field tuple (item, budget, m, ell, certified), with
+    ``FAIL_KEY`` as the item of a declined st13 run, which ``runs`` wraps as
+    a MechanismOutcome, and audit shards count the tuples directly. Each run
+    gives the outcome the function gives on the same stream, draw for draw,
+    and keeps the tables it grew (T(r) values, exponential weights) for the
+    next. A plan draws under the module docstring's draw contract. A plan is
+    single-owner, like a NoiseSource: one caller, never shared across
+    threads mid-use.
 
     ``bind`` looks the function up by its module-level name, so a
     replacement installed there (a profiler's wrapper, say) is called once

@@ -33,7 +33,7 @@ from privmax import (
     top_set,
 )
 from privmax import audit
-from privmax.audit import _SHARD_TRIALS, outcome_key
+from privmax.audit import _SHARD_TRIALS
 from oracles import exact_selection_weights, satisfies_margin, tv_distance
 
 
@@ -115,7 +115,7 @@ class TestEstimateDistribution:
         for shard, size in enumerate((_SHARD_TRIALS, _SHARD_TRIALS, 5)):
             src = base.spawn(shard)
             for _ in range(size):
-                key = outcome_key(mech(u, src))
+                key = mech(u, src)[0]
                 counts[key] = counts.get(key, 0) + 1
         replay = {key: c / trials for key, c in counts.items()}
         assert estimate_distribution(mech, u, trials, 17) == replay

@@ -73,6 +73,16 @@ class TestSelect:
         assert code == EXIT_FAIL
         assert json.loads(out.read_text())["outcome"] == "fail"
 
+    def test_payload_key_order(self, clear_universe, tmp_path):
+        # the CLI lays out a released outcome: the mechanism's item, m, ell
+        # and certified, its budget as alpha and delta, then the --seed
+        out = tmp_path / "o.json"
+        assert run("select", "--in", clear_universe, "--mechanism", "lmm", "--alpha", "0.5",
+                   "--delta", "0.01", "--zero-noise", "--seed", "7", "--out", str(out)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["item", "m", "ell", "certified", "alpha", "delta", "seed"]
+        assert (doc["item"], doc["alpha"], doc["delta"], doc["seed"]) == (1, 0.5, 0.01, 7)
+
     def test_lmm_uncertified_exit_code(self, tmp_path):
         path = tmp_path / "hard.json"
         save_universe(QualityUniverse.sparse([0.1], k=100, n=10), path)
@@ -230,6 +240,16 @@ class TestBenchRange:
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
         for row in rows[1:]:
             assert float(row[5]) >= 0.97
+
+    def test_output_has_unix_line_endings(self, tmp_path, capsys):
+        # the # key=value header lines end in \n, and so must the csv rows
+        out = tmp_path / "bench.csv"
+        argv = ["bench-range", "--ks", "10,100", "--mechanism", "em,lmm", "--trials", "50"]
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        assert run(*argv) == EXIT_OK
+        written, printed = out.read_bytes(), capsys.readouterr().out
+        assert b"\r" not in written and "\r" not in printed
+        assert written.decode() == printed and len(written.splitlines()) == 9 + 1 + 4
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--mechanism", "", "bench-range needs --mechanism, e.g. --mechanism em,lmm"),

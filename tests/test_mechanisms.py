@@ -1,16 +1,18 @@
 """Selection mechanisms against hand traces and sampling-free oracles."""
 
+import json
 import marshal
 import math
 import random
 from collections import Counter
 from itertools import islice, repeat
+from operator import itemgetter
 
 import pytest
 
 from privmax import (
+    FAIL_KEY,
     CapExhausted,
-    Fail,
     MechanismOutcome,
     NoiseSource,
     PrivacyBudget,
@@ -27,10 +29,11 @@ from privmax import (
     margin_search,
     max_of_laplaces,
     order_stat,
+    save_universe,
     top_set,
 )
-from privmax import audit, mechanisms
-from privmax.audit import _SHARD_TRIALS, FAIL_KEY
+from privmax import audit, cli, mechanisms
+from privmax.audit import _SHARD_TRIALS
 from oracles import (
     FixedSource,
     RecordingSource,
@@ -414,7 +417,30 @@ class TestGapMechanism:
     def test_zero_override_tie_fails(self):
         u = QualityUniverse.dense([0.5, 0.5, 0.1], n=100)
         out = gap_max_st13(u, PrivacyBudget(1.0, 0.05), NoiseSource(0, zero_override=True))
-        assert isinstance(out, Fail)
+        assert out.item == FAIL_KEY
+
+    def test_tied_pair_declines_in_every_form(self, tmp_path):
+        # under zero noise a tied top pair's gap is 0, below the threshold, so
+        # every form of a run is the one declined outcome: the function, a
+        # plan's single call, its runs and its release tuples; the CLI exits 3
+        # with the fail record
+        u = QualityUniverse.dense([0.5, 0.5, 0.1], n=100)
+        budget = PrivacyBudget(1.0, 0.05)
+        declined = MechanismOutcome(FAIL_KEY, budget, None, None, False)
+        assert MechanismOutcome._fields == ("item", "budget", "m", "ell", "certified")
+        plan = build_mechanism("st13", budget).bind(u)
+        calls = [gap_max_st13(u, budget, NoiseSource(0, zero_override=True)),
+                 plan(NoiseSource(0, zero_override=True))]
+        runs = list(islice(plan.runs(NoiseSource(0, zero_override=True)), 3))
+        releases = list(islice(plan.releases(NoiseSource(0, zero_override=True)), 3))
+        assert calls + runs + releases == [declined] * 8
+        assert {type(out) for out in calls + runs} == {MechanismOutcome}
+        assert {type(release) for release in releases} == {tuple}
+        path, out = tmp_path / "tie.json", tmp_path / "o.json"
+        save_universe(u, path)
+        assert cli.main(["select", "--in", str(path), "--mechanism", "st13", "--zero-noise",
+                         "--seed", "2", "--out", str(out)]) == cli.EXIT_FAIL == 3
+        assert json.loads(out.read_text()) == {"outcome": "fail", "alpha": 1.0, "delta": 0.05, "seed": 2}
 
     def test_tied_top_failure_probability(self):
         # tied top pair: P(Fail) = 1 - delta/2 under the default multipliers
@@ -457,7 +483,7 @@ class TestMechanismRegistry:
         for name in ("em", "mol", "st13", "lmm"):
             mech = build_mechanism(name, budget)
             res = mech(u, NoiseSource(0, zero_override=True))
-            assert isinstance(res, Fail) or 1 <= res.item <= 2
+            assert res.item == FAIL_KEY or 1 <= res.item <= 2
         assert restricted_exponential(u, 1, budget.alpha, NoiseSource(0)).item == 1
 
     def test_unknown_name(self):
@@ -479,7 +505,7 @@ def _direct_calls(budget, cap):
 
 def _release_of(out):
     """What _reference_runs returns for a plan's outcome."""
-    if isinstance(out, Fail):
+    if out.item == FAIL_KEY:
         return "fail"
     return (out.item, out.ell, out.m, out.certified) if out.m is not None else out.item
 
@@ -594,7 +620,7 @@ class TestBoundPlans:
         # fresh plans, equal and of the same type, and leave the streams
         # aligned. Each pass gets a fresh universe, so each grows its head
         runs = 40
-        paths, regrown = set(), 0  # (L, k, ell, certified, Fail)
+        paths, regrown = set(), 0  # (L, k, ell, certified, declined)
         for budget in self.BUDGETS:
             cases = [(lambda u=u: u, cap) for u, cap in _plan_cases()]
             if name == "lmm":
@@ -616,7 +642,7 @@ class TestBoundPlans:
                     assert got == want and list(map(type, got)) == list(map(type, want))
                     assert src.uniform() == twin.uniform() == reference.uniform()
                     paths.update((len(u.explicit), u.k, getattr(o, "ell", None), getattr(o, "certified", None),
-                                  isinstance(o, Fail)) for o in got)
+                                  o.item == FAIL_KEY) for o in got)
         if name == "st13":
             assert any(fail for *_, fail in paths)
         if name == "lmm":
@@ -630,14 +656,9 @@ class TestBoundPlans:
         # an audit shard counts plan.releases(src), the loop whose plain field
         # tuples runs(src) wraps: field for field they must be the outcomes of
         # runs and of single calls on twin streams, and leave the streams
-        # aligned; an st13 Fail is released as (FAIL_KEY, budget, None, None,
-        # False, None). The shard counts must be plain dicts, which marshal
+        # aligned; a declined st13 run is released as (FAIL_KEY, budget, None,
+        # None, False). The shard counts must be plain dicts, which marshal
         # sends from a forked child
-        def fields(outcome):
-            if isinstance(outcome, Fail):
-                return FAIL_KEY, outcome.budget, None, None, False, None
-            return tuple(outcome)
-
         runs = 40
         kinds, regrown = set(), 0
         for budget in self.BUDGETS:
@@ -659,7 +680,7 @@ class TestBoundPlans:
                     outcomes = list(islice(mech.bind(fresh()).runs(twin), runs))
                     plan = mech.bind(fresh())
                     calls = [plan(single) for _ in range(runs)]
-                    assert got == list(map(fields, outcomes)) == list(map(fields, calls))
+                    assert got == list(map(tuple, outcomes)) == list(map(tuple, calls))
                     assert list(map(type, outcomes)) == list(map(type, calls))
                     assert src.uniform() == twin.uniform() == single.uniform()
                     assert {type(release) for release in got} == {tuple}
@@ -670,8 +691,8 @@ class TestBoundPlans:
                 assert marshal.loads(marshal.dumps(counts)) == counts
                 runs_of = [islice(mech.bind(fresh()).runs(NoiseSource(21).spawn(s)), size)
                            for s, size in enumerate((_SHARD_TRIALS, 5))]
-                assert counts == [dict(Counter(map(audit.outcome_key, r))) for r in runs_of]
-        assert kinds == ({MechanismOutcome, Fail} if name == "st13" else {MechanismOutcome})
+                assert counts == [dict(Counter(map(itemgetter(0), r))) for r in runs_of]
+        assert kinds == {MechanismOutcome}
         assert regrown or name != "lmm"
 
     @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
@@ -782,7 +803,7 @@ class TestBoundPlans:
             for u, cap in _plan_cases():
                 src = NoiseSource(None)
                 for out in islice(build_mechanism(name, budget, cap=cap).bind(u).runs(src), 50):
-                    if isinstance(out, Fail):
+                    if out.item == FAIL_KEY:
                         assert name == "st13" and out.budget == budget
                         continue
                     assert type(out) is MechanismOutcome and 1 <= out.item <= u.k
