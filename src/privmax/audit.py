@@ -13,13 +13,11 @@ exponential mechanism.
 
 from __future__ import annotations
 
-import json
 import marshal
 import math
 import os
 import time
 from collections import _count_elements
-from functools import partial
 from itertools import islice, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, Hashable, NamedTuple, Sequence
@@ -92,7 +90,7 @@ def _usable_cores() -> int:
 
 def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     """Outcome frequencies of each job ``(mechanism, universe, trials, seed,
-    zero_override)`` and the number of processes the tasks were dealt to.
+    zero_override)`` and the number of processes that counted the tasks.
 
     Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
     to ``_fan_out_width(tasks, _MIN_SHARDS_PER_WORKER)`` workers and counted
@@ -100,13 +98,13 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     or child fails. Each job's mechanism is bound to its universe once,
     here, before any fork (see :func:`_bind`), so a bind error raises in this
     process. A child inherits the bound runs, so nothing is pickled, and it
-    sends its counts as plain dicts through ``marshal``. An outcome key that
-    marshal cannot send (not an int, string or tuple of them) is not an
-    error: each child sends nothing, so its shards are counted again here,
-    and the count of processes returned is still the fork width. Shard
-    counts are merged in task order, so each dict equals the serial
-    estimate, key order included, for any worker count and any failed
-    worker.
+    sends its pid and its counts, plain dicts, through ``marshal``; the count
+    of processes returned is the number of distinct pids among the slices'
+    results. An outcome key that marshal cannot send (not an int, string or
+    tuple of them) is not an error: each child sends nothing, so its shards
+    are counted again here, and the count returned is 1. Shard counts are
+    merged in task order, so each dict equals the serial estimate, key order
+    included, for any worker count and any failed worker.
     """
     tasks = []
     for j, (_, _, trials, _, _) in enumerate(jobs):
@@ -116,10 +114,15 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     # (bound run, trials, base stream) per job
     bound = [(_bind(mechanism, u), trials, NoiseSource(seed, zero_override=zero_override))
              for mechanism, u, trials, seed, zero_override in jobs]
-    workers = _fan_out_width(len(tasks), _MIN_SHARDS_PER_WORKER)
-    slices = [tasks[w::workers] for w in range(workers)]
-    shard_counts = {}
-    for part, counts in zip(slices, _fan_out(partial(_count_tasks, bound), slices)):
+    width = _fan_out_width(len(tasks), _MIN_SHARDS_PER_WORKER)
+    slices = [tasks[w::width] for w in range(width)]
+
+    def count_slice(part: list[tuple]) -> tuple[int, list[dict]]:
+        return os.getpid(), _count_tasks(bound, part)
+
+    shard_counts, pids = {}, set()
+    for part, (pid, counts) in zip(slices, _fan_out(count_slice, slices)):
+        pids.add(pid)
         shard_counts.update(zip(part, counts))
     totals = [{} for _ in jobs]
     for j, shard in tasks:
@@ -128,7 +131,7 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
             total[key] = total.get(key, 0) + c
     freqs = [{k: c / trials for k, c in total.items()}
              for (_, _, trials, _, _), total in zip(jobs, totals)]
-    return freqs, workers
+    return freqs, len(pids)
 
 
 def _fan_out_width(units: int, min_units: int) -> int:
@@ -340,6 +343,8 @@ class AuditReport:
         }
 
     def write_json(self, path) -> None:
+        import json  # imported on use, as csv is in write_csv
+
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
 

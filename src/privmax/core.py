@@ -4,7 +4,6 @@ margin-adaptive mechanism."""
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from itertools import compress, islice, repeat
@@ -412,10 +411,14 @@ def universe_to_dict(u: QualityUniverse) -> dict:
 
 
 def load_universe(path) -> QualityUniverse:
+    import json  # imported on use, so `from privmax import QualityUniverse` does not load it
+
     with open(path, "r", encoding="utf-8") as fh:
         return universe_from_dict(json.load(fh))
 
 
 def save_universe(u: QualityUniverse, path) -> None:
+    import json  # imported on use, as in load_universe
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(universe_to_dict(u), fh)

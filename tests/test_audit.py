@@ -235,7 +235,38 @@ class TestFanOut:
         report = check_approx_dp(pair, mech, PrivacyBudget(1.0, 0.05), 12 * _SHARD_TRIALS, seed=7)
         assert len(forks) == 2
         assert report.checks == serial_report.checks
-        assert report.metadata["workers"] == 3
+        # of the three parts, one ran in a child: two processes counted
+        assert report.metadata["workers"] == 2
+        _assert_no_child_left()
+
+    def test_unsendable_key_is_counted_in_parent(self, monkeypatch):
+        # a child cannot marshal this key, so it sends nothing and every
+        # shard is counted here: one process counted, whatever the fork width
+        class Key:
+            def __init__(self, item):
+                self.item = item
+
+            def __eq__(self, other):
+                return isinstance(other, Key) and other.item == self.item
+
+            def __hash__(self):
+                return hash(self.item)
+
+            def __repr__(self):  # the checks' order is the keys' str order
+                return f"Key({self.item})"
+
+        em = build_mechanism("em", PrivacyBudget(1.0))
+
+        def mech(u, src):
+            return (Key(em(u, src).item),)
+
+        pair = NeighborPair(self.LEFT, self.RIGHT)
+        _on_cores(monkeypatch, 1)
+        serial = check_approx_dp(pair, mech, PrivacyBudget(1.0), 16 * _SHARD_TRIALS, seed=10)
+        _on_cores(monkeypatch, 2)
+        report = check_approx_dp(pair, mech, PrivacyBudget(1.0), 16 * _SHARD_TRIALS, seed=10)
+        assert report.checks == serial.checks
+        assert (serial.metadata["workers"], report.metadata["workers"]) == (1, 1)
         _assert_no_child_left()
 
     def test_parent_failure_keeps_its_type_and_reaps_workers(self, monkeypatch):

@@ -117,13 +117,30 @@ def test_layer_trace_targets_resolve():
         assert callable(getattr(owner, attr, None)), (module, cls, attr, traced)
 
 
+def test_package_import_loads_no_submodule():
+    # the package namespace is lazy: `import privmax` loads no submodule, nor
+    # json or argparse; the core names import no json; an unknown name raises
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, privmax\n"
+        "print(sorted(m for m in sys.modules if m.startswith('privmax.') or m in ('json', 'argparse')))\n"
+        "from privmax import QualityUniverse, build_mechanism\n"
+        "print('json' in sys.modules)\n"
+        "try:\n"
+        "    privmax.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.splitlines() == ["[]", "False", "module 'privmax' has no attribute 'nope'"]
+
+
 def test_public_names_are_pinned():
     # the exported API, pinned so that any change to it is made on purpose
-    public = sorted(
-        name for name, value in vars(privmax).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    )
-    assert public == [
+    public = [
         "AuditReport", "BasketDataset", "CapExhausted", "FAIL_KEY", "HypothesisClass", "ItemsetCodec",
         "ItemsetQuality", "MechanismOutcome", "NeighborPair", "NoiseSource", "OutcomeCheck",
         "PrivacyBudget", "QualityUniverse", "ShellDecomposition", "TStarResult", "ThresholdPair",
@@ -137,6 +154,19 @@ def test_public_names_are_pinned():
         "pac_selection_constant", "save_universe", "shell_decomposition", "t_star",
         "top_set", "universe_from_dict", "universe_to_dict",
     ]
+    assert sorted(privmax.__all__) == public
+    assert dir(privmax) == public
+    # each name resolves to the object its defining module holds
+    for name in public:
+        value = getattr(privmax, name)
+        module = sys.modules["privmax." + privmax._MODULE_OF[name]]
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    # once resolved, the namespace holds exactly the public names
+    assert sorted(
+        name for name, value in vars(privmax).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ) == public
 
 
 def test_readme_python_blocks_run():

@@ -24,6 +24,15 @@ LAYER names what each child process times:
   rest of ``itemset_quality`` (``order_ms``), the LMM (``lmm_ms``), the first
   ``decode`` (``decode_ms``) and all of them (``total_ms``); a second times
   what the CLI runs in their place, ``load_itemset_quality`` (``parts_ms``).
+- ``import``: the cold import of the package. One child starts fresh
+  interpreters, as ``perfbench/run.py`` starts its children (the tree's
+  ``src`` on PYTHONPATH, a bytecode cache under a PYTHONPYCACHEPREFIX, which
+  an untimed ``import privmax.cli`` fills first). It times, by the median of
+  IMPORT_REPEATS interpreters each, ``import privmax`` (``import_ms``),
+  ``from privmax import build_mechanism`` (``names_ms``) and ``import
+  privmax.cli`` (``cli_ms``), and counts the ``privmax.*`` submodules each
+  leaves loaded (``import_modules``, ``names_modules``, ``cli_modules``).
+  Its release is the public names of the package.
 
 Each ``--src`` is a ``src`` directory holding a ``privmax`` package (default:
 this checkout's); one given twice shows the spread between identical trees.
@@ -57,6 +66,10 @@ DENSE_N = 20_000
 DENSE_D = 10
 CLUSTER_WIDTH = 60  # error counts
 GAP = 500  # error counts between the dense cluster and the rest
+IMPORT_REPEATS = 5  # timed interpreters per import statement, reported by their median
+# what each import child times, by the name of its figure
+IMPORTS = {"import": "import privmax", "names": "from privmax import build_mechanism",
+           "cli": "import privmax.cli"}
 
 
 def reference_loop() -> float:
@@ -213,15 +226,43 @@ def parts_child(seed: int, baskets: str) -> dict:
     }
 
 
+def import_child(pycache: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=sys.path[0], PYTHONPYCACHEPREFIX=pycache)  # main put src first
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def interpreter(code: str) -> tuple[float, str]:
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
+        return time.perf_counter() - t0, out
+
+    # untimed: fills the bytecode cache, and lists the public names as the release
+    _, names = interpreter(
+        "import sys, privmax.cli\n"
+        "p = sys.modules['privmax']\n"
+        "print(*sorted(n for n in dir(p) if n[0] != '_' and not isinstance(getattr(p, n), type(sys))))"
+    )
+    times, figures = {}, {}
+    for name, statement in IMPORTS.items():
+        runs = [interpreter(statement + "\nimport sys\nprint(sum(m.startswith('privmax.') for m in sys.modules))")
+                for _ in range(IMPORT_REPEATS)]
+        times[name + "_ms"] = statistics.median(wall for wall, _ in runs) * 1e3
+        figures[name + "_modules"] = int(runs[0][1])
+    return {"release": names.split(), "times": times, "figures": figures}
+
+
 # each child returns its "release", its "times" (also reported probe-normalised),
 # any other "figures", and whatever else it reports, printed as it is
-LAYERS = {"audit": (audit_child,), "dense": (dense_child, pac_child), "fim": (fim_child, parts_child)}
+LAYERS = {"audit": (audit_child,), "dense": (dense_child, pac_child), "fim": (fim_child, parts_child),
+          "import": (import_child,)}
 
 
 def layer_params(args, tmp: str) -> dict:
     """The keyword arguments of every child of the layer."""
     if args.layer == "audit":
         return {"seed": args.seed, "shards": args.shards}
+    if args.layer == "import":
+        return {"pycache": os.path.join(tmp, "pycache")}
     if args.layer == "dense":
         path = os.path.join(tmp, "class.json")
         spec = {"num_hypotheses": args.k, "n": DENSE_N, "d": DENSE_D,
