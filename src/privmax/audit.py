@@ -6,6 +6,16 @@ inequality P(i) <= e^alpha * P'(i) + delta with a two-sided Hoeffding slack.
 A failing audit is a bug signal; a passing audit is evidence, not proof --
 singleton checks over finitely many sampled outcomes cannot certify privacy.
 
+An audit samples only what is random. For a bound LMM plan on at most as
+many items as trials, it samples stages 1 and 2 alone, counts the ell each
+run certifies, and takes stage 3 from its exact law given ell: P(i) =
+sum_ell P^(ell) P(i | ell), a conditional Monte Carlo (Rao-Blackwell)
+estimate, unbiased and of no larger variance, whose slack is the same.
+Every other mechanism, and estimate_distribution, samples whole runs. The
+report's metadata names the estimator and, when it is conditional, each
+side's run counts per ell, so an LMM audit shows which search paths it
+reached.
+
 Also here: the adversarial instance families used as audit fixtures and
 utility benchmarks, and the exact (no-sampling) expected quality gap of the
 exponential mechanism.
@@ -38,6 +48,9 @@ _SHARD_TRIALS = 1024
 # the item of a run, read in C: index 0 of a plan's release tuple and of a
 # MechanismOutcome alike
 _item = itemgetter(0)
+
+# the ell of a margin search, index 1 of the (m, ell) of an LMM plan's searches
+_ell = itemgetter(1)
 
 # an audit forks one worker per usable core, but only while each worker gets
 # at least this many shards: a two-part fan-out round trip costs about one
@@ -76,7 +89,7 @@ def estimate_distribution(
     run); ``zero_override`` propagates the deterministic noise mode, the
     source's generator (see :mod:`privmax.mechanisms`), to every shard.
     """
-    (freqs,), _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
+    (freqs,), _, _ = _estimate_jobs([(mechanism, u, trials, seed, zero_override)])
     return freqs
 
 
@@ -88,9 +101,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
+def _estimate_jobs(jobs: list[tuple], conditional: bool = False) -> tuple[list[dict], list | None, int]:
     """Outcome frequencies of each job ``(mechanism, universe, trials, seed,
-    zero_override)`` and the number of processes that counted the tasks.
+    zero_override)``, each job's run counts per ell (ascending, None last)
+    when they were estimated conditionally, else None, and the number of
+    processes that counted the tasks.
 
     Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
     to ``_fan_out_width(tasks, _MIN_SHARDS_PER_WORKER)`` workers and counted
@@ -105,15 +120,32 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
     are counted again here, and the count returned is 1. Shard counts are
     merged in task order, so each dict equals the serial estimate, key order
     included, for any worker count and any failed worker.
+
+    With ``conditional``, and when every bound plan has ``searches`` (an
+    LMM plan whose function no wrapper replaced) and every universe has at
+    most as many items as its job has trials, the shards sample only each
+    run's stages 1 and 2 and count its ell (see :func:`_count_tasks`);
+    after the merge, the plan's ``law`` turns the ell frequencies into the
+    item law sum_ell P^(ell) * P(item | ell), the conditional
+    (Rao-Blackwell) estimate. It is unbiased, its variance is never larger than the
+    sampled one's, and each of its frequencies is still a mean of trials
+    values in [0, 1], so the per-outcome Hoeffding slack holds unchanged.
+    The rule reads only the plans, the universes and the trial counts, so it
+    is decided before any sampling; the k bound keeps the law no larger than
+    the sampled estimate could be. Otherwise each shard counts the items of
+    whole runs.
     """
     tasks = []
     for j, (_, _, trials, _, _) in enumerate(jobs):
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         tasks += [(j, shard) for shard in range(-(-trials // _SHARD_TRIALS))]
-    # (bound run, trials, base stream) per job
-    bound = [(_bind(mechanism, u), trials, NoiseSource(seed, zero_override=zero_override))
-             for mechanism, u, trials, seed, zero_override in jobs]
+    runs = [_bind(mechanism, u) for mechanism, u, _, _, _ in jobs]
+    conditional = conditional and all(hasattr(run, "searches") and u.k <= trials
+                                      for run, (_, u, trials, _, _) in zip(runs, jobs))
+    # (bound run, trials, base stream, conditional) per job
+    bound = [(run, trials, NoiseSource(seed, zero_override=zero_override), conditional)
+             for run, (_, _, trials, seed, zero_override) in zip(runs, jobs)]
     width = _fan_out_width(len(tasks), _MIN_SHARDS_PER_WORKER)
     slices = [tasks[w::width] for w in range(width)]
 
@@ -131,7 +163,11 @@ def _estimate_jobs(jobs: list[tuple]) -> tuple[list[dict], int]:
             total[key] = total.get(key, 0) + c
     freqs = [{k: c / trials for k, c in total.items()}
              for (_, _, trials, _, _), total in zip(jobs, totals)]
-    return freqs, len(pids)
+    if conditional:
+        # each job's runs per ell, ascending, the cap path's None last
+        ells = [dict(sorted(total.items(), key=lambda kv: kv[0] or math.inf)) for total in totals]
+        return [run.law(f) for run, f in zip(runs, freqs)], ells, len(pids)
+    return freqs, None, len(pids)
 
 
 def _fan_out_width(units: int, min_units: int) -> int:
@@ -193,24 +229,32 @@ def _bind(mechanism: Callable, u: QualityUniverse) -> Callable:
 def _count_tasks(bound: list[tuple], tasks: list[tuple]) -> list[dict]:
     """Outcome counts of each ``(job, shard)`` task, in task order.
 
-    A shard's trials are successive runs on its one stream: the first
-    ``size`` release tuples of ``plan.releases(src)`` when the bound object
-    has ``releases`` (a bound plan), else ``size`` calls of it (a bindless
-    mechanism, or the run a replaced mechanism function binds to). A plan's
-    loop draws under the draw contract of :mod:`privmax.mechanisms`. A
-    release tuple and a call's MechanismOutcome alike are keyed by index 0,
-    their item. Each shard's counts are a plain dict in first-seen key
-    order, counted in C; not a Counter, which ``marshal`` cannot send from
-    a forked child."""
+    A job is bound as ``(run, trials, base stream, conditional)``. A shard's
+    trials are successive runs on its one stream, ``base.spawn(shard)``:
+    with ``conditional``, the first ``size`` (m, ell) pairs of
+    ``run.searches(src)``, an LMM plan's stages 1 and 2, keyed by their
+    ell (None on the cap path); else the first ``size`` release tuples of
+    ``run.releases(src)`` when the bound object has ``releases`` (a bound
+    plan), or ``size`` calls of it (a bindless mechanism, or the run a
+    replaced mechanism function binds to), keyed by index 0, the item of a
+    release tuple and of a MechanismOutcome alike. A plan's loop draws under
+    the draw contract of :mod:`privmax.mechanisms`. Each shard's counts are
+    a plain dict in first-seen key order, counted in C; not a Counter, which
+    ``marshal`` cannot send from a forked child."""
     out = []
     for j, shard in tasks:
-        run, trials, base = bound[j]
+        run, trials, base, conditional = bound[j]
         src = base.spawn(shard)
         size = min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)
         releases = getattr(run, "releases", None)
-        outcomes = map(run, repeat(src, size)) if releases is None else islice(releases(src), size)
+        if conditional:
+            keys = map(_ell, islice(run.searches(src), size))
+        elif releases is None:
+            keys = map(_item, map(run, repeat(src, size)))
+        else:
+            keys = map(_item, islice(releases(src), size))
         counts = {}
-        _count_elements(counts, map(_item, outcomes))
+        _count_elements(counts, keys)
         out.append(counts)
     return out
 
@@ -412,16 +456,18 @@ def _audit(kind: str, left: QualityUniverse, right: QualityUniverse, mechanism: 
            budget: PrivacyBudget, trials: int, confidence: float, seed: int, provenance: str,
            checks: Callable, group_size: int = 1) -> AuditReport:
     """The one audit path: validate the inputs, estimate both sides in one
-    :func:`_estimate_jobs` fan-out, run ``checks(p_left, p_right, slack)`` and
-    build the report. The right side draws from (seed + _RIGHT_SEED_OFFSET)
-    mod 2^64, so every seed in [0, 2^64) is valid and gives two streams."""
+    :func:`_estimate_jobs` fan-out, conditionally where it can, run
+    ``checks(p_left, p_right, slack)`` and build the report. The right side
+    draws from (seed + _RIGHT_SEED_OFFSET) mod 2^64, so every seed in
+    [0, 2^64) is valid and gives two streams."""
     slack = hoeffding_slack(trials, confidence)
     if group_size < 0:
         raise ValueError(f"group size must be >= 0, got {group_size}")
     t0 = time.perf_counter()
-    (p_left, p_right), workers = _estimate_jobs(
+    (p_left, p_right), ells, workers = _estimate_jobs(
         [(mechanism, left, trials, seed, False),
-         (mechanism, right, trials, (seed + _RIGHT_SEED_OFFSET) % (1 << 64), False)]
+         (mechanism, right, trials, (seed + _RIGHT_SEED_OFFSET) % (1 << 64), False)],
+        conditional=True,
     )
     wall = time.perf_counter() - t0
     warnings = []
@@ -430,7 +476,8 @@ def _audit(kind: str, left: QualityUniverse, right: QualityUniverse, mechanism: 
             f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
         )
     metadata = {"provenance": provenance, "seed": seed, "workers": workers, "wall_s": wall,
-                "trials_per_s": 2 * trials / wall}
+                "trials_per_s": 2 * trials / wall, "estimator": "conditional" if ells else "sampled",
+                "ell_counts": dict(zip(("left", "right"), ells)) if ells else None}
     return AuditReport(
         kind=kind, alpha=budget.alpha, delta=budget.delta, slack=slack,
         checks=checks(p_left, p_right, slack), trials=trials, confidence=confidence,

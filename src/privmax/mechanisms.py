@@ -25,8 +25,11 @@ ell, certified) of each run on one stream; ``runs(src)`` wraps those as
 MechanismOutcomes, one run per item, and calling the plan makes one run.
 The direct functions build a fresh plan per call; :func:`build_mechanism`
 returns a :class:`Mechanism` whose ``bind(u)`` keeps one plan for many
-runs. The LMM plan runs the margin search inline; :func:`margin_search` is
-its readable reference, which the tests pin the plan against draw for draw.
+runs. The LMM plan runs the margin search inline, in ``searches(src)``, the
+loop of stages 1 and 2 that ``releases`` extends by stage 3, and ``law``
+gives stage 3's exact item law given ell; :func:`margin_search` is the
+search's readable reference, which the tests pin the plan against draw for
+draw.
 
 The draw contract: a plan binds ``src._rng.random``, the source's
 generator, whose values lie in [0, 1) on the 2^-53 grid (as
@@ -150,6 +153,34 @@ class _ExponentialWeights:
         end = self._ends[ell] = (n_explicit, total, total + (ell - n_explicit) * self._w_fill)
         return end
 
+    def law(self, ell_weights: dict) -> dict:
+        """Mixed over ell, the law that ``pick`` implements: id -> the sum
+        over ell of ell_weights[ell] * P(pick(ell, x) = id) for x uniform.
+        In the top-ell set, the head position i has chance (cum[i] -
+        cum[i-1]) / grand and each fill id w_fill / grand. A position or
+        fill id lies in the top-ell sets of every ell from some rank up, so
+        its share is a suffix sum over the distinct ells, and the law costs
+        O(L + ells), plus one entry per fill id read. Positive entries only,
+        the head in top-set order, then the fill ids ascending."""
+        ells = sorted(ell_weights, reverse=True)
+        ends = [self._end(ell) for ell in ells]  # the largest first: the sums grow once
+        tail, shares = 0.0, []
+        for ell, (_, _, grand) in zip(ells, ends):
+            tail += ell_weights[ell] / grand
+            shares.append(tail)  # the sum over this ell and every larger one
+        cum, ids, w_fill, law = self._cum, self._ids, self._w_fill, {}
+        start = last = 0  # the head positions and the ell read so far
+        for ell, (n_explicit, _, _), share in zip(reversed(ells), reversed(ends), reversed(shares)):
+            for i in range(start, n_explicit):
+                p = (cum[i] - (cum[i - 1] if i else 0.0)) * share
+                if p > 0.0:
+                    law[ids[i]] = p
+            if w_fill > 0.0:
+                for f in range(max(last, n_explicit) + 1, ell + 1):
+                    law[f] = w_fill * share
+            start, last = n_explicit, ell
+        return law
+
     def pick(self, ell: int, x: float) -> int:
         """One id from the top-ell set, drawn with the caller's uniform ``x``
         in (0, 1)."""
@@ -252,15 +283,18 @@ def default_cap(u: QualityUniverse) -> int:
 class _LargeMarginPlan(_Plan):
     """The large-margin mechanism on one universe at one budget and cap.
 
-    Bind does every check and computes the stage scales and f(1) once.
-    Each run does all three stages in the frame of ``releases``: stage 2 is
-    :func:`margin_search`'s loop, draw for draw, reading f(r+1) from the
-    universe head (or the fill value past the explicit values) and T(r) from
-    a list of floats that grows, in rank order, the first time a run reaches
-    a rank and serves every later run. Each run reads the head and the list
-    afresh, so it sees what earlier runs or other readers grew. A run's draws
-    (m, G, one Z_r per rank scanned, the pick's uniform) follow the module's
-    draw contract.
+    Bind does every check and computes the stage scales and f(1) once. A
+    run's stages 1 and 2 are the sampled part, and ``searches`` holds their
+    one copy: stage 2 is :func:`margin_search`'s loop, draw for draw,
+    reading f(r+1) from the universe head (or the fill value past the
+    explicit values) and T(r) from a list of floats that grows, in rank
+    order, the first time a run reaches a rank and serves every later run.
+    Each run reads the head and the list afresh, so it sees what earlier
+    runs or other readers grew. Stage 3 reads the search only through ell:
+    ``releases`` draws it, one uniform through the pick per run, and
+    ``law`` gives its exact law, mixed over the ell of many runs. A run's
+    draws (m, G, one Z_r per rank scanned, the pick's uniform) follow the
+    module's draw contract.
     """
 
     __slots__ = ("_u", "_budget", "_limit", "_vmax", "_m_scale", "_g_scale", "_z_scale", "_T", "_weights")
@@ -282,11 +316,15 @@ class _LargeMarginPlan(_Plan):
         self._T = []  # T(r) at index r-1, for the ranks some run has reached
         self._weights = _ExponentialWeights(u, third)
 
-    def releases(self, src: NoiseSource) -> Iterator[tuple]:
+    def searches(self, src: NoiseSource) -> Iterator[tuple]:
+        """Stages 1 and 2 of successive runs on one stream: an endless
+        generator of (m, ell), ell None when the cap is exhausted. It is the
+        one copy of both stages, so its draws are those of ``releases``,
+        which draws stage 3's uniform after each of its yields."""
         u, budget, limit, vmax = self._u, self._budget, self._limit, self._vmax
         n, k, n_explicit, fill = u.n, u.k, len(u.explicit), u.fill
         m_scale, g_scale, z_scale = self._m_scale, self._g_scale, self._z_scale
-        random, pick = src._rng.random, self._weights.pick
+        random = src._rng.random
         while True:
             # stage 1 is m = f(1) + Lap(3/alpha)/n. Every Laplace draw here
             # is NoiseSource.laplace on one raw uniform, bit for bit: reject
@@ -324,15 +362,30 @@ class _LargeMarginPlan(_Plan):
                     t = compute_thresholds(n, budget.alpha, budget.delta, r).T
                     T.append(t)
                 if m - f > (z_r + G) / n + t:
-                    ell = r
+                    yield m, r
                     break
             else:  # none certified: k after a full scan, None when the cap is exhausted
-                ell = k if limit == k else None
+                yield m, k if limit == k else None
+
+    def releases(self, src: NoiseSource) -> Iterator[tuple]:
+        budget, k, random, pick = self._budget, self._u.k, src._rng.random, self._weights.pick
+        for m, ell in self.searches(src):
             # stage 3 picks from the top-ell set, or from all k items uncertified
             x = random()
             while x <= 0.0:
                 x = random()
             yield pick(ell or k, x), budget, m, ell, ell is not None
+
+    def law(self, ell_freqs: dict) -> dict:
+        """The item law of runs whose searches end at ell with the chances
+        ``ell_freqs`` (ell None on the cap path): sum over ell of
+        ell_freqs[ell] * P(item | ell), where P(item | ell) is the law of
+        stage 3's ``pick`` over the top-ell set, or over all k items when
+        ell is None. Positive entries only, in top-set order."""
+        k, ells = self._u.k, {}
+        for ell, p in ell_freqs.items():
+            ells[ell or k] = ells.get(ell or k, 0.0) + p
+        return self._weights.law(ells)
 
 
 def large_margin_mechanism(

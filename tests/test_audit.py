@@ -7,6 +7,9 @@ import math
 import os
 import random
 import warnings
+from collections import Counter
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,17 +25,19 @@ from privmax import (
     build_threshold_example,
     check_approx_dp,
     check_group_privacy,
+    compute_thresholds,
     dp_outcome_checks,
     em_expected_gap,
     estimate_distribution,
     group_outcome_checks,
     hoeffding_slack,
     lb2_delta_bound,
+    large_margin_mechanism,
     max_of_laplaces,
     order_stat,
     top_set,
 )
-from privmax import audit
+from privmax import audit, mechanisms
 from privmax.audit import _SHARD_TRIALS
 from oracles import exact_selection_weights, satisfies_margin, tv_distance
 
@@ -128,6 +133,30 @@ def _on_cores(monkeypatch, cores):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _conditional_estimate(mech, u, trials, seed):
+    """The conditional estimate, shard by shard: the ell of each of a shard's
+    runs of the plan's searches on ``NoiseSource(seed).spawn(shard)``, then
+    the plan's law of the ell frequencies."""
+    plan = mech.bind(u)
+    counts = Counter()
+    for shard in range(-(-trials // _SHARD_TRIALS)):
+        size = min(_SHARD_TRIALS, trials - shard * _SHARD_TRIALS)
+        counts.update(ell for _, ell in islice(plan.searches(NoiseSource(seed).spawn(shard)), size))
+    return plan.law({ell: c / trials for ell, c in counts.items()})
+
+
+def _assert_within(report, other, tolerance):
+    """Two audits of one pair and mechanism estimate the same law: each
+    outcome's p on each side differs by at most ``tolerance``, and the
+    verdicts agree."""
+    ps = {c.outcome: (c.p_left, c.p_right) for c in report.checks}
+    others = {c.outcome: (c.p_left, c.p_right) for c in other.checks}
+    for key in set(ps) | set(others):
+        for p, q in zip(ps.get(key, (0.0, 0.0)), others.get(key, (0.0, 0.0))):
+            assert abs(p - q) <= tolerance, (key, p, q, tolerance)
+    assert report.passed == other.passed
 
 
 def _fork_fails_from_second_call(monkeypatch):
@@ -363,12 +392,93 @@ class TestBinding:
         jobs = [(self.LEFT, 12 * _SHARD_TRIALS + 7, 5), (self.RIGHT, 12 * _SHARD_TRIALS + 7, 6)]
         for cores in (1, 3):
             _on_cores(monkeypatch, cores)
-            bound, _ = audit._estimate_jobs([(mech, u, t, s, False) for u, t, s in jobs])
-            bindless, _ = audit._estimate_jobs([(plain, u, t, s, False) for u, t, s in jobs])
+            bound, _, _ = audit._estimate_jobs([(mech, u, t, s, False) for u, t, s in jobs])
+            bindless, _, _ = audit._estimate_jobs([(plain, u, t, s, False) for u, t, s in jobs])
             assert [list(p.items()) for p in bound] == [list(p.items()) for p in bindless]
             reports = [check_approx_dp(pair, m, budget, 12 * _SHARD_TRIALS, seed=9) for m in (mech, plain)]
-            assert reports[0].checks == reports[1].checks
+            if name == "lmm":
+                # the bound plan's audit is conditional, the bindless one
+                # samples stage 3 too: two estimates of one law, each within
+                # its slack of it, with the same verdict
+                assert [r.metadata["estimator"] for r in reports] == ["conditional", "sampled"]
+                _assert_within(*reports, reports[0].slack + reports[1].slack)
+            else:
+                assert reports[0].checks == reports[1].checks
         _assert_no_child_left()
+
+
+def _sampled(mech):
+    """``mech`` whose bound plan shows its ``releases`` loop but not its
+    ``searches``, so an audit of it samples all three LMM stages."""
+    return SimpleNamespace(bind=lambda u: SimpleNamespace(releases=mech.bind(u).releases))
+
+
+def _certified_search_pair():
+    """CI's certified-search pair: n = 500, the left side's top gaps at T(1)
+    and T(2), and the right side's item 1 down and the rest up by 1/n."""
+    n = 500
+    t1, t2 = (compute_thresholds(n, 1.0, 0.05, r).T for r in (1, 2))
+    left = [0.9, 0.9 - t1, 0.9 - t2, 0.4, 0.35, 0.3, 0.25, 0.2]
+    right = [left[0] - 1 / n] + [v + 1 / n for v in left[1:]]
+    return NeighborPair(QualityUniverse.dense(left, n=n), QualityUniverse.dense(right, n=n))
+
+
+class TestConditionalAudit:
+    """An audit of a bound LMM plan on at most as many items as trials
+    samples only the margin search, counts ell, and takes stage 3 from its
+    exact law; every other mechanism, and an LMM run that no plan makes,
+    keeps sampling whole runs."""
+
+    @pytest.mark.parametrize("case", ["certified-search", "criterion-3"])
+    def test_agrees_with_a_sampled_audit_at_four_times_the_trials(self, case):
+        if case == "certified-search":
+            pair, budget, seed = _certified_search_pair(), PrivacyBudget(1.0, 0.05), 1
+        else:
+            pair = NeighborPair(QualityUniverse.dense([1.0, 0.3, 0.2, 0.1], n=10),
+                                QualityUniverse.dense([0.9, 0.4, 0.3, 0.2], n=10))
+            budget, seed = PrivacyBudget(0.5, 0.05), 31
+        mech, trials = build_mechanism("lmm", budget), 20_000
+        report = check_approx_dp(pair, mech, budget, trials, seed=seed)
+        sampled = check_approx_dp(pair, _sampled(mech), budget, 4 * trials, seed=seed)
+        assert (report.metadata["estimator"], sampled.metadata["estimator"]) == ("conditional", "sampled")
+        # every conditional p lies within the sampled audit's slack of its p,
+        # the verdicts agree, and every sampled outcome has a positive law
+        _assert_within(report, sampled, sampled.slack)
+        assert {c.outcome for c in sampled.checks} <= {c.outcome for c in report.checks}
+        ells = report.metadata["ell_counts"]
+        assert list(ells) == ["left", "right"]
+        for counts in ells.values():
+            assert sum(counts.values()) == trials
+            assert list(counts) == sorted(counts, key=lambda ell: ell or math.inf)
+            if case == "certified-search":  # at least two ranks below k hold 5 % of the runs each
+                assert sum(c >= 0.05 * trials for ell, c in counts.items() if ell and ell < 8) >= 2
+
+    @pytest.mark.parametrize("case", ["em", "mol", "st13", "bindless", "wrapped", "k>trials"])
+    def test_other_runs_keep_the_sampled_estimate(self, monkeypatch, case):
+        budget, trials = PrivacyBudget(1.0, 0.05), 2000
+        pair = NeighborPair(TestFanOut.LEFT, TestFanOut.RIGHT)
+        if case in ("em", "mol", "st13"):
+            mech = build_mechanism(case, budget)
+        elif case == "bindless":
+            lmm = build_mechanism("lmm", budget)
+            mech = lambda u, src: lmm(u, src)  # noqa: E731
+        elif case == "wrapped":
+            # a profiler's wrapper on the module-level function: bind calls it once per run
+            monkeypatch.setattr(mechanisms, "large_margin_mechanism",
+                                lambda u, b, src, cap=None: large_margin_mechanism(u, b, src, cap))
+            mech = build_mechanism("lmm", budget)
+        else:
+            left = QualityUniverse.sparse([0.5, 0.45, 0.4], k=trials + 1, n=10)
+            pair = NeighborPair(left, QualityUniverse.sparse([0.45, 0.4, 0.35], k=trials + 1, n=10))
+            mech = build_mechanism("lmm", budget)
+            # at k = trials the same plan is estimated conditionally
+            at_k = check_approx_dp(pair, mech, budget, trials + 1, seed=3)
+            assert at_k.metadata["estimator"] == "conditional"
+        report = check_approx_dp(pair, mech, budget, trials, seed=3)
+        assert (report.metadata["estimator"], report.metadata["ell_counts"]) == ("sampled", None)
+        # the sampled estimate: the item frequencies of whole runs
+        p_left = estimate_distribution(mech, pair.left, trials, 3)
+        assert {c.outcome: c.p_left for c in report.checks if c.p_left} == p_left
 
 
 class TestNeighborPair:
@@ -523,9 +633,11 @@ class TestCheckApproxDp:
         report = check_approx_dp(NeighborPair(u, u, "same"), mech, PrivacyBudget(1.0),
                                  trials=3000, seed=1)
         meta = report.metadata
-        assert list(meta) == ["provenance", "seed", "workers", "wall_s", "trials_per_s"]
+        assert list(meta) == ["provenance", "seed", "workers", "wall_s", "trials_per_s", "estimator",
+                              "ell_counts"]
         assert (meta["provenance"], meta["seed"], meta["workers"]) == ("same", 1, 1)
         assert meta["trials_per_s"] == pytest.approx(2 * 3000 / meta["wall_s"])
+        assert (meta["estimator"], meta["ell_counts"]) == ("sampled", None)
 
     def test_small_trials_warn(self):
         u = QualityUniverse.dense([0.5, 0.5], n=10)
@@ -541,8 +653,8 @@ class TestCheckApproxDp:
         budget = PrivacyBudget(1.0, 0.05)
         mech = build_mechanism("lmm", budget)
         report = check_approx_dp(pair, mech, budget, 2000, seed=seed)
-        p_left = estimate_distribution(mech, pair.left, 2000, seed)
-        p_right = estimate_distribution(mech, pair.right, 2000, seed + 2**32 - 2**64)
+        p_left = _conditional_estimate(mech, pair.left, 2000, seed)
+        p_right = _conditional_estimate(mech, pair.right, 2000, seed + 2**32 - 2**64)
         assert report.checks == dp_outcome_checks(p_left, p_right, 1.0, 0.05, report.slack)
 
 
@@ -562,9 +674,11 @@ class TestCheckGroupPrivacy:
         report = check_group_privacy(u, u, 0, mech, PrivacyBudget(1.0), trials=3000, seed=2,
                                      provenance="same")
         meta = report.metadata
-        assert list(meta) == ["provenance", "seed", "workers", "wall_s", "trials_per_s"]
+        assert list(meta) == ["provenance", "seed", "workers", "wall_s", "trials_per_s", "estimator",
+                              "ell_counts"]
         assert meta["workers"] == 1 and meta["wall_s"] > 0.0
         assert meta["trials_per_s"] == pytest.approx(2 * 3000 / meta["wall_s"])
+        assert (meta["estimator"], meta["ell_counts"]) == ("sampled", None)
 
     def test_single_step_matches_dp_reverse_orientation(self):
         left = QualityUniverse.dense([0.6, 0.5, 0.3], n=10)
@@ -603,8 +717,8 @@ class TestCheckGroupPrivacy:
         budget = PrivacyBudget(1.0, 0.05)
         mech = build_mechanism("lmm", budget)
         report = check_group_privacy(left, right, 1, mech, budget, 2000, seed=seed)
-        p_left = estimate_distribution(mech, left, 2000, seed)
-        p_right = estimate_distribution(mech, right, 2000, seed + 2**32 - 2**64)
+        p_left = _conditional_estimate(mech, left, 2000, seed)
+        p_right = _conditional_estimate(mech, right, 2000, seed + 2**32 - 2**64)
         assert report.checks == group_outcome_checks(p_left, p_right, 1, 1.0, 0.05, report.slack)
 
 

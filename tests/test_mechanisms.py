@@ -685,7 +685,7 @@ class TestBoundPlans:
                     assert src.uniform() == twin.uniform() == single.uniform()
                     assert {type(release) for release in got} == {tuple}
                     kinds.update(map(type, outcomes))
-                bound = [(mech.bind(fresh()), _SHARD_TRIALS + 5, NoiseSource(21))]
+                bound = [(mech.bind(fresh()), _SHARD_TRIALS + 5, NoiseSource(21), False)]
                 counts = audit._count_tasks(bound, [(0, 0), (0, 1)])
                 assert [type(c) for c in counts] == [dict, dict]
                 assert marshal.loads(marshal.dumps(counts)) == counts
@@ -694,6 +694,59 @@ class TestBoundPlans:
                 assert counts == [dict(Counter(map(itemgetter(0), r))) for r in runs_of]
         assert kinds == {MechanismOutcome}
         assert regrown or name != "lmm"
+
+    def test_lmm_searches_are_the_margin_search(self):
+        # an audit shard counts the ell of plan.searches(src), the loop of
+        # stages 1 and 2 that releases extends by stage 3's uniform: run after
+        # run on one stream it must give the reference's (m, ell), bit for
+        # bit, and leave the stream where the reference leaves it
+        paths = set()
+        for budget in self.BUDGETS:
+            # the reference computes every T(r) up to the cap on each run, so
+            # the k = 10,000 path cases run fewer times
+            cases = [(lambda u=u: u, cap, 30) for u, cap in _plan_cases()]
+            cases += [(fresh, cap, 6) for fresh, cap in _lmm_path_cases(budget)]
+            for fresh, cap, runs in cases:
+                for zero in (False, True):
+                    src, reference = NoiseSource(17, zero_override=zero), NoiseSource(17, zero_override=zero)
+                    got = list(islice(build_mechanism("lmm", budget, cap=cap).bind(fresh()).searches(src), runs))
+                    assert got == [_eager_search(fresh(), budget, reference, cap) for _ in range(runs)]
+                    assert src.uniform() == reference.uniform()
+                    paths.update(ell for _, ell in got)
+        assert None in paths and any(ell and ell > 256 for ell in paths) and len(paths) > 5
+
+    def test_lmm_law_is_the_restricted_exponential_law(self):
+        # plan.law mixes stage 3's law over ell: at one ell it is the
+        # directly normalised restricted-EM weights over the top-ell set, in
+        # top-set order (the fill ids of a sparse universe past its explicit
+        # values, all k items on the cap path); mixed, the weighted sum; and
+        # it sums to 1
+        budget = PrivacyBudget(1.0, 0.05)
+        third = budget.alpha / 3.0
+        rng = random.Random(49)
+        cases = [
+            (QualityUniverse.dense([rng.randint(0, 50) / 50 for _ in range(12)], n=50), None),
+            (QualityUniverse.sparse([0.6, 0.4], k=40, n=20, fill=0.3), None),  # fill segment
+            (QualityUniverse.sparse([], k=5, n=10, fill=0.2), None),
+            (QualityUniverse.sparse([0.9, 0.85, 0.8, 0.3], k=30, n=100), None),  # cap min(k, L+1) = 5
+            (QualityUniverse.dense([0.6, 0.58, 0.57, 0.56] + [0.5] * 16, n=40), 5),  # explicit cap
+        ]
+        for u, cap in cases:
+            plan = build_mechanism("lmm", budget, cap=cap).bind(u)
+            values = [u.value(i) for i in range(1, u.k + 1)]
+            ells = list(range(1, u.k + 1)) + [None]
+            exact = {ell: exact_selection_weights(values, u.n, third, support=top_set(u, ell or u.k))
+                     for ell in ells}
+            for ell in ells:
+                law = plan.law({ell: 1.0})
+                assert list(law) == list(top_set(u, ell or u.k))
+                assert law == pytest.approx(exact[ell], abs=1e-12)
+                assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            mix = dict(zip(rng.sample(ells, 4), (0.1, 0.2, 0.3, 0.4)))
+            law = plan.law(mix)
+            want = {i: math.fsum(p * exact[ell].get(i, 0.0) for ell, p in mix.items()) for i in range(1, u.k + 1)}
+            assert law == pytest.approx({i: p for i, p in want.items() if p > 0.0}, abs=1e-12)
+            assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
     def test_zero_override_is_the_generator(self, name):
@@ -877,19 +930,26 @@ def test_laplace_block_max_distribution():
         assert closed[i] == pytest.approx(naive[i], abs=0.05)
 
 
-def _eager_lmm(u, budget, src, cap=None):
-    """Reference LMM: the margin search fed the explicit list of all cap-1
-    threshold pairs, computed before any noise is drawn."""
+def _eager_search(u, budget, src, cap=None):
+    """Reference LMM stages 1 and 2: (m, ell), the margin search fed the
+    explicit list of all cap-1 threshold pairs, computed before any noise is
+    drawn; ell is None when the cap is exhausted."""
     third = budget.alpha / 3.0
     limit = default_cap(u) if cap is None else cap
     thresholds = [compute_thresholds(u.n, budget.alpha, budget.delta, r) for r in range(1, limit)]
     m = noisy_max_estimate(u, third, src)
     try:
-        ell = margin_search(u, third, m, thresholds, src, cap=limit)
+        return m, margin_search(u, third, m, thresholds, src, cap=limit)
     except CapExhausted:
-        # at ell = k the restricted mechanism is the unrestricted one
-        return restricted_exponential(u, u.k, third, src).item, None, m, False
-    return restricted_exponential(u, ell, third, src).item, ell, m, True
+        return m, None
+
+
+def _eager_lmm(u, budget, src, cap=None):
+    """Reference LMM: :func:`_eager_search`, then stage 3 over the top-ell
+    set, or over all k items (the unrestricted mechanism) when the cap is
+    exhausted."""
+    m, ell = _eager_search(u, budget, src, cap)
+    return restricted_exponential(u, ell or u.k, budget.alpha / 3.0, src).item, ell, m, ell is not None
 
 
 def test_lmm_computes_thresholds_only_for_scanned_ranks(monkeypatch):

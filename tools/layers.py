@@ -8,9 +8,17 @@ LAYER names what each child process times:
 - ``audit``: the CPU (``time.process_time``) of one bound trial of the
   ``audit-lmm`` benchmark's LMM on its pair (``perfbench/workloads.py``),
   over PASSES ``audit._count_tasks`` passes of ``--shards`` 1,024-trial shards
-  per side, after one untimed pass grows every table: ``us_per_trial`` is
-  the median pass, and ``loop_us_per_trial`` the median of each pass divided
-  by a fixed loop timed around it, at a host speed where the loop takes LOOP_S.
+  per side, after one untimed pass grows every table. Each pass times both
+  shard loops of an audit, in turns: the sampled one, which counts the item
+  of each whole run (``us_per_trial``), and the conditional one, which
+  counts the ell of each run's margin search alone (``conditional_us_per_trial``).
+  Each figure is the median pass; ``loop_us_per_trial`` and
+  ``conditional_loop_us_per_trial`` are the medians of each pass divided by a
+  fixed loop timed around it, at a host speed where the loop takes LOOP_S,
+  and ``conditional_ratio`` the median of each pass's conditional time over
+  its sampled time, two loops timed in one process at one host state. Its
+  release is both loops' shard counts. The tree's LMM plan must have
+  ``searches``.
 - ``dense``: a class of ``--k`` shuffled pac-shaped errors, a cluster of
   ``--cluster`` a wide margin below the rest, written as a ``pac`` class
   spec. One child times a cold LMM call on its qualities: the dense build
@@ -100,24 +108,34 @@ def audit_child(seed: int, shards: int) -> dict:
     mech, _ = workloads.audit_mechanism()
     right_seed = (seed + audit._RIGHT_SEED_OFFSET) % (1 << 64)
     trials = shards * audit._SHARD_TRIALS
-    bound = [(audit._bind(mech, pair.left), trials, NoiseSource(seed)),
-             (audit._bind(mech, pair.right), trials, NoiseSource(right_seed))]
+    sides = [(audit._bind(mech, pair.left), NoiseSource(seed)),
+             (audit._bind(mech, pair.right), NoiseSource(right_seed))]
+    # the jobs an audit binds, each loop's: (run, trials, base stream, conditional)
+    loops = {estimator: [(run, trials, base, estimator == "conditional") for run, base in sides]
+             for estimator in ("sampled", "conditional")}
     tasks = [(side, shard) for side in range(2) for shard in range(shards)]
-    audit._count_tasks(bound, tasks)  # grow every table first
-    per_trial = []
-    loops = [reference_loop()]
-    for _ in range(PASSES):
-        t0 = time.process_time()
-        counts = audit._count_tasks(bound, tasks)
-        per_trial.append((time.process_time() - t0) * 1e6 / (2 * trials))
-        loops.append(reference_loop())
-    loop_scaled = [cpu * 2 * LOOP_S / (before + after)
-                   for cpu, before, after in zip(per_trial, loops, loops[1:])]
+    counts = {estimator: audit._count_tasks(bound, tasks) for estimator, bound in loops.items()}  # grow every table first
+    per_trial = {estimator: [] for estimator in loops}
+    refs = [reference_loop()]
+    for i in range(PASSES):
+        for estimator in sorted(loops, reverse=i % 2):  # neither loop always goes first
+            t0 = time.process_time()
+            audit._count_tasks(loops[estimator], tasks)
+            per_trial[estimator].append((time.process_time() - t0) * 1e6 / (2 * trials))
+        refs.append(reference_loop())
+    figures = {}
+    for estimator, prefix in (("sampled", ""), ("conditional", "conditional_")):
+        figures[prefix + "loop_us_per_trial"] = statistics.median(
+            cpu * 2 * LOOP_S / (before + after) for cpu, before, after in zip(per_trial[estimator], refs, refs[1:]))
+    figures["conditional_ratio"] = statistics.median(
+        c / s for c, s in zip(per_trial["conditional"], per_trial["sampled"]))
     return {
-        "loop_ms": round(statistics.median(loops) * 1e3, 2),
-        "release": [sorted(shard_counts.items()) for shard_counts in counts],
-        "times": {"us_per_trial": statistics.median(per_trial)},
-        "figures": {"loop_us_per_trial": statistics.median(loop_scaled)},
+        "loop_ms": round(statistics.median(refs) * 1e3, 2),
+        "release": {estimator: [sorted(shard_counts.items(), key=str) for shard_counts in shard_list]
+                    for estimator, shard_list in counts.items()},
+        "times": {"us_per_trial": statistics.median(per_trial["sampled"]),
+                  "conditional_us_per_trial": statistics.median(per_trial["conditional"])},
+        "figures": figures,
     }
 
 
