@@ -27,7 +27,7 @@ _MODULES = {
         estimate_distribution group_outcome_checks hoeffding_slack lb2_delta_bound""",
     "applications": """BasketDataset HypothesisClass ItemsetCodec ItemsetQuality
         ShellDecomposition TStarResult basket_neighbor basket_neighbor_pair empirical_quality
-        itemset_quality itemset_quality_dense load_baskets load_itemset_quality
+        itemset_quality itemset_quality_dense load_baskets
         pac_selection_constant shell_decomposition t_star""",
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names.split()}

@@ -5,11 +5,8 @@ size-r itemsets of a vocabulary, with support fractions as quality. The
 universe id space is the full combinatorial family C(V, r) -- only occurring
 itemsets are materialized, everything else sits in the fill block -- and a
 codec records the bijective id <-> itemset mapping for decoding. A basket
-file is read in one place and parsed by one function, whole
-(:func:`load_baskets`) or in parts counted on every usable core
-(:func:`load_itemset_quality`, what ``privmax fim`` runs); the result and
-every error equal the serial count's, also when a part's fork or worker
-fails and its part is counted in this process.
+file has one reader, :func:`load_baskets`, and ``privmax fim`` runs
+``itemset_quality(load_baskets(path), r, vocab_size)`` in its own process.
 
 PAC hypothesis selection: a finite hypothesis class with per-hypothesis errors
 yields a dense universe with quality 1 - error, plus the error-radius shell
@@ -25,12 +22,12 @@ import operator
 from bisect import bisect_left, bisect_right
 from collections import _count_elements
 from collections.abc import Iterable, Sequence
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from typing import NamedTuple
 
 from .core import QualityUniverse, checked_make, require_alpha
-from .audit import NeighborPair, _fan_out, _fan_out_width
+from .audit import NeighborPair
 
 
 class BasketDataset(
@@ -112,36 +109,21 @@ class _Canonical(dict):
 def load_baskets(path) -> BasketDataset:
     """Read a basket file: one basket per line, whitespace-separated tokens.
 
-    The file is read and decoded as strict UTF-8 whole (:func:`_read_text`),
-    so a decode error names the byte's offset in the file, and its lines go
-    through :func:`_read_baskets` into :meth:`BasketDataset.from_lists`.
-    Tokens are deduplicated per basket; blank lines are skipped; a file with
-    no tokens is an error. Vocabulary order (and therefore id assignment) is
-    the sorted token order, stable across reloads. :func:`load_itemset_quality`
-    reads the file and each of its parts through the same two steps.
+    The file is read and decoded as strict UTF-8 whole, so a decode error
+    names the byte's offset in the file. Lines end as text-mode ``open`` ends
+    them: a newline, a CR LF pair or a lone CR. Each line's tokens go straight
+    into :meth:`BasketDataset.from_lists`. Tokens are deduplicated per basket;
+    blank lines are skipped; a file with no tokens is an error. Vocabulary
+    order (and therefore id assignment) is the sorted token order, stable
+    across reloads.
     """
-    d = _read_baskets(_read_text(path))
-    if d is None:
-        raise ValueError(f"no baskets found in {path}")
-    return d
-
-
-def _read_text(path) -> str:
-    """The whole text of a basket file, decoded as strict UTF-8: the one
-    place this module opens a basket file."""
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
-
-
-def _read_baskets(text: str) -> BasketDataset | None:
-    """The dataset of a basket file's text, or None when no line holds a token.
-
-    Lines end as text-mode ``open`` ends them: a newline, a CR LF pair or a
-    lone CR. Each line's tokens go straight into :meth:`BasketDataset.from_lists`.
-    """
+        text = fh.read().decode("utf-8")
     baskets = filter(None, map(str.split, io.StringIO(text, newline=None)))
     first = next(baskets, None)
-    return None if first is None else BasketDataset.from_lists(chain((first,), baskets))
+    if first is None:
+        raise ValueError(f"no baskets found in {path}")
+    return BasketDataset.from_lists(chain((first,), baskets))
 
 
 def _comb_rank(indices: tuple[int, ...], v: int) -> int:
@@ -359,103 +341,29 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     codec orders the itemsets themselves lazily, as far as a decode reads.
 
     r > B is not an error: it returns the all-fill universe with L = 0.
-    :func:`load_itemset_quality` counts a basket file on every usable core
-    and ends in the same step, :func:`_itemset_universe`.
     """
-    return _itemset_universe(_count_itemsets(d.baskets, r), d.vocabulary, d.n, r, vocab_size)
-
-
-# the basket file is counted in one part per usable core, but only while each
-# part holds at least this many characters (its bytes, in an ASCII file): a
-# fork and the merge of its counts cost a few milliseconds, counting 64 KiB of
-# baskets about ten
-_MIN_PART_BYTES = 1 << 16
-
-
-def load_itemset_quality(path, r: int, vocab_size: int | None = None) -> ItemsetQuality:
-    """``itemset_quality(load_baskets(path), r, vocab_size)``, counted on
-    every usable core.
-
-    The file is read and decoded once (:func:`_read_text`) and cut right
-    after a newline into ``_fan_out_width(characters, _MIN_PART_BYTES)``
-    parts. Each part goes through :func:`_read_baskets` and the itemset
-    count in its own process (see :func:`audit._fan_out`, which counts here
-    a part whose fork or worker fails). The counts are added in part order,
-    the vocabularies united and the basket counts summed, and
-    :func:`itemset_quality`'s last step builds the universe and codec; it
-    orders them by sorting, so the result equals the serial one for any
-    number of parts. Both paths run the same decode, the
-    same empty-file check and the same universe checks, so they raise the
-    same errors, message and all.
-    """
-    parts = _basket_parts(_read_text(path))
-    results = _fan_out(partial(_count_part, r), parts)
-    (counts, vocabulary, n), *rest = results
-    if rest:
-        for part_counts, _, part_n in rest:
-            # one C-level pass: each key of the part, its count added to this one's
-            counts.update(zip(part_counts, map(operator.add, map(counts.get, part_counts, repeat(0)),
-                                               part_counts.values())))
-            n += part_n
-        vocabulary = tuple(sorted(set(chain.from_iterable(v for _, v, _ in results))))
-    if not n:
-        raise ValueError(f"no baskets found in {path}")
-    return _itemset_universe(counts, vocabulary, n, r, vocab_size)
-
-
-def _basket_parts(text: str) -> list[str]:
-    """A basket file's text, cut right after a newline into one part per
-    fan-out worker; a cut that would leave a part empty is dropped."""
-    size = len(text)
-    workers = _fan_out_width(size, _MIN_PART_BYTES)
-    cuts = [0]
-    for w in range(1, workers):
-        cut = text.find("\n", max(cuts[-1], size * w // workers)) + 1  # 0: no newline left
-        if cuts[-1] < cut < size:
-            cuts.append(cut)
-    cuts.append(size)
-    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _count_part(r: int, text: str) -> tuple[dict, tuple[str, ...], int]:
-    """The itemset counts, vocabulary and basket count of one part of a
-    basket file; a part without baskets counts nothing."""
-    d = _read_baskets(text)
-    if d is None:
-        return {}, (), 0
-    return _count_itemsets(d.baskets, r), d.vocabulary, d.n
+    if r < 1:
+        raise ValueError(f"itemset size must be >= 1, got {r}")
+    v = len(d.vocabulary) if vocab_size is None else vocab_size
+    if v < len(d.vocabulary):
+        raise ValueError(f"vocab_size {v} smaller than the {len(d.vocabulary)} observed tokens")
+    k = math.comb(v, r)
+    if k < 1:
+        raise ValueError(f"no size-{r} itemsets over a {v}-token vocabulary")
+    counts = _count_itemsets(d.baskets, r)
+    supports = sorted(counts.values(), reverse=True)
+    universe = QualityUniverse.sparse([c / d.n for c in supports], k=k, n=d.n)
+    occurring = _SupportOrder(counts, supports)
+    codec = ItemsetCodec(vocabulary=d.vocabulary, vocab_size=v, r=r, occurring=occurring)
+    return ItemsetQuality(universe=universe, codec=codec)
 
 
 def _count_itemsets(baskets: Iterable[tuple[str, ...]], r: int) -> dict[tuple[str, ...], int]:
     """Support count of each size-r itemset of the baskets, counted in C
-    into a plain dict in first-seen order: unlike a Counter, ``marshal``
-    sends it from a forked child. r < 1 counts nothing, and the universe
-    step rejects it."""
+    into a plain dict in first-seen order."""
     counts = {}
-    if r >= 1:
-        _count_elements(counts, chain.from_iterable(map(combinations, baskets, repeat(r))))
+    _count_elements(counts, chain.from_iterable(map(combinations, baskets, repeat(r))))
     return counts
-
-
-def _itemset_universe(counts: dict[tuple[str, ...], int], vocabulary: tuple[str, ...], n: int, r: int,
-                      vocab_size: int | None) -> ItemsetQuality:
-    """The universe and codec of the support counts of n baskets over a
-    vocabulary: the checks of r and ``vocab_size``, the support sort and the
-    lazy order. Both :func:`itemset_quality` and :func:`load_itemset_quality`
-    end here."""
-    if r < 1:
-        raise ValueError(f"itemset size must be >= 1, got {r}")
-    v = len(vocabulary) if vocab_size is None else vocab_size
-    if v < len(vocabulary):
-        raise ValueError(f"vocab_size {v} smaller than the {len(vocabulary)} observed tokens")
-    k = math.comb(v, r)
-    if k < 1:
-        raise ValueError(f"no size-{r} itemsets over a {v}-token vocabulary")
-    supports = sorted(counts.values(), reverse=True)
-    universe = QualityUniverse.sparse([c / n for c in supports], k=k, n=n)
-    occurring = _SupportOrder(counts, supports)
-    codec = ItemsetCodec(vocabulary=vocabulary, vocab_size=v, r=r, occurring=occurring)
-    return ItemsetQuality(universe=universe, codec=codec)
 
 
 def itemset_quality_dense(d: BasketDataset, r: int) -> QualityUniverse:

@@ -101,11 +101,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _estimate_jobs(jobs: list[tuple], conditional: bool = False) -> tuple[list[dict], list | None, int]:
+def _estimate_jobs(jobs: list[tuple], conditional: bool = False) -> tuple[list[dict], list | None, list[int]]:
     """Outcome frequencies of each job ``(mechanism, universe, trials, seed,
     zero_override)``, each job's run counts per ell (ascending, None last)
-    when they were estimated conditionally, else None, and the number of
-    processes that counted the tasks.
+    when they were estimated conditionally, else None, and the pid of the
+    process that counted each fan-out part, in part order.
 
     Each job is cut into ``(job, shard)`` tasks, which are dealt round-robin
     to ``_fan_out_width(tasks, _MIN_SHARDS_PER_WORKER)`` workers and counted
@@ -113,13 +113,13 @@ def _estimate_jobs(jobs: list[tuple], conditional: bool = False) -> tuple[list[d
     or child fails. Each job's mechanism is bound to its universe once,
     here, before any fork (see :func:`_bind`), so a bind error raises in this
     process. A child inherits the bound runs, so nothing is pickled, and it
-    sends its pid and its counts, plain dicts, through ``marshal``; the count
-    of processes returned is the number of distinct pids among the slices'
-    results. An outcome key that marshal cannot send (not an int, string or
-    tuple of them) is not an error: each child sends nothing, so its shards
-    are counted again here, and the count returned is 1. Shard counts are
-    merged in task order, so each dict equals the serial estimate, key order
-    included, for any worker count and any failed worker.
+    sends its pid and its counts, plain dicts, through ``marshal``; a part
+    counted again here has this process's pid. An outcome key that marshal
+    cannot send (not an int, string or tuple of them) is not an error: each
+    child sends nothing, so its shards are counted again here, and every pid
+    returned is this process's. Shard counts are merged in task order, so
+    each dict equals the serial estimate, key order included, for any worker
+    count and any failed worker.
 
     With ``conditional``, and when every bound plan has ``searches`` (an
     LMM plan whose function no wrapper replaced) and every universe has at
@@ -152,9 +152,9 @@ def _estimate_jobs(jobs: list[tuple], conditional: bool = False) -> tuple[list[d
     def count_slice(part: list[tuple]) -> tuple[int, list[dict]]:
         return os.getpid(), _count_tasks(bound, part)
 
-    shard_counts, pids = {}, set()
+    shard_counts, pids = {}, []
     for part, (pid, counts) in zip(slices, _fan_out(count_slice, slices)):
-        pids.add(pid)
+        pids.append(pid)
         shard_counts.update(zip(part, counts))
     totals = [{} for _ in jobs]
     for j, shard in tasks:
@@ -166,8 +166,8 @@ def _estimate_jobs(jobs: list[tuple], conditional: bool = False) -> tuple[list[d
     if conditional:
         # each job's runs per ell, ascending, the cap path's None last
         ells = [dict(sorted(total.items(), key=lambda kv: kv[0] or math.inf)) for total in totals]
-        return [run.law(f) for run, f in zip(runs, freqs)], ells, len(pids)
-    return freqs, None, len(pids)
+        return [run.law(f) for run, f in zip(runs, freqs)], ells, pids
+    return freqs, None, pids
 
 
 def _fan_out_width(units: int, min_units: int) -> int:
@@ -179,7 +179,8 @@ def _fan_out_width(units: int, min_units: int) -> int:
 
 def _fan_out(work: Callable, parts: list) -> list:
     """``[work(part) for part in parts]``, the library's one fork fan-out,
-    and the one place that handles a failed fork or worker.
+    which counts an audit's shards, and the one place that handles a failed
+    fork or worker.
 
     This process runs ``work(parts[0])``; each other part runs in a child
     forked before it, which inherits ``work`` and its part, so nothing is
@@ -457,23 +458,31 @@ def _audit(kind: str, left: QualityUniverse, right: QualityUniverse, mechanism: 
            checks: Callable, group_size: int = 1) -> AuditReport:
     """The one audit path: validate the inputs, estimate both sides in one
     :func:`_estimate_jobs` fan-out, conditionally where it can, run
-    ``checks(p_left, p_right, slack)`` and build the report. The right side
+    ``checks(p_left, p_right, slack)`` and build the report, which warns when
+    a fan-out part was counted again in this process. The right side
     draws from (seed + _RIGHT_SEED_OFFSET) mod 2^64, so every seed in
     [0, 2^64) is valid and gives two streams."""
     slack = hoeffding_slack(trials, confidence)
     if group_size < 0:
         raise ValueError(f"group size must be >= 0, got {group_size}")
     t0 = time.perf_counter()
-    (p_left, p_right), ells, workers = _estimate_jobs(
+    (p_left, p_right), ells, pids = _estimate_jobs(
         [(mechanism, left, trials, seed, False),
          (mechanism, right, trials, (seed + _RIGHT_SEED_OFFSET) % (1 << 64), False)],
         conditional=True,
     )
     wall = time.perf_counter() - t0
+    workers = len(set(pids))
     warnings = []
     if slack > _SLACK_WARN:
         warnings.append(
             f"slack {slack:.4f} exceeds {_SLACK_WARN}; increase trials for a meaningful audit"
+        )
+    if workers < len(pids):
+        warnings.append(
+            f"{len(pids) - workers} of {len(pids)} fan-out parts were counted again in the calling "
+            "process: their fork failed or their worker sent nothing readable (say, an outcome "
+            "that marshal cannot send)"
         )
     metadata = {"provenance": provenance, "seed": seed, "workers": workers, "wall_s": wall,
                 "trials_per_s": 2 * trials / wall, "estimator": "conditional" if ells else "sampled",

@@ -43,8 +43,6 @@ from .mechanisms import (
 )
 from .audit import (
     NeighborPair,
-    _fan_out,
-    _fan_out_width,
     build_lb2_family,
     build_threshold_example,
     check_approx_dp,
@@ -54,9 +52,8 @@ from .audit import (
     lb2_delta_bound,
 )
 from .applications import (
-    itemset_quality,  # noqa: F401  (perfbench's layer trace wraps this name here)
+    itemset_quality,
     load_baskets,
-    load_itemset_quality,
     pac_selection_constant,
     shell_decomposition,
     t_star,
@@ -265,7 +262,7 @@ def cmd_fim(args) -> int:
         raise ValueError("fim needs --baskets")
     budget = PrivacyBudget(args.alpha, args.delta)
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
-    universe, codec = load_itemset_quality(args.baskets, args.r, vocab_size=args.vocab_size)
+    universe, codec = itemset_quality(load_baskets(args.baskets), args.r, vocab_size=args.vocab_size)
 
     def details(result):
         f_max = order_stat(universe, 1)
@@ -290,25 +287,15 @@ def cmd_fim(args) -> int:
     return _emit_outcome(args, mech(universe, _noise(args)), details)
 
 
-# the shells are counted in a forked child while this process selects only
-# from this many hypotheses up: the fork and the round trip of its result cost
-# about 3 ms, and in a cold call the split breaks even near 20k hypotheses
-_MIN_SPLIT_HYPOTHESES = 30_000
-
-
 def cmd_pac(args) -> int:
     """Select a hypothesis of the spec's class privately and report its
     regret and the class's error shells.
 
     The selection runs on the dense universe of qualities 1 - error. The
-    shells, ``t_star`` and ``pac_selection_constant`` feed only the report.
-    The selection and these diagnostics are two parts, run in that order.
-    On two usable cores or more, from ``_MIN_SPLIT_HYPOTHESES`` hypotheses
-    up, they run through :func:`audit._fan_out`, whose forked child sends
-    back the payload fields they add as one plain dict. Either way the
-    selection runs once, in this process, the output is the same, and the
-    first error raised is the selection's (a non-finite error, --seed,
-    --cap), then the shells'.
+    shells, ``t_star`` and ``pac_selection_constant`` feed only the report;
+    they are computed after the selection, also for a declined st13 run, so
+    the first error raised is the selection's (a non-finite error, --seed,
+    --cap), then the shells' (d, n, --c0, --delta0).
     """
     if args.spec is None:
         raise ValueError("pac needs --spec with a class spec JSON file")
@@ -322,43 +309,30 @@ def cmd_pac(args) -> int:
     errors = json_numbers(spec, "error_profile")
     if len(errors) != num_hypotheses:
         raise ValueError("error_profile length must equal num_hypotheses")
-
-    def select():
-        return mech(QualityUniverse.dense([1.0 - e for e in errors], n=n), _noise(args))
-
-    def diagnostics():
-        """The payload fields the shells add, as one plain dict, which
-        marshal sends from a forked child."""
-        shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
-        # the selection constant and t* exist only for delta > 0; em and mol
-        # also run at delta = 0, where all three diagnostics are null
-        fields = {"min_error": shells.min_err, "shell_sizes": list(shells.shell_sizes),
-                  "shell_width": shells.width, "t_star": None, "t_star_exhausted": None,
-                  "selection_constant": None}
-        if budget.delta > 0.0:
-            ell_ref = shells.shell_sizes[min(1, shells.R)]
-            constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
-            ts = t_star(shells, args.alpha, args.delta, d, n, C=constant)
-            fields.update(t_star=ts.t, t_star_exhausted=ts.exhausted, selection_constant=constant)
-        return fields
-
-    parts = [select, diagnostics]
-    if len(errors) >= _MIN_SPLIT_HYPOTHESES and _fan_out_width(2, 1) > 1:
-        result, fields = _fan_out(lambda part: part(), parts)
-    else:
-        result, fields = [part() for part in parts]
+    result = mech(QualityUniverse.dense([1.0 - e for e in errors], n=n), _noise(args))
+    shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
+    # the selection constant and t* exist only for delta > 0; em and mol
+    # also run at delta = 0, where all three diagnostics are null
+    t, exhausted, constant = None, None, None
+    if budget.delta > 0.0:
+        ell_ref = shells.shell_sizes[min(1, shells.R)]
+        constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
+        t, exhausted = t_star(shells, args.alpha, args.delta, d, n, C=constant)
 
     def details(result):
-        best = fields["min_error"]
+        best = shells.min_err
         chosen = errors[result.item - 1]
-        # min_error keeps its place here; the shell fields follow the regret
         return {
             "hypothesis": result.item - 1,
             "error": chosen,
             "min_error": best,
             "regret": chosen - best,
             "regret_in_noise_units": (chosen - best) * n * budget.alpha,
-            **fields,
+            "shell_sizes": list(shells.shell_sizes),
+            "shell_width": shells.width,
+            "t_star": t,
+            "t_star_exhausted": exhausted,
+            "selection_constant": constant,
         }
 
     return _emit_outcome(args, result, details)

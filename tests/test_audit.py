@@ -296,6 +296,11 @@ class TestFanOut:
         report = check_approx_dp(pair, mech, PrivacyBudget(1.0), 16 * _SHARD_TRIALS, seed=10)
         assert report.checks == serial.checks
         assert (serial.metadata["workers"], report.metadata["workers"]) == (1, 1)
+        # the report says so: of its two parts, one was counted again here
+        assert serial.warnings == []
+        assert report.warnings == ["1 of 2 fan-out parts were counted again in the calling process: their "
+                                   "fork failed or their worker sent nothing readable (say, an outcome that "
+                                   "marshal cannot send)"]
         _assert_no_child_left()
 
     def test_parent_failure_keeps_its_type_and_reaps_workers(self, monkeypatch):

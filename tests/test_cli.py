@@ -2,10 +2,8 @@
 
 import argparse
 import csv
-import errno
 import json
 import math
-import os
 
 import pytest
 
@@ -18,8 +16,7 @@ from privmax.cli import (
     build_parser,
     main,
 )
-from privmax import NoiseSource, QualityUniverse, audit, cli, save_universe
-from test_applications import _assert_no_child_left, _record_fan_outs
+from privmax import NoiseSource, QualityUniverse, save_universe, shell_decomposition
 
 
 @pytest.fixture
@@ -500,17 +497,35 @@ class TestPac:
         # a tied top pair: st13's zero-noise gap is 0, so it returns Fail
         (["--mechanism", "st13", "--zero-noise"], [0.05, 0.05, 0.35, 0.4, 0.5], EXIT_FAIL),
     ], ids=["lmm", "em", "mol", "zero-noise", "st13-fail"])
-    def test_split_output_is_the_serial_one(self, tmp_path, monkeypatch, fmt, flags, profile, code):
-        spec = self._spec(tmp_path, **({"error_profile": profile} if profile else {}))
-        outputs = []
-        for cores in (1, 2):
-            fan_outs = _split_pac_on(monkeypatch, cores)
-            out = tmp_path / f"pac-{cores}.{fmt}"
-            assert run("pac", "--spec", spec, *flags, "--format", fmt, "--out", str(out)) == code
-            assert fan_outs == ([2] if cores == 2 else [])
-            _assert_no_child_left()
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_split_output_is_the_serial_one(self, tmp_path, fmt, flags, profile, code):
+        # pac selects, then computes the shells of the spec's errors, in one
+        # process; the CSV rows are the JSON payload's fields, in its order
+        errors = profile or [0.05, 0.3, 0.35, 0.4, 0.5]
+        spec = self._spec(tmp_path, error_profile=errors)
+        outs = {}
+        for f in dict.fromkeys(("json", fmt)):
+            outs[f] = tmp_path / f"pac.{f}"
+            assert run("pac", "--spec", spec, *flags, "--format", f, "--out", str(outs[f])) == code
+        payload = json.loads(outs["json"].read_text())
+        if fmt == "csv":
+            with open(outs["csv"], newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows == [["key", "value"]] + [
+                [key, " ".join(map(str, value)) if isinstance(value, list) else str(value)]
+                for key, value in payload.items()]
+        if code == EXIT_FAIL:
+            assert list(payload) == ["outcome", "alpha", "delta", "seed"]
+            return
+        assert list(payload) == ["item", "m", "ell", "certified", "alpha", "delta", "seed", "hypothesis",
+                                 "error", "min_error", "regret", "regret_in_noise_units", "shell_sizes",
+                                 "shell_width", "t_star", "t_star_exhausted", "selection_constant"]
+        shells = shell_decomposition(errors, d=2, n=400, delta0=0.05)
+        assert payload["hypothesis"] == payload["item"] - 1
+        assert payload["error"] == errors[payload["hypothesis"]]
+        assert payload["min_error"] == shells.min_err
+        assert payload["regret"] == payload["error"] - payload["min_error"]
+        assert payload["shell_sizes"] == list(shells.shell_sizes)
+        assert payload["shell_width"] == shells.width
 
     @pytest.mark.parametrize("fields, flags, message", [
         ({"error_profile": [0.05, math.nan, 0.35, 0.4, 0.5]}, [],
@@ -520,75 +535,22 @@ class TestPac:
         ({}, ["--c0", "0"], "C0 must be positive, got 0.0"),
         ({}, ["--delta0", "0"], "delta0 must lie in (0, 1), got 0.0"),
         ({}, ["--cap", "9"], "cap 9 outside [1, 5]"),
-        # both paths raise the selection's errors (a non-finite error,
-        # --seed, --cap) before the shells' arguments
+        # the selection's errors (a non-finite error, --seed, --cap) come
+        # before the shells' arguments
         ({}, ["--c0", "0", "--cap", "9"], "cap 9 outside [1, 5]"),
     ], ids=["nan", "d0", "n1", "c0", "delta0", "cap", "c0-and-cap"])
-    def test_split_errors_are_the_serial_ones(self, tmp_path, monkeypatch, capsys, fields, flags, message):
-        fan_outs = _split_pac_on(monkeypatch, 2)
+    def test_split_errors_are_the_serial_ones(self, tmp_path, capsys, fields, flags, message):
         assert run("pac", "--spec", self._spec(tmp_path, **fields), *flags) == EXIT_ERROR
-        assert fan_outs == [2]
-        _assert_no_child_left()
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
-    @pytest.mark.parametrize("failure", ["worker-raises", "worker-sends-nothing", "fork-raises"])
-    def test_failed_split_output_is_the_serial_one(self, tmp_path, monkeypatch, failure):
-        # the shells part's fork or child fails, so that part runs here; the
-        # selection runs once, in this process, on either path
-        spec, parent = self._spec(tmp_path), os.getpid()
-        selections, real_build, real_shells = [], cli.build_mechanism, cli.shell_decomposition
-
-        def build(*args, **kwargs):
-            mech = real_build(*args, **kwargs)
-
-            def counted(u, src):
-                selections.append(os.getpid())
-                return mech(u, src)
-
-            return counted
-
-        def shells(*args, **kwargs):
-            if os.getpid() != parent:
-                if failure == "worker-raises":
-                    raise ArithmeticError("only in a worker")
-                os._exit(0)
-            return real_shells(*args, **kwargs)
-
-        def fork():
-            raise OSError(errno.EAGAIN, "no process left")
-
-        monkeypatch.setattr(cli, "build_mechanism", build)
-        monkeypatch.setattr(cli, "shell_decomposition", shells)
-        outputs = []
-        for cores in (1, 2):
-            fan_outs = _split_pac_on(monkeypatch, cores)
-            if failure == "fork-raises":
-                monkeypatch.setattr(os, "fork", fork)
-            selections.clear()
-            out = tmp_path / f"pac-{cores}.json"
-            assert run("pac", "--spec", spec, "--seed", "4", "--out", str(out)) == EXIT_OK
-            assert fan_outs == ([2] if cores == 2 else [])
-            assert selections == [parent]
-            _assert_no_child_left()
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_small_class_stays_serial(self, tmp_path, monkeypatch):
-        fan_outs = _split_pac_on(monkeypatch, 2)
-        monkeypatch.setattr(cli, "_MIN_SPLIT_HYPOTHESES", 6)
-        out = tmp_path / "pac.json"
-        assert run("pac", "--spec", self._spec(tmp_path), "--zero-noise", "--out", str(out)) == EXIT_OK
-        assert fan_outs == []
-
-
-def _split_pac_on(monkeypatch, cores):
-    """Run pac on ``cores`` usable cores, splitting every class from one
-    hypothesis up; returns the list that records the part count of each
-    fan-out."""
-    monkeypatch.setattr(audit, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(cli, "_MIN_SPLIT_HYPOTHESES", 1)
-    return _record_fan_outs(monkeypatch, cli)
+    def test_declined_run_still_checks_the_shell_arguments(self, tmp_path, capsys):
+        # st13 declines on a tied top pair, and a bad --c0 still exits 1
+        spec = self._spec(tmp_path, error_profile=[0.05, 0.05, 0.35, 0.4, 0.5])
+        assert run("pac", "--spec", spec, "--mechanism", "st13", "--zero-noise") == EXIT_FAIL
+        capsys.readouterr()
+        assert run("pac", "--spec", spec, "--mechanism", "st13", "--zero-noise", "--c0", "0") == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: C0 must be positive, got 0.0\n")
 
 
 @pytest.mark.parametrize("command", ["select", "bench-range"])

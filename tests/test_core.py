@@ -150,7 +150,7 @@ def test_public_names_are_pinned():
         "estimate_distribution", "exponential_mechanism", "gap_max_st13", "group_outcome_checks",
         "hoeffding_slack", "itemset_quality", "itemset_quality_dense", "large_margin_mechanism",
         "lb2_delta_bound", "lmm_quality_radius", "lmm_required_margin", "load_baskets",
-        "load_itemset_quality", "load_universe", "margin_search", "max_of_laplaces", "order_stat",
+        "load_universe", "margin_search", "max_of_laplaces", "order_stat",
         "pac_selection_constant", "save_universe", "shell_decomposition", "t_star",
         "top_set", "universe_from_dict", "universe_to_dict",
     ]

@@ -27,11 +27,11 @@ LAYER names what each child process times:
   second times one whole ``privmax pac --spec`` call on the spec
   (``pac_ms``): the parse, the selection and the shells.
 - ``fim``: one cold ``privmax fim --r 2 --vocab-size 1000000`` on the
-  ``fim-sparse`` benchmark's baskets for ``--seed``. One child times
-  ``load_baskets`` (``load_ms``), ``_count_itemsets`` (``count_ms``), the
-  rest of ``itemset_quality`` (``order_ms``), the LMM (``lmm_ms``), the first
-  ``decode`` (``decode_ms``) and all of them (``total_ms``); a second times
-  what the CLI runs in their place, ``load_itemset_quality`` (``parts_ms``).
+  ``fim-sparse`` benchmark's baskets for ``--seed``. One child times what the
+  CLI runs: ``load_baskets`` (``load_ms``), ``_count_itemsets``
+  (``count_ms``), the rest of ``itemset_quality`` (``order_ms``), the LMM
+  (``lmm_ms``), the first ``decode`` (``decode_ms``) and all of them
+  (``total_ms``).
 - ``import``: the cold import of the package. One child starts fresh
   interpreters, as ``perfbench/run.py`` starts its children (the tree's
   ``src`` on PYTHONPATH, a bytecode cache under a PYTHONPYCACHEPREFIX, which
@@ -227,23 +227,6 @@ def fim_child(seed: int, baskets: str) -> dict:
     }
 
 
-def parts_child(seed: int, baskets: str) -> dict:
-    import workloads
-    from privmax import applications
-    from privmax.core import PrivacyBudget
-    from privmax.mechanisms import large_margin_mechanism
-    from privmax.noise import NoiseSource
-
-    t0 = time.perf_counter()
-    universe, codec = applications.load_itemset_quality(baskets, workloads.FIM_R, vocab_size=workloads.FIM_VOCAB)
-    t1 = time.perf_counter()
-    out = large_margin_mechanism(universe, PrivacyBudget(workloads.ALPHA, workloads.DELTA), NoiseSource(seed))
-    return {
-        "release": [out.item, list(codec.decode(out.item))],
-        "times": {"parts_ms": (t1 - t0) * 1e3},
-    }
-
-
 def import_child(pycache: str) -> dict:
     env = dict(os.environ, PYTHONPATH=sys.path[0], PYTHONPYCACHEPREFIX=pycache)  # main put src first
     env.pop("PYTHONDONTWRITEBYTECODE", None)
@@ -271,7 +254,7 @@ def import_child(pycache: str) -> dict:
 
 # each child returns its "release", its "times" (also reported probe-normalised),
 # any other "figures", and whatever else it reports, printed as it is
-LAYERS = {"audit": (audit_child,), "dense": (dense_child, pac_child), "fim": (fim_child, parts_child),
+LAYERS = {"audit": (audit_child,), "dense": (dense_child, pac_child), "fim": (fim_child,),
           "import": (import_child,)}
 
 
