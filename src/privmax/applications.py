@@ -4,7 +4,7 @@ Frequent itemset selection: a basket dataset yields a sparse universe over all
 size-r itemsets of a vocabulary, with support fractions as quality. The
 universe id space is the full combinatorial family C(V, r) -- only occurring
 itemsets are materialized, everything else sits in the fill block -- and a
-codec records the bijective id <-> itemset mapping for decoding. A basket
+codec decodes each id to its itemset from the support counts. A basket
 file has one reader, :func:`load_baskets`, and ``privmax fim`` runs
 ``itemset_quality(load_baskets(path), r, vocab_size)`` in its own process.
 
@@ -168,68 +168,6 @@ def _comb_unrank(rank: int, v: int, r: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-class _SupportOrder(Sequence):
-    """The occurring itemsets in canonical sparse order, resolved lazily.
-
-    Canonical order is support descending with ties in lexicographic order.
-    ``supports`` holds the support counts sorted descending, so item
-    ``j`` has support ``supports[j]`` and sits in that support's tie group,
-    which starts at the first index holding it. Reading one item sorts only
-    its tie group, found by one scan of ``counts``; after _GROUP_SCANS such
-    scans, and on any read of the whole order (iteration, a slice, equality,
-    hashing), the full tuple is built once and answers every later read.
-    Equality and hashing are those of that tuple.
-    """
-
-    # one scan costs about 1/30 of the full sort (L ~ 27k: about 1 ms and 32 ms)
-    _GROUP_SCANS = 16
-
-    def __init__(self, counts: dict[tuple[str, ...], int], supports: list[int]):
-        self._counts = counts
-        self._supports = supports
-        self._groups: dict[int, list[tuple[str, ...]]] = {}
-
-    @cached_property
-    def _full(self) -> tuple[tuple[str, ...], ...]:
-        counts = self._counts
-        # lexicographic first; the stable sort by support keeps that order on ties
-        return tuple(sorted(sorted(counts), key=counts.__getitem__, reverse=True))
-
-    def __len__(self) -> int:
-        return len(self._supports)
-
-    def __getitem__(self, index):
-        if "_full" in self.__dict__ or isinstance(index, slice):
-            return self._full[index]
-        supports = self._supports
-        j = operator.index(index)
-        if j < 0:
-            j += len(supports)
-        if not 0 <= j < len(supports):
-            raise IndexError("itemset index out of range")
-        c = supports[j]
-        group = self._groups.get(c)
-        if group is None:
-            if len(self._groups) >= self._GROUP_SCANS:
-                return self._full[j]
-            group = self._groups[c] = sorted([t for t, count in self._counts.items() if count == c])
-        return group[j - bisect_left(supports, -c, key=operator.neg)]
-
-    def __iter__(self):
-        return iter(self._full)
-
-    def __eq__(self, other):
-        if isinstance(other, _SupportOrder):
-            other = other._full
-        return self._full == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._full)
-
-    def __repr__(self) -> str:
-        return repr(self._full)
-
-
 class ItemsetCodec(
     NamedTuple(
         "ItemsetCodec",
@@ -237,87 +175,72 @@ class ItemsetCodec(
             ("vocabulary", tuple[str, ...]),
             ("vocab_size", int),
             ("r", int),
-            ("occurring", Sequence[tuple[str, ...]]),
+            ("counts", dict[tuple[str, ...], int]),
+            ("supports", tuple[int, ...]),
         ],
     )
 ):
-    """Bijective, stable mapping between universe ids and size-r itemsets.
+    """Decoder from universe ids to size-r itemsets, built by
+    :func:`itemset_quality`.
 
-    Ids 1..L are the occurring itemsets in universe (canonical sparse) order.
-    Ids above L enumerate the non-occurring itemsets in lexicographic order
-    over the full C(vocab_size, r) family; tokens beyond the materialized
+    ``counts`` maps each occurring itemset, a tuple of tokens in vocabulary
+    order, to its support count; ``supports`` holds the L counts sorted
+    descending. Ids 1..L are the occurring itemsets in universe (canonical
+    sparse) order: support descending, ties in lexicographic order. Ids
+    above L enumerate the non-occurring itemsets in lexicographic order over
+    the full C(vocab_size, r) family; tokens beyond the materialized
     vocabulary (from inflation) decode to synthetic "_unused<i>" names.
 
-    ``occurring`` is a tuple, or the lazily ordered sequence that
-    :func:`itemset_quality` builds: it compares and hashes as the tuple of
-    the same itemsets, and decoding an id in 1..L sorts only that id's
-    support tie group. The lexicographic ranks of the occurring itemsets are
-    computed on the first decode of a fill id (above L) or the first encode,
-    and their id map on the first encode of an occurring itemset, not when
-    the codec is built; both read the whole order.
-
-    The class sets no ``__slots__``: the two cached properties live in the
-    instance dict, outside the tuple, so equality and hashing ignore them.
+    Nothing is ordered when the codec is built. Decoding an id in 1..L sorts
+    only that id's support tie group, once per support; the first decode of
+    a fill id (above L) ranks the occurring itemsets, unordered. Both caches
+    live in the instance dict, outside the tuple: the class sets no
+    ``__slots__``, and the hash skips the unhashable count table, which
+    ``supports`` summarises.
     """
+
+    def __hash__(self) -> int:
+        return hash((self.vocabulary, self.vocab_size, self.r, self.supports))
 
     @cached_property
     def occurring_ranks(self) -> tuple[int, ...]:
-        """Sorted lexicographic ranks of ``occurring`` over C(vocab_size, r)."""
+        """Sorted lexicographic ranks of the occurring itemsets over C(vocab_size, r)."""
         index = {tok: i for i, tok in enumerate(self.vocabulary)}
         v = self.vocab_size
-        return tuple(sorted(_comb_rank(tuple(map(index.__getitem__, c)), v) for c in self.occurring))
+        return tuple(sorted(_comb_rank(tuple(map(index.__getitem__, c)), v) for c in self.counts))
 
     @cached_property
-    def occurring_ids(self) -> dict[tuple[str, ...], int]:
-        """Universe id of each itemset in ``occurring``."""
-        return {c: i for i, c in enumerate(self.occurring, start=1)}
+    def _tie_groups(self) -> dict[int, list[tuple[str, ...]]]:
+        """Support -> its occurring itemsets in lexicographic order, for the
+        supports decoded so far."""
+        return {}
 
     @property
     def universe_size(self) -> int:
         return math.comb(self.vocab_size, self.r)
 
-    def _token(self, idx: int) -> str:
-        return self.vocabulary[idx] if idx < len(self.vocabulary) else f"_unused{idx}"
-
     def decode(self, item_id: int) -> tuple[str, ...]:
         if not 1 <= item_id <= self.universe_size:
             raise ValueError(f"item id {item_id} outside [1, {self.universe_size}]")
-        if item_id <= len(self.occurring):
-            return self.occurring[item_id - 1]
+        supports = self.supports
+        if item_id <= len(supports):
+            c = supports[item_id - 1]
+            group = self._tie_groups.get(c)
+            if group is None:
+                group = self._tie_groups[c] = sorted([t for t, count in self.counts.items() if count == c])
+            # the group starts at the first index holding c
+            return group[item_id - 1 - bisect_left(supports, -c, key=operator.neg)]
         # j-th non-occurring itemset in lex order; skip past occupied ranks
-        j = item_id - len(self.occurring)
+        j = item_id - len(supports)
         rank = j - 1
         while True:
             shifted = j - 1 + bisect_right(self.occurring_ranks, rank)
             if shifted == rank:
                 break
             rank = shifted
-        return tuple(self._token(i) for i in _comb_unrank(rank, self.vocab_size, self.r))
-
-    def _token_index(self, token: str) -> int:
-        vocab = self.vocabulary
-        i = bisect_left(vocab, token)  # the vocabulary is sorted
-        if i < len(vocab) and vocab[i] == token:
-            return i
-        if token.startswith("_unused"):
-            # only decode's own spelling names an index: int() also reads
-            # "05", "+5", "0_5", " 5" and non-ASCII digits
-            tail = token[len("_unused"):]
-            idx = int(tail) if tail.isascii() and tail.isdigit() else -1
-            if len(vocab) <= idx < self.vocab_size and tail == str(idx):
-                return idx
-        raise ValueError(f"unknown token {token!r}")
-
-    def encode(self, itemset: Sequence[str]) -> int:
-        tokens = tuple(sorted(set(itemset)))
-        if len(tokens) != self.r:
-            raise ValueError(f"itemset must have exactly {self.r} distinct tokens")
-        indices = tuple(sorted(self._token_index(t) for t in tokens))
-        rank = _comb_rank(indices, self.vocab_size)
-        pos = bisect_right(self.occurring_ranks, rank)
-        if pos and self.occurring_ranks[pos - 1] == rank:
-            return self.occurring_ids[tokens]
-        return len(self.occurring) + (rank - pos) + 1
+        tokens = self.vocabulary
+        return tuple(tokens[i] if i < len(tokens) else f"_unused{i}"
+                     for i in _comb_unrank(rank, self.vocab_size, self.r))
 
 
 class ItemsetQuality(NamedTuple):
@@ -331,14 +254,15 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     K = C(V, r) where V is the (optionally inflated) vocabulary size; only the
     L occurring itemsets are materialized, so L <= n * C(B, r) regardless of
     V. Canonical sparse order is support descending with ties by lexicographic
-    itemset rank, recorded in the returned codec.
+    itemset rank, which the returned codec decodes.
 
     Itemsets are counted as the r-combinations of each basket, tuples of
     tokens; baskets are already in vocabulary order, which is index order, so
     these tuples compare exactly as the index combinations do and their
     lexicographic order is the rank order the codec enumerates. The universe
     needs only the support counts in descending order, one sort of ints; the
-    codec orders the itemsets themselves lazily, as far as a decode reads.
+    codec keeps those and the count table, and orders no itemset until a
+    decode reads one.
 
     r > B is not an error: it returns the all-fill universe with L = 0.
     """
@@ -351,10 +275,9 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
     if k < 1:
         raise ValueError(f"no size-{r} itemsets over a {v}-token vocabulary")
     counts = _count_itemsets(d.baskets, r)
-    supports = sorted(counts.values(), reverse=True)
+    supports = tuple(sorted(counts.values(), reverse=True))
     universe = QualityUniverse.sparse([c / d.n for c in supports], k=k, n=d.n)
-    occurring = _SupportOrder(counts, supports)
-    codec = ItemsetCodec(vocabulary=d.vocabulary, vocab_size=v, r=r, occurring=occurring)
+    codec = ItemsetCodec(vocabulary=d.vocabulary, vocab_size=v, r=r, counts=counts, supports=supports)
     return ItemsetQuality(universe=universe, codec=codec)
 
 

@@ -31,20 +31,26 @@ gives stage 3's exact item law given ell; :func:`margin_search` is the
 search's readable reference, which the tests pin the plan against draw for
 draw.
 
-The draw contract: a plan binds ``src._rng.random``, the source's
-generator, whose values lie in [0, 1) on the 2^-53 grid (as
-``random.Random`` and ``random.SystemRandom`` give them). Each draw runs in
-the loop's own frame: a 0.0 is rejected, as :meth:`NoiseSource.uniform`
-rejects it, and a Laplace variate is :meth:`NoiseSource.laplace`'s inverse
-CDF, bit for bit. Zero-noise is the generator, not a branch: a
+The draw contract: a plan binds ``src._rng.random`` and
+``src._rng.randrange``, the source's generator. ``random()`` gives values in
+[0, 1) on the 2^-53 grid; ``randrange(n)`` gives an exact uniform integer
+in [0, n) for any n, however far past 2^53 (as ``random.Random`` and
+``random.SystemRandom`` give them, by rejection on ``getrandbits``). Each
+``random()`` draw runs in the loop's own frame: a 0.0 is rejected, as
+:meth:`NoiseSource.uniform` rejects it, and a Laplace variate is
+:meth:`NoiseSource.laplace`'s inverse CDF, bit for bit. A fill id is never
+a float: em's and the LMM's pick choose the fill segment with their
+uniform, then the id in it with one ``randrange``, and mol's block index is
+one ``randrange``. Zero-noise is the generator, not a branch: a
 zero-override source's ``random()`` is the constant 0.5, which gives the
-uniform 0.5 and the Laplace +0.0. Only mol's fill block, once per run,
-draws its max and index through ``uniform()``, and only it reads
-``zero_override``, because the median of a block maximum is not 0. So a
-NoiseSource whose ``_rng`` is any such generator runs every plan. The
-readable references -- ``NoiseSource.uniform`` and ``laplace``, and
-:func:`margin_search` -- draw through ``uniform()`` and ``laplace()``, and
-the tests pin the plans to them draw for draw.
+uniform 0.5 and the Laplace +0.0, and its ``randrange(n)`` is 0, the lowest
+fill id. Only mol's fill block, once per run, draws its max through
+``uniform()``, and only it reads ``zero_override``, because the median of a
+block maximum is not 0. So a NoiseSource whose ``_rng`` is any such
+generator runs every plan. The readable references --
+``NoiseSource.uniform`` and ``laplace``, and :func:`margin_search` -- draw
+through ``uniform()`` and ``laplace()``, and the tests pin the plans to them
+draw for draw.
 """
 
 from __future__ import annotations
@@ -111,10 +117,11 @@ class _ExponentialWeights:
     never overflow regardless of n*alpha*f. One uniform is inverted through
     the cumulative weights; cumulative order is the top-set order (descending
     value, ties by ascending id): the explicit values of the head, then the
-    fill ids of the top set as a single closed-form segment. The cumulative
-    sums of the explicit values are one list, summed in that order and grown
-    as far as the largest ell drawn, so every ell reads the same sums a fresh
-    pass would give. Single-owner, like the plans that hold it.
+    fill ids of the top set as a single segment of equal weights, in which
+    the id is one exact uniform integer. The cumulative sums of the explicit
+    values are one list, summed in that order and grown as far as the
+    largest ell drawn, so every ell reads the same sums a fresh pass would
+    give. Single-owner, like the plans that hold it.
     """
 
     __slots__ = ("_u", "_rate", "_vmax", "_w_fill", "_ids", "_cum", "_ends")
@@ -155,13 +162,14 @@ class _ExponentialWeights:
 
     def law(self, ell_weights: dict) -> dict:
         """Mixed over ell, the law that ``pick`` implements: id -> the sum
-        over ell of ell_weights[ell] * P(pick(ell, x) = id) for x uniform.
-        In the top-ell set, the head position i has chance (cum[i] -
-        cum[i-1]) / grand and each fill id w_fill / grand. A position or
-        fill id lies in the top-ell sets of every ell from some rank up, so
-        its share is a suffix sum over the distinct ells, and the law costs
-        O(L + ells), plus one entry per fill id read. Positive entries only,
-        the head in top-set order, then the fill ids ascending."""
+        over ell of ell_weights[ell] * P(pick(ell, x, randrange) = id) for x
+        uniform and randrange exact. In the top-ell set, the head position i
+        has chance (cum[i] - cum[i-1]) / grand and each fill id w_fill /
+        grand. A position or fill id lies in the top-ell sets of every ell
+        from some rank up, so its share is a suffix sum over the distinct
+        ells, and the law costs O(L + ells), plus one entry per fill id read.
+        Positive entries only, the head in top-set order, then the fill ids
+        ascending."""
         ells = sorted(ell_weights, reverse=True)
         ends = [self._end(ell) for ell in ells]  # the largest first: the sums grow once
         tail, shares = 0.0, []
@@ -181,9 +189,11 @@ class _ExponentialWeights:
             start, last = n_explicit, ell
         return law
 
-    def pick(self, ell: int, x: float) -> int:
+    def pick(self, ell: int, x: float, randrange) -> int:
         """One id from the top-ell set, drawn with the caller's uniform ``x``
-        in (0, 1)."""
+        in (0, 1): an explicit id, or the fill segment, whose id is then
+        ``randrange(fill ids in the set)`` ids past the explicit ones, an
+        exact integer."""
         try:
             n_explicit, total, grand = self._ends[ell]
         except KeyError:
@@ -192,11 +202,7 @@ class _ExponentialWeights:
         if target < total or n_explicit == ell:
             i = bisect_right(self._cum, target, 0, n_explicit)
             return self._ids[i if i < n_explicit else n_explicit - 1]
-        w_fill = self._w_fill
-        if w_fill <= 0.0:  # fill weight underflowed; lowest fill id stands in
-            return n_explicit + 1
-        j = min(int((target - total) / w_fill), ell - n_explicit - 1)
-        return n_explicit + 1 + j
+        return n_explicit + 1 + randrange(ell - n_explicit)
 
 
 class _ExponentialPlan(_Plan):
@@ -211,12 +217,12 @@ class _ExponentialPlan(_Plan):
 
     def releases(self, src: NoiseSource) -> Iterator[tuple]:
         k, budget, pick = self._k, self._budget, self._weights.pick
-        random = src._rng.random
+        random, randrange = src._rng.random, src._rng.randrange
         while True:
             x = random()
             while x <= 0.0:
                 x = random()
-            yield pick(k, x), budget, None, None, True
+            yield pick(k, x, randrange), budget, None, None, True
 
 
 def exponential_mechanism(u: QualityUniverse, alpha: float, src: NoiseSource) -> MechanismOutcome:
@@ -293,8 +299,8 @@ class _LargeMarginPlan(_Plan):
     runs or other readers grew. Stage 3 reads the search only through ell:
     ``releases`` draws it, one uniform through the pick per run, and
     ``law`` gives its exact law, mixed over the ell of many runs. A run's
-    draws (m, G, one Z_r per rank scanned, the pick's uniform) follow the
-    module's draw contract.
+    draws (m, G, one Z_r per rank scanned, the pick's uniform, and its
+    randrange when it picks a fill id) follow the module's draw contract.
     """
 
     __slots__ = ("_u", "_budget", "_limit", "_vmax", "_m_scale", "_g_scale", "_z_scale", "_T", "_weights")
@@ -368,13 +374,14 @@ class _LargeMarginPlan(_Plan):
                 yield m, k if limit == k else None
 
     def releases(self, src: NoiseSource) -> Iterator[tuple]:
-        budget, k, random, pick = self._budget, self._u.k, src._rng.random, self._weights.pick
+        budget, k, pick = self._budget, self._u.k, self._weights.pick
+        random, randrange = src._rng.random, src._rng.randrange
         for m, ell in self.searches(src):
             # stage 3 picks from the top-ell set, or from all k items uncertified
             x = random()
             while x <= 0.0:
                 x = random()
-            yield pick(ell or k, x), budget, m, ell, ell is not None
+            yield pick(ell or k, x, randrange), budget, m, ell, ell is not None
 
     def law(self, ell_freqs: dict) -> dict:
         """The item law of runs whose searches end at ell with the chances
@@ -442,7 +449,7 @@ class _NoisyMaxPlan(_Plan):
         u, budget, scale = self._u, self._budget, self._scale
         explicit, fill = u.explicit, u.fill
         first_fill, n_fill = len(explicit) + 1, u.k - len(explicit)
-        random, zero = src._rng.random, src.zero_override
+        random, randrange, zero = src._rng.random, src._rng.randrange, src.zero_override
         while True:
             best_id = 0
             best = float("-inf")
@@ -456,14 +463,15 @@ class _NoisyMaxPlan(_Plan):
                 if noisy > best:
                     best, best_id = noisy, i
             if n_fill > 0:
-                # the block's two draws, once per run, go through uniform().
-                # The median of a block maximum is not 0, so zero-override
-                # puts the block at the fill value and its lowest id
+                # the block max, once per run, goes through uniform(), and
+                # its index is one exact randrange. The median of a block
+                # maximum is not 0, so zero-override puts the block at the
+                # fill value and its lowest id
                 if zero:
                     block, block_id = fill, first_fill
                 else:
                     block = fill + _laplace_block_max(scale, n_fill, src)
-                    block_id = first_fill + min(int(src.uniform() * n_fill), n_fill - 1)
+                    block_id = first_fill + randrange(n_fill)
                 if block > best or best_id == 0:
                     best, best_id = block, block_id
             yield best_id, budget, None, None, True

@@ -1,6 +1,6 @@
-"""Seedable randomness for the mechanisms: a uniform stream, whose
-deterministic zero-noise override is a constant generator, and its
-inverse-CDF Laplace draw."""
+"""Seedable randomness for the mechanisms: a uniform stream with exact
+integer draws, whose deterministic zero-noise override is a constant
+generator, and its inverse-CDF Laplace draw."""
 
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 # the generator of every zero-override source: random() is the stream
-# median 0.5 on every call
-_MEDIAN = SimpleNamespace(random=repeat(0.5).__next__)
+# median 0.5 on every call, and randrange(n) is 0, so a fill pick releases
+# the lowest fill id, as mol's zero-override block does
+_MEDIAN = SimpleNamespace(random=repeat(0.5).__next__, randrange=(0).__mul__)
 
 
 def _mix64(x: int) -> int:
@@ -34,8 +35,8 @@ class NoiseSource:
     platforms), which anyone who knows the seed can replay. Seed ``None``
     draws secret noise from ``random.SystemRandom``. With ``zero_override``
     the generator is the constant 0.5, the stream median, which the Laplace
-    inverse CDF maps to 0 -- deterministic traces for tests and debugging,
-    NOT private.
+    inverse CDF maps to 0, and its integer draws are 0 -- deterministic
+    traces for tests and debugging, NOT private.
 
     A source is single-owner: one consumer, one pass; never share one
     mid-stream. Independent streams come from :meth:`spawn`, which hashes

@@ -7,6 +7,7 @@ sampling or weighting code paths.
 """
 
 import math
+import random
 from decimal import Decimal, getcontext
 
 from privmax import MechanismOutcome, PrivacyBudget, order_stat
@@ -86,7 +87,8 @@ def hoeffding(trials, confidence=0.999):
 class FixedSource:
     """Duck-typed noise source replaying a fixed uniform sequence, both
     through ``uniform()`` and as its own generator ``_rng.random()``, which
-    the mechanisms' plans read."""
+    the mechanisms' plans read; its ``randrange`` is a fresh
+    ``random.Random(0)``'s."""
 
     zero_override = False
 
@@ -94,6 +96,7 @@ class FixedSource:
         self._uniforms = list(uniforms)
         self._pos = 0
         self._rng = self
+        self.randrange = random.Random(0).randrange
 
     def uniform(self):
         u = self._uniforms[self._pos]
@@ -108,13 +111,16 @@ class FixedSource:
 
 class Replay:
     """Stands in for a noise source's generator ``_rng``: ``random()``
-    returns the next of ``values`` and counts the draws, which is all a
-    mechanism's plan reads. ``Replay(iter(rng.random, None))`` counts the
-    draws of a real generator ``rng``."""
+    returns the next of ``values`` and counts the draws, and ``randrange``
+    is ``indices``, by default a fresh ``random.Random(0)``'s, which the
+    draws do not count; that is all a mechanism's plan reads.
+    ``Replay(iter(rng.random, None))`` counts the draws of a real generator
+    ``rng``."""
 
-    def __init__(self, values):
+    def __init__(self, values, indices=None):
         self._values = iter(values)
         self.draws = 0
+        self.randrange = random.Random(0).randrange if indices is None else indices
 
     def random(self):
         self.draws += 1
@@ -123,13 +129,17 @@ class Replay:
 
 class RecordingSource:
     """Wraps a real source and records the scale of every Laplace draw and
-    the count of raw uniform draws."""
+    the count of raw uniform draws; its generator is the real source's."""
 
     def __init__(self, inner):
         self._inner = inner
         self.zero_override = inner.zero_override
         self.laplace_scales = []
         self.uniform_draws = 0
+
+    @property
+    def _rng(self):
+        return self._inner._rng
 
     def uniform(self):
         self.uniform_draws += 1
@@ -214,8 +224,8 @@ def noisy_max_estimate(u, alpha, src):
 
 def restricted_exponential(u, ell, alpha, src):
     """Stage 3: the exponential mechanism restricted to the ell
-    highest-quality items, drawn with one ``src.uniform()`` through the
-    plans' own sampler.
+    highest-quality items, drawn with one ``src.uniform()``, and one
+    ``src._rng.randrange`` for a fill id, through the plans' own sampler.
 
     Items outside the top set receive probability exactly 0; at ell = k the
     distribution coincides with the unrestricted mechanism.
@@ -223,5 +233,5 @@ def restricted_exponential(u, ell, alpha, src):
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
     budget = PrivacyBudget(alpha)
-    item = _ExponentialWeights(u, alpha).pick(ell, src.uniform())
+    item = _ExponentialWeights(u, alpha).pick(ell, src.uniform(), src._rng.randrange)
     return MechanismOutcome(item=item, budget=budget, ell=ell)

@@ -512,8 +512,9 @@ def _release_of(out):
 
 def _reference_runs(budget):
     """Each registered name's run written with its source's ``uniform()`` and
-    ``laplace()`` and the reference functions: the item (em, mol), the item
-    or "fail" (st13), or (item, ell, m, certified) (lmm)."""
+    ``laplace()``, its generator's ``randrange`` for a fill index, and the
+    reference functions: the item (em, mol), the item or "fail" (st13), or
+    (item, ell, m, certified) (lmm)."""
 
     def mol(u, src, cap):
         scale = 2.0 / (u.n * budget.alpha)
@@ -525,7 +526,7 @@ def _reference_runs(budget):
         n_fill = u.k - len(u.explicit)
         if n_fill:
             block = u.fill + mechanisms._laplace_block_max(scale, n_fill, src)
-            block_id = len(u.explicit) + 1 + min(int(src.uniform() * n_fill), n_fill - 1)
+            block_id = len(u.explicit) + 1 + src._rng.randrange(n_fill)
             if block > best:
                 best_id = block_id
         return best_id
@@ -751,21 +752,23 @@ class TestBoundPlans:
     @pytest.mark.parametrize("name", ["em", "mol", "st13", "lmm"])
     def test_zero_override_is_the_generator(self, name):
         # zero-noise is the source's generator, not a branch in the plans: a
-        # zero-override source and its spawn children draw 0.5 on every call,
-        # and a plan releases on one what it releases on a sampled source
-        # whose generator replays 0.5. The one exception is mol's fill block,
-        # drawn in closed form through uniform(): the median of a block
-        # maximum is not 0, so zero-override puts the block at the fill value
-        # and its lowest id, which the replayed 0.5 does not
+        # zero-override source and its spawn children draw 0.5 on every call
+        # and the integer 0 on every randrange, and a plan releases on one
+        # what it releases on a sampled source whose generator replays 0.5
+        # and 0. The one exception is mol's fill block, drawn in closed form
+        # through uniform(): the median of a block maximum is not 0, so
+        # zero-override puts the block at the fill value and its lowest id,
+        # which the replayed 0.5 does not
         zero = NoiseSource(4, zero_override=True)
         for src in (zero, zero.spawn(0), zero.spawn(7).spawn(1)):
             assert [src._rng.random() for _ in range(20)] == [0.5] * 20
+            assert [src._rng.randrange(n) for n in (1, 2, 3, 2**64)] == [0] * 4
         differs = 0
         for budget in self.BUDGETS:
             for u, cap in _plan_cases():
                 mech = build_mechanism(name, budget, cap=cap)
                 replay = NoiseSource(4)
-                replay._rng = Replay(repeat(0.5))
+                replay._rng = Replay(repeat(0.5), lambda n: 0)
                 got = list(islice(mech.bind(u).releases(NoiseSource(4, zero_override=True)), 5))
                 want = list(islice(mech.bind(u).releases(replay), 5))
                 if name == "mol" and len(u.explicit) < u.k:
@@ -787,7 +790,7 @@ class TestBoundPlans:
             weights = _ExponentialWeights(u, 0.7)
             ells = [1, 2, 3, 5, 8, 13, 21, 34, u.k] + [rng.randint(1, u.k) for _ in range(300)]
             shared, reference = NoiseSource(5), NoiseSource(5)
-            got = [weights.pick(ell, shared.uniform()) for ell in ells]
+            got = [weights.pick(ell, shared.uniform(), shared._rng.randrange) for ell in ells]
             assert got == [restricted_exponential(u, ell, 0.7, reference).item for ell in ells]
 
     def test_lmm_plan_draws_the_stage_scales(self):
@@ -815,9 +818,9 @@ class TestBoundPlans:
     def test_plans_reject_a_raw_zero_at_every_draw(self, name):
         # random() covers [0, 1): one or two 0.0s replayed before any draw of
         # a run (m, G, each Z_r, the final pick, each mol item, the mol block
-        # max and block index, st13's gap) are skipped, as uniform() skips
-        # them, so the run equals the run without them and the reference on
-        # the same replay
+        # max, st13's gap) are skipped, as uniform() skips them, so the run
+        # equals the run without them and the reference on the same replay.
+        # A fill index is a randrange, which reads no replayed value
         budget = self.BUDGETS[0]
         n = 500
         t1, t2 = (compute_thresholds(n, 1.0, 0.05, r).T for r in (1, 2))

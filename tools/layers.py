@@ -31,7 +31,9 @@ LAYER names what each child process times:
   CLI runs: ``load_baskets`` (``load_ms``), ``_count_itemsets``
   (``count_ms``), the rest of ``itemset_quality`` (``order_ms``), the LMM
   (``lmm_ms``), the first ``decode`` (``decode_ms``) and all of them
-  (``total_ms``).
+  (``total_ms``); then the first decode of a fill id, L + 1, which ranks
+  the occurring itemsets (``fill_decode_ms``). Its release is the LMM's
+  item and itemset, and the fill id's itemset.
 - ``import``: the cold import of the package. One child starts fresh
   interpreters, as ``perfbench/run.py`` starts its children (the tree's
   ``src`` on PYTHONPATH, a bytecode cache under a PYTHONPYCACHEPREFIX, which
@@ -218,12 +220,15 @@ def fim_child(seed: int, baskets: str) -> dict:
     t3 = time.perf_counter()
     itemset = codec.decode(out.item)
     t4 = time.perf_counter()
+    fill = codec.decode(universe.explicit_count + 1)
+    t5 = time.perf_counter()
     return {
         "occurring": universe.explicit_count,
-        "release": [out.item, list(itemset)],
+        "release": [out.item, list(itemset), list(fill)],
         "times": {"load_ms": (t1 - t0) * 1e3, "count_ms": sum(counted),
                   "order_ms": (t2 - t1) * 1e3 - sum(counted), "lmm_ms": (t3 - t2) * 1e3,
-                  "decode_ms": (t4 - t3) * 1e3, "total_ms": (t4 - t0) * 1e3},
+                  "decode_ms": (t4 - t3) * 1e3, "total_ms": (t4 - t0) * 1e3,
+                  "fill_decode_ms": (t5 - t4) * 1e3},
     }
 
 
