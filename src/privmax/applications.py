@@ -11,7 +11,8 @@ file has one reader, :func:`load_baskets`, and ``privmax fim`` runs
 PAC hypothesis selection: a finite hypothesis class with per-hypothesis errors
 yields a dense universe with quality 1 - error, plus the error-radius shell
 decomposition that governs how many near-minimizers the selection step must
-tolerate.
+tolerate. The shells analyse the selection and feed none of it, so
+``privmax pac`` computes them only under ``--non-private``.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ def itemset_quality(d: BasketDataset, r: int, vocab_size: int | None = None) -> 
         raise ValueError(f"no size-{r} itemsets over a {v}-token vocabulary")
     counts = _count_itemsets(d.baskets, r)
     supports = tuple(sorted(counts.values(), reverse=True))
-    universe = QualityUniverse.sparse([c / d.n for c in supports], k=k, n=d.n)
+    n = d.n  # a property: read once, not once per support
+    universe = QualityUniverse.sparse([c / n for c in supports], k=k, n=n)
     codec = ItemsetCodec(vocabulary=d.vocabulary, vocab_size=v, r=r, counts=counts, supports=supports)
     return ItemsetQuality(universe=universe, codec=codec)
 
@@ -408,27 +410,33 @@ class ShellDecomposition(
         return super().__new__(cls, shell_sizes, width, min_err, C0, R)
 
 
-def shell_decomposition(
-    errors: Sequence[float], d: int, n: int, delta0: float, C0: float = 1.0
-) -> ShellDecomposition:
-    """Error-radius shells around the best hypothesis.
+def shell_parameters(d: int, n: int, delta0: float, C0: float = 1.0) -> tuple[float, int]:
+    """The shells' (width, R), after checking the scalar arguments.
 
     width = C0 * sqrt(d * ln(n/delta0) / n) is the uniform-convergence radius;
     R = ceil(sqrt(n / (d * ln n))) shells (constant 1) cover the range the
-    selection analysis needs.
+    selection analysis needs. Reads no error value, so a caller can check
+    these arguments without the pass over the class.
     """
-    if not errors:
-        raise ValueError("need at least one error value")
-    if not all(map(math.isfinite, errors)):
-        raise ValueError("error values must all be finite")
     if d < 1 or n <= 1:
         raise ValueError(f"need d >= 1 and n > 1, got d={d}, n={n}")
     if not 0.0 < delta0 < 1.0:
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
     if not C0 > 0.0:
         raise ValueError(f"C0 must be positive, got {C0}")
-    width = C0 * math.sqrt(d * math.log(n / delta0) / n)
-    R = math.ceil(math.sqrt(n / (d * math.log(n))))
+    return C0 * math.sqrt(d * math.log(n / delta0) / n), math.ceil(math.sqrt(n / (d * math.log(n))))
+
+
+def shell_decomposition(
+    errors: Sequence[float], d: int, n: int, delta0: float, C0: float = 1.0
+) -> ShellDecomposition:
+    """Error-radius shells around the best hypothesis, of the width and
+    count :func:`shell_parameters` gives."""
+    if not errors:
+        raise ValueError("need at least one error value")
+    if not all(map(math.isfinite, errors)):
+        raise ValueError("error values must all be finite")
+    width, R = shell_parameters(d, n, delta0, C0)
     min_err = min(errors)
     # shell t counts the errors e <= min_err + t*width; the bounds rise with
     # t, so each pass keeps only the errors above the last bound, and the

@@ -17,6 +17,13 @@ Each subcommand registers only the flags it reads. --zero-noise, taken by
 select, bench-range, fim and pac, replaces every noise draw with its median
 for deterministic traces. It is NOT private; it exists for CI and debugging
 only.
+
+fim and pac print the release by default. --non-private also computes their
+exact statistics of the data (pac's error shells, t* and selection constant,
+fim's gap and exact expected EM gap, and the rest) and nests them in one
+"non_private" object; that object is not private. The seed and two exact
+fields the benchmark's checkers read, pac's error and fim's f_max, stay at
+top level.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .applications import (
     load_baskets,
     pac_selection_constant,
     shell_decomposition,
+    shell_parameters,
     t_star,
 )
 
@@ -91,10 +99,27 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="output format")
 
 
+def _add_non_private(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--non-private", action="store_true",
+        help="also compute exact statistics of the data, nested under non_private; NOT private",
+    )
+
+
 def _config_dict(args) -> dict:
     """The bench-range flags, recorded in its CSV header."""
     keys = ("alpha", "delta", "trials", "mechanism", "cap", "zero_noise", "ks", "n", "seed")
     return {k: getattr(args, k) for k in keys}
+
+
+def _flat(payload: dict):
+    """(key, value) pairs of ``payload``, a nested object's fields as
+    ``outer.inner`` in its place."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from ((f"{key}.{inner}", v) for inner, v in value.items())
+        else:
+            yield key, value
 
 
 def _emit(args, payload: dict) -> None:
@@ -108,7 +133,7 @@ def _emit(args, payload: dict) -> None:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
         writer.writerows([key, " ".join(map(str, value)) if isinstance(value, list) else str(value)]
-                         for key, value in payload.items())
+                         for key, value in _flat(payload))
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
@@ -139,14 +164,16 @@ def _noise(args) -> NoiseSource:
     return NoiseSource(args.seed, zero_override=args.zero_noise)
 
 
-def _emit_outcome(args, result, details=None) -> int:
+def _emit_outcome(args, result, release=None, non_private=None) -> int:
     """Emit ``result``, the outcome of one mechanism run on ``_noise(args)``,
     with ``args.seed``, the run's only seed.
 
     A declined st13 run (item ``FAIL_KEY``) is emitted as the fail record
-    with exit code EXIT_FAIL. A released outcome is emitted with
-    ``details(outcome)`` merged in, if given, and exits EXIT_OK when
-    certified, else EXIT_UNCERTIFIED.
+    with exit code EXIT_FAIL, and calls neither hook. A released outcome is
+    emitted with ``release(outcome)`` merged in, if given, and under
+    --non-private with ``non_private(outcome)`` as its last field,
+    ``"non_private"``, the one place exact statistics of the data enter a
+    payload; it exits EXIT_OK when certified, else EXIT_UNCERTIFIED.
     """
     budget = result.budget
     if result.item == FAIL_KEY:
@@ -154,8 +181,10 @@ def _emit_outcome(args, result, details=None) -> int:
         return EXIT_FAIL
     payload = {"item": result.item, "m": result.m, "ell": result.ell, "certified": result.certified,
                "alpha": budget.alpha, "delta": budget.delta, "seed": args.seed}
-    if details is not None:
-        payload.update(details(result))
+    if release is not None:
+        payload.update(release(result))
+    if non_private is not None and args.non_private:
+        payload["non_private"] = non_private(result)
     _emit(args, payload)
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
@@ -263,15 +292,17 @@ def cmd_fim(args) -> int:
     budget = PrivacyBudget(args.alpha, args.delta)
     mech = build_mechanism(args.mechanism, budget, cap=args.cap)
     universe, codec = itemset_quality(load_baskets(args.baskets), args.r, vocab_size=args.vocab_size)
+    result = mech(universe, _noise(args))
+    f_max = order_stat(universe, 1)
 
-    def details(result):
-        f_max = order_stat(universe, 1)
+    def release(result):
+        return {"itemset": list(codec.decode(result.item)), "f_max": f_max}
+
+    def non_private(result):
         gap = f_max - universe.value(result.item)
         na = universe.n * budget.alpha
         ell_star = max(universe.explicit_count, 1)
         return {
-            "itemset": list(codec.decode(result.item)),
-            "f_max": f_max,
             "gap": gap,
             "gap_in_noise_units": gap * na,  # multiples of 1/(n*alpha)
             "universe_size": str(universe.k),
@@ -284,18 +315,20 @@ def cmd_fim(args) -> int:
             "universe_provenance": "a-priori" if args.vocab_size else "data-derived",
         }
 
-    return _emit_outcome(args, mech(universe, _noise(args)), details)
+    return _emit_outcome(args, result, release, non_private)
 
 
 def cmd_pac(args) -> int:
-    """Select a hypothesis of the spec's class privately and report its
-    regret and the class's error shells.
+    """Select a hypothesis of the spec's class privately; under
+    --non-private, also report its regret and the class's error shells.
 
     The selection runs on the dense universe of qualities 1 - error. The
-    shells, ``t_star`` and ``pac_selection_constant`` feed only the report;
-    they are computed after the selection, also for a declined st13 run, so
-    the first error raised is the selection's (a non-finite error, --seed,
-    --cap), then the shells' (d, n, --c0, --delta0).
+    shells, ``t_star`` and ``pac_selection_constant`` feed none of it, so
+    they run only under --non-private and only for a released hypothesis:
+    a declined st13 run prints none of them. The shells' scalar arguments
+    are checked on every call, after the selection, so the first error
+    raised is the selection's (a non-finite error, --seed, --cap), then the
+    shells' (d, n, --c0, --delta0).
     """
     if args.spec is None:
         raise ValueError("pac needs --spec with a class spec JSON file")
@@ -310,21 +343,23 @@ def cmd_pac(args) -> int:
     if len(errors) != num_hypotheses:
         raise ValueError("error_profile length must equal num_hypotheses")
     result = mech(QualityUniverse.dense([1.0 - e for e in errors], n=n), _noise(args))
-    shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
-    # the selection constant and t* exist only for delta > 0; em and mol
-    # also run at delta = 0, where all three diagnostics are null
-    t, exhausted, constant = None, None, None
-    if budget.delta > 0.0:
-        ell_ref = shells.shell_sizes[min(1, shells.R)]
-        constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
-        t, exhausted = t_star(shells, args.alpha, args.delta, d, n, C=constant)
+    shell_parameters(d, n, args.delta0, args.c0)  # checks them; the shells run only on request
 
-    def details(result):
+    def release(result):
+        return {"hypothesis": result.item - 1, "error": errors[result.item - 1]}
+
+    def non_private(result):
+        shells = shell_decomposition(errors, d=d, n=n, delta0=args.delta0, C0=args.c0)
+        # the selection constant and t* exist only for delta > 0; em and mol
+        # also run at delta = 0, where all three are null
+        t, exhausted, constant = None, None, None
+        if budget.delta > 0.0:
+            ell_ref = shells.shell_sizes[min(1, shells.R)]
+            constant = pac_selection_constant(n, args.alpha, args.delta, max(ell_ref, 2))
+            t, exhausted = t_star(shells, args.alpha, args.delta, d, n, C=constant)
         best = shells.min_err
         chosen = errors[result.item - 1]
         return {
-            "hypothesis": result.item - 1,
-            "error": chosen,
             "min_error": best,
             "regret": chosen - best,
             "regret_in_noise_units": (chosen - best) * n * budget.alpha,
@@ -335,7 +370,7 @@ def cmd_pac(args) -> int:
             "selection_constant": constant,
         }
 
-    return _emit_outcome(args, result, details)
+    return _emit_outcome(args, result, release, non_private)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,11 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--vocab-size", type=int, default=None,
         help="a-priori vocabulary size (>= observed tokens); marks the universe a-priori",
     )
+    _add_non_private(p)
     p.set_defaults(func=cmd_fim)
 
-    p = sub.add_parser("pac", help="private hypothesis selection with shell decomposition")
+    p = sub.add_parser("pac", help="private hypothesis selection, with its shell analysis on request")
     _add_common(p)
     _add_run_flags(p)
+    _add_non_private(p)
     p.add_argument("--spec", default=None, help="synthetic class spec JSON")
     p.add_argument("--c0", type=float, default=1.0, help="uniform-convergence constant")
     p.add_argument("--delta0", type=float, default=0.05, help="uniform-convergence confidence")

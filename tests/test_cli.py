@@ -337,12 +337,12 @@ class TestFim:
         baskets.write_text("a b\na b\na b\n")
         out = tmp_path / "fim.json"
         code = run("fim", "--baskets", str(baskets), "--r", "2", "--mechanism", "lmm",
-                   "--alpha", "1", "--delta", "0.05", "--zero-noise", "--out", str(out))
+                   "--alpha", "1", "--delta", "0.05", "--zero-noise", "--non-private", "--out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["itemset"] == ["a", "b"]
-        assert doc["gap"] == 0.0
-        assert doc["universe_provenance"] == "data-derived"
+        assert doc["non_private"]["gap"] == 0.0
+        assert doc["non_private"]["universe_provenance"] == "data-derived"
 
     def test_inflated_vocab_marks_a_priori(self, tmp_path):
         baskets = tmp_path / "baskets.txt"
@@ -350,9 +350,9 @@ class TestFim:
         out = tmp_path / "fim.json"
         code = run("fim", "--baskets", str(baskets), "--r", "2", "--mechanism", "lmm",
                    "--alpha", "1", "--delta", "0.05", "--vocab-size", "50",
-                   "--zero-noise", "--out", str(out))
+                   "--zero-noise", "--non-private", "--out", str(out))
         assert code == EXIT_OK
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text())["non_private"]
         assert doc["universe_provenance"] == "a-priori"
         assert doc["em_exact_expected_gap"] > 0.0
         assert doc["universe_size"] == str(50 * 49 // 2)
@@ -379,10 +379,10 @@ class TestFim:
         baskets.write_text("a b\n" * 30 + "b c\n" * 10)
         out = tmp_path / "fim.json"
         code = run("fim", "--baskets", str(baskets), "--r", "2", "--mechanism", mechanism,
-                   "--alpha", "1", "--delta", "0", "--seed", "4", "--out", str(out))
+                   "--alpha", "1", "--delta", "0", "--seed", "4", "--non-private", "--out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["delta"] == 0.0 and doc["required_margin"] is None
+        assert doc["delta"] == 0.0 and doc["non_private"]["required_margin"] is None
         assert doc["itemset"] in (["a", "b"], ["a", "c"], ["b", "c"])
 
 
@@ -401,12 +401,12 @@ class TestPac:
     def test_selects_best_under_zero_noise(self, tmp_path):
         out = tmp_path / "pac.json"
         code = run("pac", "--spec", self._spec(tmp_path), "--alpha", "1",
-                   "--delta", "0.05", "--zero-noise", "--out", str(out))
+                   "--delta", "0.05", "--zero-noise", "--non-private", "--out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["hypothesis"] == 0
-        assert doc["regret"] == 0.0
-        sizes = doc["shell_sizes"]
+        assert doc["non_private"]["regret"] == 0.0
+        sizes = doc["non_private"]["shell_sizes"]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
     @pytest.mark.parametrize("mechanism", ["em", "mol"])
@@ -414,12 +414,13 @@ class TestPac:
         # the selection constant and t* need delta > 0, so they are null
         out = tmp_path / "pac.json"
         code = run("pac", "--spec", self._spec(tmp_path), "--mechanism", mechanism,
-                   "--alpha", "1", "--delta", "0", "--seed", "4", "--out", str(out))
+                   "--alpha", "1", "--delta", "0", "--seed", "4", "--non-private", "--out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["delta"] == 0.0 and 0 <= doc["hypothesis"] < 5
-        assert doc["selection_constant"] is None
-        assert doc["t_star"] is None and doc["t_star_exhausted"] is None
+        exact = doc["non_private"]
+        assert exact["selection_constant"] is None
+        assert exact["t_star"] is None and exact["t_star_exhausted"] is None
 
     def test_bad_spec_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -468,13 +469,13 @@ class TestPac:
         # an all-float profile is read as it is, and one holding integers as a float copy
         out = tmp_path / "pac.json"
         code = run("pac", "--spec", self._spec(tmp_path, error_profile=[1, 0, 0.5, 1, 1]),
-                   "--zero-noise", "--out", str(out))
+                   "--zero-noise", "--non-private", "--out", str(out))
         assert code == EXIT_OK
         text = out.read_text()
         assert '"error": 0.0,' in text and '"min_error": 0.0,' in text
         payload = json.loads(text)
         assert payload["hypothesis"] == 1
-        assert type(payload["error"]) is float and type(payload["regret"]) is float
+        assert type(payload["error"]) is float and type(payload["non_private"]["regret"]) is float
 
     def test_missing_spec_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "class.json"
@@ -498,34 +499,47 @@ class TestPac:
         (["--mechanism", "st13", "--zero-noise"], [0.05, 0.05, 0.35, 0.4, 0.5], EXIT_FAIL),
     ], ids=["lmm", "em", "mol", "zero-noise", "st13-fail"])
     def test_split_output_is_the_serial_one(self, tmp_path, fmt, flags, profile, code):
-        # pac selects, then computes the shells of the spec's errors, in one
-        # process; the CSV rows are the JSON payload's fields, in its order
+        # pac selects and, under --non-private, then computes the shells of
+        # the spec's errors, in one process; the CSV rows are the JSON
+        # payload's fields, in its order, with the non_private object's
+        # fields as non_private.<key> rows after the release's
         errors = profile or [0.05, 0.3, 0.35, 0.4, 0.5]
         spec = self._spec(tmp_path, error_profile=errors)
-        outs = {}
-        for f in dict.fromkeys(("json", fmt)):
-            outs[f] = tmp_path / f"pac.{f}"
-            assert run("pac", "--spec", spec, *flags, "--format", f, "--out", str(outs[f])) == code
-        payload = json.loads(outs["json"].read_text())
-        if fmt == "csv":
-            with open(outs["csv"], newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-            assert rows == [["key", "value"]] + [
-                [key, " ".join(map(str, value)) if isinstance(value, list) else str(value)]
-                for key, value in payload.items()]
+        payloads = []
+        for exact in ([], ["--non-private"]):
+            outs = {}
+            for f in dict.fromkeys(("json", fmt)):
+                outs[f] = tmp_path / f"pac.{f}"
+                assert run("pac", "--spec", spec, *flags, *exact, "--format", f, "--out", str(outs[f])) == code
+            payload = json.loads(outs["json"].read_text())
+            if fmt == "csv":
+                with open(outs["csv"], newline="", encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))
+                flat = [(key, value) for key, value in payload.items() if key != "non_private"]
+                flat += [(f"non_private.{key}", value) for key, value in payload.get("non_private", {}).items()]
+                assert rows == [["key", "value"]] + [
+                    [key, " ".join(map(str, value)) if isinstance(value, list) else str(value)]
+                    for key, value in flat]
+            payloads.append(payload)
+        release, full = payloads
         if code == EXIT_FAIL:
-            assert list(payload) == ["outcome", "alpha", "delta", "seed"]
+            # a declined run prints the fail record alone, with or without the flag
+            assert list(release) == list(full) == ["outcome", "alpha", "delta", "seed"]
             return
-        assert list(payload) == ["item", "m", "ell", "certified", "alpha", "delta", "seed", "hypothesis",
-                                 "error", "min_error", "regret", "regret_in_noise_units", "shell_sizes",
-                                 "shell_width", "t_star", "t_star_exhausted", "selection_constant"]
+        keys = ["item", "m", "ell", "certified", "alpha", "delta", "seed", "hypothesis", "error"]
+        assert list(release) == keys
+        assert list(full) == keys + ["non_private"]
+        assert {key: full[key] for key in keys} == release
+        exact = full["non_private"]
+        assert list(exact) == ["min_error", "regret", "regret_in_noise_units", "shell_sizes",
+                               "shell_width", "t_star", "t_star_exhausted", "selection_constant"]
         shells = shell_decomposition(errors, d=2, n=400, delta0=0.05)
-        assert payload["hypothesis"] == payload["item"] - 1
-        assert payload["error"] == errors[payload["hypothesis"]]
-        assert payload["min_error"] == shells.min_err
-        assert payload["regret"] == payload["error"] - payload["min_error"]
-        assert payload["shell_sizes"] == list(shells.shell_sizes)
-        assert payload["shell_width"] == shells.width
+        assert release["hypothesis"] == release["item"] - 1
+        assert release["error"] == errors[release["hypothesis"]]
+        assert exact["min_error"] == shells.min_err
+        assert exact["regret"] == release["error"] - exact["min_error"]
+        assert exact["shell_sizes"] == list(shells.shell_sizes)
+        assert exact["shell_width"] == shells.width
 
     @pytest.mark.parametrize("fields, flags, message", [
         ({"error_profile": [0.05, math.nan, 0.35, 0.4, 0.5]}, [],
@@ -551,6 +565,45 @@ class TestPac:
         capsys.readouterr()
         assert run("pac", "--spec", spec, "--mechanism", "st13", "--zero-noise", "--c0", "0") == EXIT_ERROR
         assert capsys.readouterr() == ("", "error: C0 must be positive, got 0.0\n")
+
+
+# the exact statistics a driver computes only under --non-private, by the
+# privmax.cli global it looks each up at
+EXACT_STATISTICS = {"pac": ("shell_decomposition", "t_star", "pac_selection_constant"),
+                    "fim": ("em_expected_gap",)}
+
+
+@pytest.mark.parametrize("command", ["pac", "fim"])
+def test_exact_statistics_run_only_under_non_private(command, tmp_path, monkeypatch):
+    import privmax.cli
+
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"num_hypotheses": 5, "n": 400, "d": 2,
+                                "error_profile": [0.05, 0.3, 0.35, 0.4, 0.5]}))
+    baskets = tmp_path / "baskets.txt"
+    baskets.write_text("a b\n" * 30 + "b c\n" * 10)
+    argv = ([command, "--spec", str(spec)] if command == "pac" else [command, "--baskets", str(baskets)])
+    argv += ["--seed", "4", "--out", str(tmp_path / "out.json")]
+    names = [name for group in EXACT_STATISTICS.values() for name in group]
+    calls = dict.fromkeys(names, 0)
+    allowed = False
+
+    def guarded(name, fn):
+        def wrapper(*args, **kwargs):
+            if not allowed:
+                raise AssertionError(f"a default {command} call ran {name}")
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(privmax.cli, name, guarded(name, getattr(privmax.cli, name)))
+    assert run(*argv) == EXIT_OK
+    assert "non_private" not in json.loads((tmp_path / "out.json").read_text())
+    allowed = True
+    assert run(*argv, "--non-private") == EXIT_OK
+    assert "non_private" in json.loads((tmp_path / "out.json").read_text())
+    assert calls == {name: int(name in EXACT_STATISTICS[command]) for name in names}
 
 
 @pytest.mark.parametrize("command", ["select", "bench-range"])
@@ -597,8 +650,9 @@ OPTIONS = {
     "audit": COMMON | {"--trials", "--pair", "--note", "--generator", "--confidence",
                        "--claim-alpha", "--claim-delta", "--k", "--n", "--ell", "--baskets",
                        "--index", "--replacement", "--r"},
-    "fim": COMMON | {"--zero-noise", "--format", "--eta", "--baskets", "--r", "--vocab-size"},
-    "pac": COMMON | {"--zero-noise", "--format", "--spec", "--c0", "--delta0"},
+    "fim": COMMON | {"--zero-noise", "--format", "--eta", "--baskets", "--r", "--vocab-size",
+                     "--non-private"},
+    "pac": COMMON | {"--zero-noise", "--format", "--spec", "--c0", "--delta0", "--non-private"},
 }
 
 
@@ -609,7 +663,7 @@ def test_option_surface():
         for command, p in sub.choices.items()
     }
     assert registered == {command: sorted(opts) for command, opts in OPTIONS.items()}
-    assert sum(map(len, registered.values())) == 62
+    assert sum(map(len, registered.values())) == 64
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,12 @@ def cases() -> dict:
     out["select-dense-lmm-csv"] = ["select", "--in", "{dense}"] + as_csv
     out["fim-r2-csv"] = ["fim", "--baskets", "{baskets}"] + as_csv
     out["pac-csv"] = ["pac", "--spec", "{spec}"] + as_csv
+    # the exact statistics, nested under non_private (non_private.<key> rows in CSV)
+    exact = ["--non-private", "--seed", "0"]
+    out["pac-non-private-s0"] = ["pac", "--spec", "{spec}"] + exact
+    out["pac-non-private-csv"] = ["pac", "--spec", "{spec}", "--format", "csv"] + exact
+    out["fim-r2-non-private-s0"] = ["fim", "--baskets", "{baskets}"] + exact
+    out["fim-r2-non-private-csv"] = ["fim", "--baskets", "{baskets}", "--format", "csv"] + exact
     return out
 
 

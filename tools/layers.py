@@ -25,7 +25,8 @@ LAYER names what each child process times:
   (``build_ms``), the call (``lmm_ms``), its ``growths`` head growths
   (``head_ms`` in all) and ``shell_decomposition`` (``shells_ms``); a
   second times one whole ``privmax pac --spec`` call on the spec
-  (``pac_ms``): the parse, the selection and the shells.
+  (``pac_ms``): the parse and the selection. It passes no
+  ``--non-private``, so, as in the benchmark, the call runs no shells.
 - ``fim``: one cold ``privmax fim --r 2 --vocab-size 1000000`` on the
   ``fim-sparse`` benchmark's baskets for ``--seed``. One child times what the
   CLI runs: ``load_baskets`` (``load_ms``), ``_count_itemsets``
