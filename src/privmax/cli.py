@@ -18,12 +18,13 @@ select, bench-range, fim and pac, replaces every noise draw with its median
 for deterministic traces. It is NOT private; it exists for CI and debugging
 only.
 
-fim and pac print the release by default. --non-private also computes their
-exact statistics of the data (pac's error shells, t* and selection constant,
-fim's gap and exact expected EM gap, and the rest) and nests them in one
-"non_private" object; that object is not private. The seed and two exact
-fields the benchmark's checkers read, pac's error and fim's f_max, stay at
-top level.
+fim and pac print the release by default; fim prints the released itemset
+and not its id, which ranks the itemset by its support in the data.
+--non-private also computes their exact statistics of the data (pac's error
+shells, t* and selection constant, fim's gap and exact expected EM gap, and
+the rest) and nests them in one "non_private" object; that object is not
+private. The seed and two exact fields the benchmark's checkers read, pac's
+error and fim's f_max, stay at top level.
 """
 
 from __future__ import annotations
@@ -164,16 +165,17 @@ def _noise(args) -> NoiseSource:
     return NoiseSource(args.seed, zero_override=args.zero_noise)
 
 
-def _emit_outcome(args, result, release=None, non_private=None) -> int:
+def _emit_outcome(args, result, release=None, non_private=None, print_item=True) -> int:
     """Emit ``result``, the outcome of one mechanism run on ``_noise(args)``,
     with ``args.seed``, the run's only seed.
 
     A declined st13 run (item ``FAIL_KEY``) is emitted as the fail record
     with exit code EXIT_FAIL, and calls neither hook. A released outcome is
-    emitted with ``release(outcome)`` merged in, if given, and under
-    --non-private with ``non_private(outcome)`` as its last field,
-    ``"non_private"``, the one place exact statistics of the data enter a
-    payload; it exits EXIT_OK when certified, else EXIT_UNCERTIFIED.
+    emitted with its item id unless ``print_item`` is false, with
+    ``release(outcome)`` merged in, if given, and under --non-private with
+    ``non_private(outcome)`` as its last field, ``"non_private"``, the one
+    place exact statistics of the data enter a payload; it exits EXIT_OK
+    when certified, else EXIT_UNCERTIFIED.
     """
     budget = result.budget
     if result.item == FAIL_KEY:
@@ -181,6 +183,8 @@ def _emit_outcome(args, result, release=None, non_private=None) -> int:
         return EXIT_FAIL
     payload = {"item": result.item, "m": result.m, "ell": result.ell, "certified": result.certified,
                "alpha": budget.alpha, "delta": budget.delta, "seed": args.seed}
+    if not print_item:
+        del payload["item"]
     if release is not None:
         payload.update(release(result))
     if non_private is not None and args.non_private:
@@ -315,7 +319,9 @@ def cmd_fim(args) -> int:
             "universe_provenance": "a-priori" if args.vocab_size else "data-derived",
         }
 
-    return _emit_outcome(args, result, release, non_private)
+    # a fim id is a rank by support, an exact statistic of the data, so the
+    # payload names the itemset alone
+    return _emit_outcome(args, result, release, non_private, print_item=False)
 
 
 def cmd_pac(args) -> int:

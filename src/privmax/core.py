@@ -5,8 +5,8 @@ margin-adaptive mechanism."""
 from __future__ import annotations
 
 import math
-import operator
-from itertools import compress, islice, repeat
+from bisect import bisect_right
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 NEG_INF = float("-inf")
@@ -74,30 +74,6 @@ class PrivacyBudget(NamedTuple("PrivacyBudget", [("alpha", float), ("delta", flo
             raise ValueError("this mechanism requires delta in (0, 1)")
 
 
-def _top_values(vals: tuple[float, ...], m: int) -> list[float] | None:
-    """At least ``m`` of ``vals``, every one >= each value left out, in id
-    order; None when no candidate from the sample admits m values.
-
-    The candidate is a value of a stride sample. About m/step sampled values
-    lie among the m largest, and a few standard deviations more make the first
-    candidate admit m values in all but adversarial layouts; each miss moves
-    twice as far down the sample.
-    """
-    step = max(1, len(vals) // _SAMPLE_SIZE)
-    sample = sorted(vals[::step], reverse=True)
-    last = len(sample) - 1
-    j = m // step
-    j += 3 * math.isqrt(j) + 1
-    while True:
-        cand = sample[min(j, last)]
-        top = [v for v in vals if v >= cand]
-        if len(top) >= m:
-            return top
-        if j >= last:
-            return None
-        j *= 2
-
-
 class QualityUniverse:
     """Per-item quality scores f(1..k) with declared sensitivity 1/n.
 
@@ -113,21 +89,21 @@ class QualityUniverse:
     descending order. :meth:`dense` is the case L = k, values in caller order.
 
     Readers see the descending order (values descending, ties by ascending
-    id) through a cached head: ``_sorted`` holds its values and ``_ids_desc``
-    its ids, and ranks past the explicit values read the fill value. The
-    head of descending explicit values is complete from the start. Any other
-    head is sorted only as far as :func:`order_stat` and :func:`top_set`
-    read it and grows geometrically on demand, each growth to at least 1/64
-    of the explicit values (see :meth:`_descending`), so a search on a large
-    universe grows it once. The head is the only state
-    that ever changes. Each of its two tuples is only ever replaced whole by
-    another prefix of the same order, and a reader reads the attribute once
-    and indexes that tuple, or the longer one its growth returned, so every
-    read is exact and a universe may still be shared freely across threads;
-    a race between two growths at worst repeats a sort.
+    id) through one cached head, ``_head = (values, ids)``: a prefix of that
+    order, and ranks past the explicit values read the fill value. The head
+    of descending explicit values is complete from the start. Any other head
+    is sorted only as far as :func:`order_stat` and :func:`top_set` read it,
+    and grows geometrically on demand, each growth to at least 1/64 of the
+    explicit values (see :meth:`_descending`), so a search on a large
+    universe grows it once. The head is the only state that ever changes,
+    and only :meth:`_descending` changes it, replacing the pair whole. A
+    reader reads the pair once and indexes it, or the pair a growth
+    returned, so every read is exact and a universe may still be shared
+    freely across threads; a race between two growths at worst repeats a
+    sort.
     """
 
-    __slots__ = ("k", "n", "explicit", "fill", "_sorted", "_ids_desc")
+    __slots__ = ("k", "n", "explicit", "fill", "_head")
 
     def __init__(self, explicit: Sequence[float], k: int, n: int, fill: float = 0.0):
         # bool is an int subclass, but True is no universe size
@@ -149,56 +125,60 @@ class QualityUniverse:
         self.n = n
         self.explicit = vals
         self.fill = fill
-        if descending:
-            # the identity order is the stable descending one
-            self._sorted = vals
-            self._ids_desc = range(1, len(vals) + 1)
-        else:
-            # cached prefix of the descending order, grown by _descending
-            self._sorted = ()
-            self._ids_desc = ()
+        # the identity order of descending values is the stable descending one
+        self._head = (vals, range(1, len(vals) + 1)) if descending else ((), ())
 
     def _descending(self, m: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        """Grow the cached descending head to at least ``min(m, L)`` ranks and
-        return its (values, ids) pair.
+        """Grow the head to at least ``min(m, L)`` ranks and return the
+        grown (values, ids) pair.
 
         A growth reaches at least max(m, 256, 8 times the current head, L/64)
-        ranks. Short of a full sort, it takes a candidate threshold from a
-        stride sample of about 4,096 values, keeps the values at or above it
-        (lowering the candidate until at least m pass), takes the exact m-th
-        largest of those, and scans the ids once. The explicit values >= the
-        m-th largest one form a prefix of the stable descending order, and a
-        stable sort of their ascending ids keeps its tie-breaking, so the head
-        equals the first ranks of the full sort: the same ids and the same
-        float objects, +-0.0 included.
+        ranks, and a prefix of L/4 ranks or more is a full sort. Short of
+        that, one scan of the values collects the ascending ids of those at
+        or above a candidate from a stride sample of about 4,096 values.
+        About m/step sampled values lie among the m largest, and a few
+        standard deviations more make the first candidate admit m values in
+        all but adversarial layouts; each miss scans again, twice as far down
+        the sample, and a candidate past its end falls back to the full sort.
+        A stable sort of the collected ids by value keeps the ascending-id
+        tie order, and the head is cut after the last tie of the m-th value:
+        every explicit value >= it, a prefix of the stable descending order.
+        So the head equals the first ranks of the full sort: the same ids and
+        the same float objects, +-0.0 included.
         """
         vals = self.explicit
         size = len(vals)
-        m = max(m, _MIN_PREFIX, _PREFIX_GROWTH * len(self._ids_desc), size // _HEAD_FRACTION)
-        top = None if 4 * m >= size else _top_values(vals, m)
-        if top is None:
+        m = max(m, _MIN_PREFIX, _PREFIX_GROWTH * len(self._head[1]), size // _HEAD_FRACTION)
+        above = ()
+        if 4 * m < size:
+            step = max(1, size // _SAMPLE_SIZE)
+            sample = sorted(vals[::step], reverse=True)
+            last = len(sample) - 1
+            j = m // step
+            j += 3 * math.isqrt(j) + 1
+            while True:
+                cand = sample[min(j, last)]
+                above = [i for i, v in enumerate(vals) if v >= cand]  # ascending ids
+                if len(above) >= m or j >= last:
+                    break
+                j *= 2
+        if len(above) < m:
             # sorting the floats directly beats gathering them through the id
             # order: the gather reads the float objects in random order
             values = tuple(sorted(vals, reverse=True))
             # stable even with reverse=True: ties keep ascending-id order
             order = sorted(range(size), key=vals.__getitem__, reverse=True)
         else:
-            top.sort(reverse=True)
-            thr = top[m - 1]
-            above = [j for j, v in enumerate(vals) if v >= thr]  # ascending ids
             order = sorted(above, key=vals.__getitem__, reverse=True)
+            # cut after the last tie of the m-th value (0.0 ties -0.0); bisect
+            # needs ascending keys, and the negated values ascend along the order
+            order = order[:bisect_right(order, -vals[order[m - 1]], m, key=lambda i: -vals[i])]
             values = tuple(map(vals.__getitem__, order))
-        ids = tuple(map((1).__add__, order))
-        # keep a longer prefix that a concurrent reader stored meanwhile
-        if len(values) > len(self._sorted):
-            self._sorted = values
-        if len(ids) > len(self._ids_desc):
-            self._ids_desc = ids
-        return values, ids
+        head = self._head = values, tuple(map((1).__add__, order))
+        return head
 
     @classmethod
     def dense(cls, values: Sequence[float], n: int) -> "QualityUniverse":
-        values = tuple(values)
         return cls(values, len(values), n)
 
     @classmethod
@@ -237,14 +217,14 @@ def order_stat(u: QualityUniverse, r: int) -> float:
     Ranks past the explicit values return the fill value. -inf is never a
     stored value, only this sentinel. A universe built from unsorted values
     sorts them only when a read goes past its cached descending head, so
-    reading the top ranks costs a linear scan of the values and one of the
-    ids, not a sort, and grows the head to at least L/64 ranks; a read inside
-    the head costs no more than an index.
+    reading the top ranks costs one linear scan of the values, not a sort,
+    and grows the head to at least L/64 ranks; a read inside the head costs
+    no more than an index.
     """
     if not 1 <= r <= u.k + 1:
         raise ValueError(f"rank {r} outside [1, {u.k + 1}]")
     try:
-        return u._sorted[r - 1]
+        return u._head[0][r - 1]
     except IndexError:  # past the cached head
         if r == u.k + 1:
             return NEG_INF
@@ -263,7 +243,7 @@ def top_set(u: QualityUniverse, ell: int) -> tuple[int, ...]:
     """
     if not 1 <= ell <= u.k:
         raise ValueError(f"ell {ell} outside [1, {u.k}]")
-    ids = u._ids_desc
+    ids = u._head[1]
     if len(ids) < min(ell, len(u.explicit)):
         ids = u._descending(ell)[1]
     # every explicit value is >= the fill value, so the fill ids follow the
@@ -340,7 +320,7 @@ def json_numbers(doc: dict, field: str) -> list[float]:
     and read true as 1.0. So does an integer beyond the float range, on which
     ``float()`` would raise OverflowError. The type check is one C-level
     pass. An array of floats is returned as it is; only an array that holds
-    integers takes a second pass over them and is returned as a float copy.
+    integers takes a second pass, which returns it as a float copy.
     """
     if field not in doc:
         raise ValueError(f"missing field {field!r}")
@@ -351,20 +331,15 @@ def json_numbers(doc: dict, field: str) -> list[float]:
     if not types <= {int, float}:
         bad = next(x for x in value if type(x) not in (int, float))
         raise ValueError(f"field {field!r} must hold only numbers, got {bad!r}")
-    if int not in types:
-        return value
-    # integers only: NaN compares false, so a max over the mixed array
-    # could skip an integer that float() rejects
-    ints = compress(value, map(operator.is_, map(type, value), repeat(int)))
-    _require_float_range(field, max(map(abs, ints)))
-    return list(map(float, value))
+    return _floats(field, value) if int in types else value
 
 
-def _require_float_range(field: str, number) -> None:
-    """Raise ValueError if ``float(number)`` would overflow: a JSON integer
-    may be written with more digits than any float holds."""
+def _floats(field: str, numbers) -> list[float]:
+    """``list(map(float, numbers))``, with ValueError where ``float()`` would
+    overflow: a JSON integer may be written with more digits than any float
+    holds."""
     try:
-        float(number)
+        return list(map(float, numbers))
     except OverflowError:
         raise ValueError(f"field {field!r} holds an integer too large for a float") from None
 
@@ -400,7 +375,7 @@ def universe_from_dict(doc: dict) -> QualityUniverse:
     fill = doc.get("fill", 0.0)
     if type(fill) not in (int, float):
         raise ValueError(f"field 'fill' must be a number, got {fill!r}")
-    _require_float_range("fill", fill)
+    (fill,) = _floats("fill", [fill])
     return QualityUniverse(json_numbers(doc, "nonzeros"), k, n, fill)
 
 

@@ -143,14 +143,10 @@ class _ExponentialWeights:
         n_explicit = min(ell, len(u.explicit))
         cum = self._cum
         if len(cum) < n_explicit:
-            ids = self._ids
+            ids = u._head[1]
             if len(ids) < n_explicit:
-                # the head first: reading rank 1 first would sort a prefix
-                # that a full-universe selection then sorts again
-                ids = u._ids_desc
-                if len(ids) < n_explicit:
-                    ids = top_set(u, n_explicit)
-                self._ids = ids
+                ids = u._descending(n_explicit)[1]
+            self._ids = ids
             vals, rate, vmax = u.explicit, self._rate, self._vmax
             total = cum[-1] if cum else 0.0
             for i in ids[len(cum):n_explicit]:
@@ -342,7 +338,7 @@ class _LargeMarginPlan(_Plan):
             z = -m_scale * log1p(-2.0 * d) if d > 0.0 else m_scale * log1p(2.0 * d)
             m = vmax + z / n
             # stage 2 is margin_search(u, alpha/3, m, T, src, cap)
-            head, T = u._sorted, self._T
+            head, T = u._head[0], self._T
             x = random()
             while x <= 0.0:
                 x = random()
@@ -361,7 +357,7 @@ class _LargeMarginPlan(_Plan):
                         f = fill
                     else:  # grow the head, and read the grown one from here on
                         f = order_stat(u, r + 1)
-                        head = u._sorted
+                        head = u._head[0]
                 try:
                     t = T[r - 1]
                 except IndexError:  # the first run to reach rank r

@@ -11,6 +11,7 @@ import pytest
 from privmax import (
     BasketDataset,
     HypothesisClass,
+    MechanismOutcome,
     NeighborPair,
     NoiseSource,
     PrivacyBudget,
@@ -612,6 +613,38 @@ class TestLiveLeaks:
         p_neighbor = _release_share(9 * [["a", "b", "c"]] + [["a", "b", "c", "d"]], budget,
                                     uncertified, 2000, vocab_size=4)
         assert p <= math.exp(budget.alpha) * p_neighbor + budget.delta
+
+    def test_fim_id_is_a_support_rank(self, tmp_path, monkeypatch, capsys):
+        # D is 10 {a, b}, 9 {c, d} and 11 {e, f}, and D' moves one {a, b}
+        # basket to {c, d}: both sorted universes read [11, 10, 9]/30 and fill
+        # 0, but id 2 decodes to ab on D and to cd on D'. A payload that
+        # printed the id beside the itemset read (2, ab) about 0.30 of the
+        # time on D and never on D'. Each distinct release of 20,000 em runs
+        # a side is printed once by the CLI, and the law of the printed
+        # payload must meet the em's claim on both sides
+        budget = PrivacyBudget(1.0)
+        runs = 20_000
+        sides = (10 * [["a", "b"]] + 9 * [["c", "d"]] + 11 * [["e", "f"]],
+                 9 * [["a", "b"]] + 10 * [["c", "d"]] + 11 * [["e", "f"]])
+        laws = []
+        for seed, baskets in enumerate(sides, 1):
+            path = tmp_path / f"baskets-{seed}.txt"
+            path.write_text("".join(" ".join(b) + "\n" for b in baskets))
+            universe, _ = itemset_quality(load_baskets(path), 2)
+            releases = Counter(islice(build_mechanism("em", budget).bind(universe).releases(NoiseSource(seed)), runs))
+            law = Counter()
+            for release, count in releases.items():
+                outcome = MechanismOutcome(*release)
+                monkeypatch.setattr(cli, "build_mechanism", lambda *args, **kwargs: lambda u, src: outcome)
+                assert cli.main(["fim", "--baskets", str(path), "--mechanism", "em", "--alpha", "1",
+                                 "--delta", "0", "--seed", "0"]) == cli.EXIT_OK
+                law[capsys.readouterr().out] += count / runs
+            laws.append(law)
+        p, p_neighbor = laws
+        slack = 2 * hoeffding_slack(runs)
+        for payload in p.keys() | p_neighbor.keys():
+            assert p[payload] <= math.exp(budget.alpha) * p_neighbor[payload] + slack, payload
+            assert p_neighbor[payload] <= math.exp(budget.alpha) * p[payload] + slack, payload
 
     @pytest.mark.parametrize("name, budget", [("em", PrivacyBudget(1.0)), ("lmm", PrivacyBudget(1.0, 0.05)),
                                               ("mol", PrivacyBudget(1.0))], ids=["em", "lmm", "mol"])

@@ -606,6 +606,72 @@ def test_exact_statistics_run_only_under_non_private(command, tmp_path, monkeypa
     assert calls == {name: int(name in EXACT_STATISTICS[command]) for name in names}
 
 
+# a neighbouring pair of inputs per driver, and the public outcome a fake
+# mechanism releases on both sides. fim's D' moves one {e, f} basket to
+# {c, d}: itemset ab keeps its support but its rank, its id, moves from 2 to
+# 1, and the top support from 11 to 10. pac's D' moves hypothesis 0's error
+# by 1/n; its id is the hypothesis index + 1 on both sides
+PURITY_SIDES = {
+    "fim": (10 * ["a b"] + 9 * ["c d"] + 11 * ["e f"], 10 * ["a b"] + 10 * ["c d"] + 10 * ["e f"]),
+    "pac": ([0.1, 0.3, 0.3, 0.5], [0.2, 0.3, 0.3, 0.5]),
+}
+# every field of a default payload, in its order; fim's f_max and pac's
+# error are exact statistics of the data until they leave the release
+PURITY_FIELDS = {
+    "fim": ("m", "ell", "certified", "alpha", "delta", "seed", "itemset", "f_max"),
+    "pac": ("item", "m", "ell", "certified", "alpha", "delta", "seed", "hypothesis", "error"),
+}
+STILL_EXACT = {("fim", "f_max"), ("pac", "error")}
+
+
+@pytest.fixture(scope="module")
+def purity_payloads(tmp_path_factory):
+    """Command -> the default payloads of D and D', each side's run
+    releasing the itemset ab or hypothesis 0 under that side's id."""
+    import privmax.cli
+    from privmax import MechanismOutcome, itemset_quality, load_baskets
+
+    root = tmp_path_factory.mktemp("purity")
+    payloads = {}
+    for command, sides in PURITY_SIDES.items():
+        payloads[command] = []
+        for side, data in enumerate(sides):
+            path = root / f"{command}-{side}"
+            if command == "fim":
+                path.write_text("".join(line + "\n" for line in data))
+                universe, codec = itemset_quality(load_baskets(path), 2)
+                item = next(i for i in range(1, universe.k + 1) if codec.decode(i) == ("a", "b"))
+                argv = ["fim", "--baskets", str(path)]
+            else:
+                path.write_text(json.dumps({"num_hypotheses": len(data), "n": 10, "d": 1, "error_profile": data}))
+                item = 1  # hypothesis 0
+                argv = ["pac", "--spec", str(path)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(privmax.cli, "build_mechanism",
+                           lambda name, budget, cap=None: lambda u, src: MechanismOutcome(item, budget, 0.5, 2, True))
+                assert run(*argv, "--seed", "3", "--out", str(root / "out.json")) == EXIT_OK
+            payloads[command].append((root / "out.json").read_text())
+    return payloads
+
+
+@pytest.mark.parametrize("command", sorted(PURITY_FIELDS))
+def test_payload_fields_are_listed(command, purity_payloads):
+    # a field a payload gains must join PURITY_FIELDS, which checks it below
+    for text in purity_payloads[command]:
+        assert tuple(json.loads(text)) == PURITY_FIELDS[command]
+
+
+@pytest.mark.parametrize("command, field", [
+    pytest.param(command, field, marks=pytest.mark.xfail(strict=True, reason="an exact statistic of the data"))
+    if (command, field) in STILL_EXACT else (command, field)
+    for command, fields in sorted(PURITY_FIELDS.items()) for field in fields
+], ids=lambda value: value)
+def test_payload_field_is_public(command, field, purity_payloads):
+    # one public outcome on neighbouring inputs: the field prints the same bytes on both sides
+    left, right = (json.dumps(json.loads(text)[field]) for text in purity_payloads[command])
+    assert left == right
+
+
 @pytest.mark.parametrize("command", ["select", "bench-range"])
 def test_negative_seed_exits_one(command, clear_universe, capsys):
     extra = ["--in", clear_universe] if command == "select" else ["--ks", "10", "--trials", "10"]

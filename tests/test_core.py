@@ -345,7 +345,7 @@ class TestQualityUniverse:
             assert repr(order_stat(u, ell)) == ref_sorted[ell - 1]
         u = QualityUniverse.dense(vals, n=10)
         assert top_set(u, 1) == ref_ids[:1]
-        assert len(u._ids_desc) < u.k
+        assert len(u._head[1]) < u.k
         for r in (5_002, 3, 600, 4_999):
             assert repr(order_stat(u, r)) == ref_sorted[r - 1]
 
@@ -398,7 +398,11 @@ class TestQualityUniverse:
             u = QualityUniverse.dense(vals, n=10)
             assert repr(order_stat(u, r)) == ref_sorted[r - 1], r
             assert top_set(u, r) == ref_ids[:r], r
-            head = u._sorted
+            head, ids = u._head
+            # the pair's one invariant: equal lengths, and each value is the
+            # explicit float object of its id
+            assert len(head) == len(ids)
+            assert all(v is u.explicit[i - 1] for v, i in zip(head, ids))
             assert list(map(repr, head)) == ref_sorted[: len(head)]
             # the head ends at a value change, so ties at its last value are all in it
             assert len(head) == len(vals) or head[-1] > float(ref_sorted[len(head)])
@@ -429,7 +433,7 @@ class TestQualityUniverse:
         self._assert_head_reads_match_full_sort(pm_zero, ranks)
         # all-equal values are descending, so the head is complete from the start
         u = QualityUniverse.dense([-0.0] * 5 + [0.0] * 5, n=10)
-        assert len(u._sorted) == 10
+        assert len(u._head[0]) == 10
         assert [repr(order_stat(u, r)) for r in (1, 6, 10)] == ["-0.0", "0.0", "0.0"]
         # k just above 4 x 256, where the stride is 1 and the sample is every value
         small = [rng.uniform(-1.0, 1.0) for _ in range(4 * 256 + 3)]
@@ -441,7 +445,7 @@ class TestQualityUniverse:
             self._assert_head_reads_match_full_sort(vals, (1, 256, 257, 258, size // 4))
             u = QualityUniverse.dense(vals, n=10)
             order_stat(u, 1)
-            assert len(u._sorted) == size // 64
+            assert len(u._head[0]) == size // 64
 
     def test_to_dict_shapes(self):
         dd = universe_to_dict(QualityUniverse.dense([1.0], n=2))
@@ -450,7 +454,7 @@ class TestQualityUniverse:
         assert set(sd) == {"k", "n", "nonzeros", "fill"}
 
     def test_one_form_in_storage(self):
-        assert QualityUniverse.__slots__ == ("k", "n", "explicit", "fill", "_sorted", "_ids_desc")
+        assert QualityUniverse.__slots__ == ("k", "n", "explicit", "fill", "_head")
         for u in (QualityUniverse.dense([0.2, 0.7], n=5), QualityUniverse.sparse([0.7], k=9, n=5)):
             assert not hasattr(u, "nonzeros") and not hasattr(u, "is_sparse")
             assert u.values is u.explicit
@@ -481,7 +485,7 @@ class TestQualityUniverse:
             shuffled = rng.sample(vals, len(vals))
             k = len(vals)
             ud = QualityUniverse.dense(desc, n=100)
-            assert ud._ids_desc == range(1, k + 1)
+            assert ud._head[1] == range(1, k + 1)
             us = QualityUniverse.dense(shuffled, n=100)
             for u, raw in ((ud, desc), (us, shuffled)):
                 ref_ids = tuple(i + 1 for i in sorted(range(k), key=lambda j: -raw[j]))

@@ -632,8 +632,8 @@ class TestBoundPlans:
                     src = NoiseSource(13, zero_override=zero)
                     gen = build_mechanism(name, budget, cap=cap).bind(u).runs(src)
                     got = [next(gen)]
-                    if 256 < len(u._sorted) < len(u.explicit):  # another reader grows it again
-                        order_stat(u, 4 * len(u._sorted) + 1)
+                    if 256 < len(u._head[0]) < len(u.explicit):  # another reader grows it again
+                        order_stat(u, 4 * len(u._head[0]) + 1)
                         regrown += 1
                     got += islice(gen, runs - 1)
                     plan, twin = build_mechanism(name, budget, cap=cap).bind(fresh()), NoiseSource(13, zero_override=zero)
@@ -673,8 +673,8 @@ class TestBoundPlans:
                     src = NoiseSource(13, zero_override=zero)
                     gen = mech.bind(u).releases(src)
                     got = [next(gen)]
-                    if 256 < len(u._sorted) < len(u.explicit):  # another reader grows it again
-                        order_stat(u, 4 * len(u._sorted) + 1)
+                    if 256 < len(u._head[0]) < len(u.explicit):  # another reader grows it again
+                        order_stat(u, 4 * len(u._head[0]) + 1)
                         regrown += 1
                     got += islice(gen, runs - 1)
                     twin, single = NoiseSource(13, zero_override=zero), NoiseSource(13, zero_override=zero)
@@ -1058,7 +1058,7 @@ def _eager_lmm_paths(fresh, budget, caps, head):
             runs = 2 if zero else 24
             u = fresh()
             run = build_mechanism("lmm", budget, cap=cap).bind(u)
-            assert len(u._sorted) == head
+            assert len(u._head[0]) == head
             shared, reference = NoiseSource(11, zero_override=zero), NoiseSource(11, zero_override=zero)
             got = [key(run(shared)) for _ in range(runs)]
             assert got == [_eager_lmm(fresh(), budget, reference, cap=cap) for _ in range(runs)]
@@ -1115,7 +1115,7 @@ def test_lmm_sorts_only_the_prefix_it_reads():
     out = large_margin_mechanism(u, PrivacyBudget(1.0, 0.05), NoiseSource(5))
     assert out.certified and out.ell <= cluster
     assert u.value(out.item) > 0.8
-    assert len(u._ids_desc) < u.k
+    assert len(u._head[1]) < u.k
 
 
 def test_lmm_grows_a_large_dense_head_once(monkeypatch):
@@ -1142,4 +1142,4 @@ def test_lmm_grows_a_large_dense_head_once(monkeypatch):
         assert out.certified and out.ell <= k // 64
         assert len(growths) == 1
         # ties at the k/64-th value may lengthen the head, never to all k
-        assert k // 64 <= len(u._sorted) < k
+        assert k // 64 <= len(u._head[0]) < k

@@ -23,7 +23,8 @@ LAYER names what each child process times:
   ``--cluster`` a wide margin below the rest, written as a ``pac`` class
   spec. One child times a cold LMM call on its qualities: the dense build
   (``build_ms``), the call (``lmm_ms``), its ``growths`` head growths
-  (``head_ms`` in all) and ``shell_decomposition`` (``shells_ms``); a
+  (``head_ms`` in all, the head's length read from the tree's
+  ``QualityUniverse._head``) and ``shell_decomposition`` (``shells_ms``); a
   second times one whole ``privmax pac --spec`` call on the spec
   (``pac_ms``): the parse and the selection. It passes no
   ``--non-private``, so, as in the benchmark, the call runs no shells.
@@ -176,7 +177,7 @@ def dense_child(seed: int, spec: str) -> dict:
     shells = shell_decomposition(errors, d=DENSE_D, n=DENSE_N, delta0=0.05)
     t3 = time.perf_counter()
     return {
-        "head": len(u._sorted),
+        "head": len(u._head[0]),
         "shell_sizes": list(shells.shell_sizes),
         "growth_ms": [round(ms, 2) for ms in growths],
         "release": [out.item, out.ell],

@@ -13,6 +13,13 @@ average read just before it. Prints one JSON line per pair, and last a JSON
 summary: per end-to-end metric, each tree's median and quartiles, the median
 and range of the per-pair ratio second/first, and in how many pairs the
 second tree was better. Exits 1 if any run's outputs were not all correct.
+
+Each run's environment drops PYTHONDONTWRITEBYTECODE, so both trees run in
+the same bytecode state. ``perfbench/run.py`` imports privmax in its own
+process for ``audit-lmm``, so that workload's ``peak_rss_mb`` includes
+compiling privmax whenever a tree has no bytecode cache: with the variable
+set and a cache in only one tree, the other read 4.7 % more (21.64 against
+20.67 MiB, 2 cores, Python 3.11.7), close to the benchmark's 5 % bound.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     load = " ".join(f"{x:.2f}" for x in os.getloadavg())
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.PIPE, text=True).stdout
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    out = subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
     result = json.loads(out.splitlines()[-1])
     return {"seed": seed, "host_load": load, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
